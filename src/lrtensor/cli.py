@@ -18,7 +18,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cap", type=int, default=None, help="element cap override")
     return parser
 
@@ -26,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, cap=args.cap, seed=args.seed)
+        config = load_config(args.config, cap=args.cap)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

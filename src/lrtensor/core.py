@@ -83,7 +83,11 @@ def _normalize_weights(shape: Shape, mode_weights):
 
 
 def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndarray:
-    """Multiply each mode by its weights raised to `power` (0.5 or -0.5)."""
+    """Multiply each mode by its weights raised to `power` (0.5 or -0.5).
+
+    A negative power divides by the positive one, so unscaling applies
+    exactly the factors that scaling multiplied in.
+    """
     out = values
     if mode_weights is None:
         return out.copy() if out is values else out
@@ -92,7 +96,8 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
             continue
         reshape = [1] * values.ndim
         reshape[ax] = -1
-        out = out * (w ** power).reshape(reshape)
+        factor = (w ** abs(power)).reshape(reshape)
+        out = out * factor if power > 0 else out / factor
     return out.copy() if out is values else out
 
 
@@ -220,6 +225,11 @@ def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
     return unfold(t, UnfoldingSpec((mode,), rest))
 
 
+def _mode_product(values: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
+    """Multiply axis `mode` of `values` by the matrix `m` from the left."""
+    return np.moveaxis(np.tensordot(m, values, axes=(1, mode)), 0, mode)
+
+
 def contract_mode(t: DenseTensor, m: np.ndarray, mode: int) -> DenseTensor:
     """Mode-wise matrix product; the contracted mode loses its weights."""
     m = np.asarray(m, dtype=float)
@@ -228,7 +238,7 @@ def contract_mode(t: DenseTensor, m: np.ndarray, mode: int) -> DenseTensor:
             f"matrix columns {m.shape} do not match extent "
             f"{t.shape.extents[mode]} of mode {mode}"
         )
-    values = np.moveaxis(np.tensordot(m, t.values, axes=(1, mode)), 0, mode)
+    values = _mode_product(t.values, m, mode)
     if t.mode_weights is None:
         weights = None
     else:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import functions as fnreg
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, frobenius_norm, unfold, UnfoldingSpec, mode_unfolding
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, frobenius_norm, mode_unfolding
 from .grids import DomainSpec, GridSpec, sample
 from .schedules import (
     REGIME_TT,
@@ -29,8 +29,8 @@ from .schedules import (
     SchedulerParams,
     build_schedule,
 )
-from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent, full_svd, tail_energy
-from .train import tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
+from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent, full_svd
+from .train import _max_ranks, tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
 from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
 
 CSV_SCHEMA = "lrtensor-csv v1"
@@ -72,7 +72,6 @@ class ExperimentConfig:
     fit_window: Optional[tuple] = None
     expected_exponent: Optional[float] = None
     exponent_tol: Optional[float] = None
-    seed: int = 0
     cap: int = DEFAULT_ELEMENT_CAP
 
 
@@ -90,7 +89,7 @@ class ExperimentReport:
         return 0 if self.violations == 0 else 1
 
 
-def parse_config(raw: dict, cap: Optional[int] = None, seed: Optional[int] = None) -> ExperimentConfig:
+def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     """Validate a raw JSON dict; raise ConfigError naming the bad field."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -169,18 +168,17 @@ def parse_config(raw: dict, cap: Optional[int] = None, seed: Optional[int] = Non
         fit_window=fit_window,
         expected_exponent=raw.get("expected_exponent"),
         exponent_tol=raw.get("exponent_tol"),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
         cap=int(cap if cap is not None else raw.get("cap", DEFAULT_ELEMENT_CAP)),
     )
 
 
-def load_config(path, cap=None, seed=None) -> ExperimentConfig:
+def load_config(path, cap=None) -> ExperimentConfig:
     with open(path) as handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
-    return parse_config(raw, cap=cap, seed=seed)
+    return parse_config(raw, cap=cap)
 
 
 def _fmt(value) -> str:
@@ -214,53 +212,32 @@ def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
     return sample(config.function, domain, config.grid, cap=config.cap).tensor
 
 
-def _select_rank(spectrum: SingularSpectrum, rel_tol: float) -> int:
-    """Minimal rank whose tail is <= rel_tol * total energy."""
-    total = tail_energy(spectrum, 0)
-    usable = spectrum.above_floor()
-    for r in range(usable + 1):
-        if tail_energy(spectrum, r) <= rel_tol * total:
-            return max(r, 1)
-    return max(usable, 1)
-
-
 def _decompose(t: DenseTensor, fmt: str, ranks, tolerance):
-    """Run one decomposition; returns (decomposition, ranks, error, bound)."""
-    m = t.ndim
+    """Run one decomposition; returns (decomposition, ranks, error, bound, cost, storage).
+
+    Given ranks are clamped to the feasible ones. Without ranks, every
+    mode or bond keeps the minimal rank whose discarded tail is at most
+    tolerance * ||A|| (default tolerance 1e-12).
+    """
+    extents = t.shape.extents
+    if ranks is None:
+        tol = tolerance if tolerance is not None else 1e-12
+        ranks = TruncationRule.tail_energy(tol * frobenius_norm(t))
+    else:
+        feasible = extents if fmt == "tucker" else _max_ranks(extents)
+        ranks = tuple(min(int(r), f) for r, f in zip(ranks, feasible))
     if fmt == "tucker":
-        if ranks is None:
-            probe = hosvd(t, t.shape.extents)
-            tol = tolerance if tolerance is not None else 1e-12
-            ranks = tuple(_select_rank(sp, tol) for sp in probe.mode_spectra)
-        ranks = tuple(min(int(r), n) for r, n in zip(ranks, t.shape.extents))
         d = hosvd(t, ranks)
         err = tucker_error(t, d)
-        bound = d.tail_bound()
-        cost = tucker_cost(ranks)
-        storage = tucker_factor_storage(t.shape.extents, ranks)
+        cost = tucker_cost(d.ranks)
+        storage = tucker_factor_storage(extents, d.ranks)
     else:
         builder = tt_svd if fmt == "tt" else tt_svd_bidirectional
-        if ranks is None:
-            probe = builder(t)
-            tol = tolerance if tolerance is not None else 1e-12
-            ranks = tuple(_select_rank(sp, tol) for sp in probe.spectra)
-        feasible = _tt_feasible(t.shape.extents)
-        ranks = tuple(min(int(r), f) for r, f in zip(ranks, feasible))
         d = builder(t, ranks)
         err = tt_error(t, d)
-        bound = d.tail_bound()
-        cost = tt_cost(ranks)
-        storage = tt_storage(t.shape.extents, ranks)
-    return d, ranks, err, bound, cost, storage
-
-
-def _tt_feasible(extents) -> list:
-    out = []
-    r_prev = 1
-    for j in range(len(extents) - 1):
-        r_prev = min(r_prev * extents[j], math.prod(extents[j + 1 :]))
-        out.append(r_prev)
-    return out
+        cost = tt_cost(d.ranks)
+        storage = tt_storage(extents, d.ranks)
+    return d, d.ranks, err, d.tail_bound(), cost, storage
 
 
 def _schedule_ranks_for(config: ExperimentConfig, epsilon: float) -> RankSchedule:
@@ -282,7 +259,7 @@ def _schedule_ranks_for(config: ExperimentConfig, epsilon: float) -> RankSchedul
 
 
 def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
-    """Dispatch one experiment; deterministic for fixed config and seed."""
+    """Dispatch one experiment; deterministic for a fixed config."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(config.experiment, out_dir)
@@ -412,7 +389,8 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
     rows = []
     for eps in config.epsilons:
         schedule = _schedule_ranks_for(config, eps)
-        ranks = schedule.active_ranks()
+        # Bonds the weighted TT schedule drops (rank 0) run at rank 1.
+        ranks = [max(r, 1) for r in schedule.ranks]
         _, ranks, err, bound, cost, _ = _decompose(t, config.format, ranks, None)
         slack = bound + 1e-10 * norm
         ok = err <= slack

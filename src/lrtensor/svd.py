@@ -132,7 +132,10 @@ def _tails(s: np.ndarray) -> np.ndarray:
 def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
     """Truncate at the minimal rank satisfying `rule`.
 
-    The reported tail is the exact Frobenius error of the truncation.
+    A tail-energy rule keeps at least one singular value, so a
+    decomposition driven by a tolerance never gets a rank-0 mode or
+    bond. The reported tail is the exact Frobenius error of the
+    truncation.
     """
     U, s, Vt = full_svd(m)
     full = SingularSpectrum(s)
@@ -151,6 +154,7 @@ def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
         else:
             rank = usable
             floor_limited = True
+        rank = max(rank, 1)
     return TruncatedSVD(
         U=U[:, :rank],
         spectrum=SingularSpectrum(s[:rank]),

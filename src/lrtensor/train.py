@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DenseTensor, Shape, ShapeMismatchError, frobenius_norm, subtract
-from .svd import SingularSpectrum, full_svd, tail_energy
+from .core import (
+    DenseTensor,
+    Shape,
+    ShapeMismatchError,
+    _scale_by_weights,
+    frobenius_norm,
+    subtract,
+)
+from .svd import TruncationRule, truncated_svd
 
 
 class RankInfeasibleError(ValueError):
@@ -39,7 +46,6 @@ class TTDecomposition:
     source_shape: Shape
     orthogonality: str = "left"
     step_stack_dims: tuple = ()
-    step_matrix_shapes: tuple = ()
 
     @property
     def ranks(self) -> tuple:
@@ -63,139 +69,114 @@ def _max_ranks(extents: Sequence[int]) -> list:
     return ranks
 
 
-def _check_rank(requested: int, feasible: int, step: int) -> int:
-    if requested < 1:
-        raise ValueError(f"bond rank at step {step} must be positive")
-    if requested > feasible:
-        raise RankInfeasibleError(
-            f"rank {requested} infeasible at step {step}; feasible maximum is {feasible}"
-        )
-    return requested
-
-
-def tt_svd(t: DenseTensor, ranks: Optional[Sequence[int]] = None) -> TTDecomposition:
-    """Left-to-right TT-SVD truncated at the given bond ranks.
-
-    `ranks` has one entry per bond (m-1 entries); None keeps full ranks.
-    """
-    extents = t.shape.extents
+def _bond_rules(extents: Sequence[int], ranks) -> list:
+    """One truncation rule per bond; None keeps full ranks."""
     m = len(extents)
+    if isinstance(ranks, TruncationRule):
+        return [ranks] * (m - 1)
     if ranks is None:
         ranks = _max_ranks(extents)
     ranks = [int(r) for r in ranks]
     if len(ranks) != m - 1:
         raise ShapeMismatchError(f"{len(ranks)} bond ranks supplied for {m} modes")
-    wv = t.weighted_values()
-    if m == 1:
-        core = wv.reshape(1, extents[0], 1)
-        return TTDecomposition(
-            cores=(core,),
-            spectra=(),
-            step_tails=(),
-            mode_weights=t.mode_weights,
-            source_shape=t.shape,
-        )
+    for bond, r in enumerate(ranks, start=1):
+        if r < 1:
+            raise ValueError(f"bond rank at step {bond} must be positive")
+    return [TruncationRule.fixed_rank(r) for r in ranks]
+
+
+def _sweep(remainder: np.ndarray, extents, rules, bonds):
+    """Separate `extents`, in order, off the front of `remainder`.
+
+    Each step stacks the previous bond onto the active mode, truncates
+    that matrix, keeps U_r as a left-orthonormal core and passes
+    s_r V_r^T on, so the singular values travel in the remainder.
+    Returns the cores, one (spectrum, tail, stack dim) per step, and
+    the final remainder.
+    """
     cores = []
-    spectra = []
-    tails = []
-    stack_dims = []
-    shapes = []
-    remainder = wv.reshape(extents[0], -1)
+    steps = []
     r_prev = 1
-    for j in range(m - 1):
-        rows = r_prev * extents[j]
-        remainder = remainder.reshape(rows, -1)
-        shapes.append(remainder.shape)
-        stack_dims.append(rows)
-        r = _check_rank(ranks[j], min(remainder.shape), j + 1)
-        U, s, Vt = full_svd(remainder)
-        cores.append(U[:, :r].reshape(r_prev, extents[j], r))
-        spectrum = SingularSpectrum(s)
-        spectra.append(spectrum)
-        tails.append(tail_energy(spectrum, r))
-        remainder = s[:r, None] * Vt[:r]
-        r_prev = r
-    cores.append(remainder.reshape(r_prev, extents[-1], 1))
+    for n, rule, bond in zip(extents, rules, bonds):
+        mat = remainder.reshape(r_prev * n, -1)
+        feasible = min(mat.shape)
+        if rule.kind == "fixed-rank" and rule.value > feasible:
+            raise RankInfeasibleError(
+                f"rank {rule.value} infeasible at step {bond}; feasible maximum is {feasible}"
+            )
+        step = truncated_svd(mat, rule)
+        cores.append(step.U.reshape(r_prev, n, step.rank))
+        steps.append((step.full_spectrum, step.tail, mat.shape[0]))
+        remainder = step.spectrum.values[:, None] * step.V.T
+        r_prev = step.rank
+    return cores, steps, remainder
+
+
+def tt_svd(
+    t: DenseTensor, ranks: Union[Sequence[int], TruncationRule, None] = None
+) -> TTDecomposition:
+    """Left-to-right TT-SVD.
+
+    `ranks` is one rank per bond (m-1 entries), one TruncationRule that
+    picks the rank of every bond from that step's spectrum, or None to
+    keep full ranks.
+    """
+    extents = t.shape.extents
+    m = len(extents)
+    rules = _bond_rules(extents, ranks)
+    cores, steps, remainder = _sweep(
+        t.weighted_values(), extents[:-1], rules, range(1, m)
+    )
+    cores.append(remainder.reshape(-1, extents[-1], 1))
     return TTDecomposition(
         cores=tuple(cores),
-        spectra=tuple(spectra),
-        step_tails=tuple(tails),
+        spectra=tuple(spectrum for spectrum, _, _ in steps),
+        step_tails=tuple(tail for _, tail, _ in steps),
         mode_weights=t.mode_weights,
         source_shape=t.shape,
         orthogonality="left",
-        step_stack_dims=tuple(stack_dims),
-        step_matrix_shapes=tuple(shapes),
+        step_stack_dims=tuple(dims for _, _, dims in steps),
     )
 
 
 def tt_svd_bidirectional(
-    t: DenseTensor, ranks: Optional[Sequence[int]] = None
+    t: DenseTensor, ranks: Union[Sequence[int], TruncationRule, None] = None
 ) -> TTDecomposition:
     """TT-SVD with forward steps up to the middle, then backward steps.
 
-    The first ceil((m-1)/2) bonds are separated left-to-right, the rest
-    right-to-left on the mirrored remainder; the meeting core joins the
-    two sweeps. Error accounting is identical to the unidirectional sweep.
+    The first ceil((m-1)/2) bonds are separated left-to-right; the rest
+    are separated by the same sweep run over the mirrored remainder
+    (all axes reversed), which peels the last modes first. The meeting
+    core joins the two sweeps. Error accounting is identical to the
+    unidirectional sweep. `ranks` is as for :func:`tt_svd`.
     """
     extents = t.shape.extents
     m = len(extents)
-    if ranks is None:
-        ranks = _max_ranks(extents)
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != m - 1:
-        raise ShapeMismatchError(f"{len(ranks)} bond ranks supplied for {m} modes")
     if m <= 2:
         return tt_svd(t, ranks)
+    rules = _bond_rules(extents, ranks)
     forward = math.ceil((m - 1) / 2)
-    wv = t.weighted_values()
-    left_cores = []
-    spectra_by_bond = [None] * (m - 1)
-    tails_by_bond = [0.0] * (m - 1)
-    stack_dims = []
-    shapes = []
-    remainder = wv.reshape(extents[0], -1)
-    r_prev = 1
-    for j in range(forward):
-        rows = r_prev * extents[j]
-        remainder = remainder.reshape(rows, -1)
-        shapes.append(remainder.shape)
-        stack_dims.append(rows)
-        r = _check_rank(ranks[j], min(remainder.shape), j + 1)
-        U, s, Vt = full_svd(remainder)
-        left_cores.append(U[:, :r].reshape(r_prev, extents[j], r))
-        spectrum = SingularSpectrum(s)
-        spectra_by_bond[j] = spectrum
-        tails_by_bond[j] = tail_energy(spectrum, r)
-        remainder = s[:r, None] * Vt[:r]
-        r_prev = r
-    # Backward sweep over the mirrored remainder, peeling the last modes.
-    right_cores = []
-    r_next = 1
-    for core_index in range(m - 1, forward, -1):
-        bond = core_index - 1
-        cols = extents[core_index] * r_next
-        remainder = remainder.reshape(-1, cols)
-        shapes.append(remainder.shape)
-        stack_dims.append(cols)
-        r = _check_rank(ranks[bond], min(remainder.shape), bond + 1)
-        U, s, Vt = full_svd(remainder)
-        right_cores.append(Vt[:r].reshape(r, extents[core_index], r_next))
-        spectrum = SingularSpectrum(s)
-        spectra_by_bond[bond] = spectrum
-        tails_by_bond[bond] = tail_energy(spectrum, r)
-        remainder = U[:, :r] * s[:r]
-        r_next = r
-    meeting = remainder.reshape(r_prev, extents[forward], r_next)
-    cores = left_cores + [meeting] + right_cores[::-1]
+    left, left_steps, remainder = _sweep(
+        t.weighted_values(), extents[:forward], rules[:forward], range(1, forward + 1)
+    )
+    mirrored = remainder.reshape(-1, *extents[forward:]).T
+    right, right_steps, remainder = _sweep(
+        mirrored,
+        extents[forward + 1 :][::-1],
+        rules[forward:][::-1],
+        range(m - 1, forward, -1),
+    )
+    meeting = remainder.reshape(-1, extents[forward], left[-1].shape[2]).T
+    cores = left + [meeting] + [core.T for core in right[::-1]]
+    by_bond = left_steps + right_steps[::-1]
     return TTDecomposition(
         cores=tuple(cores),
-        spectra=tuple(spectra_by_bond),
-        step_tails=tuple(tails_by_bond),
+        spectra=tuple(spectrum for spectrum, _, _ in by_bond),
+        step_tails=tuple(tail for _, tail, _ in by_bond),
         mode_weights=t.mode_weights,
         source_shape=t.shape,
         orthogonality="split",
-        step_stack_dims=tuple(stack_dims),
-        step_matrix_shapes=tuple(shapes),
+        step_stack_dims=tuple(dims for _, _, dims in left_steps + right_steps),
     )
 
 
@@ -205,13 +186,7 @@ def tt_reconstruct(d: TTDecomposition) -> DenseTensor:
     for core in d.cores[1:]:
         chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
     values = chain.reshape(d.source_shape.extents)
-    if d.mode_weights is not None:
-        for ax, w in enumerate(d.mode_weights):
-            if w is None:
-                continue
-            reshape = [1] * values.ndim
-            reshape[ax] = -1
-            values = values / np.sqrt(w).reshape(reshape)
+    values = _scale_by_weights(values, d.mode_weights, -0.5)
     return DenseTensor(d.source_shape, values, d.mode_weights)
 
 

@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DenseTensor, Shape, ShapeMismatchError, frobenius_norm, subtract
-from .svd import SingularSpectrum, full_svd, tail_energy
+from .core import (
+    DenseTensor,
+    Shape,
+    ShapeMismatchError,
+    _mode_product,
+    _scale_by_weights,
+    frobenius_norm,
+    subtract,
+)
+from .svd import TruncationRule, tail_energy, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -39,28 +47,34 @@ class TuckerDecomposition:
         return math.sqrt(total)
 
 
-def _mode_product(values: np.ndarray, mat: np.ndarray, mode: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(mat, values, axes=(1, mode)), 0, mode)
+def hosvd(
+    t: DenseTensor, ranks: Union[Sequence[int], TruncationRule]
+) -> TuckerDecomposition:
+    """Truncated higher-order SVD.
 
-
-def hosvd(t: DenseTensor, ranks: Sequence[int]) -> TuckerDecomposition:
-    """Truncated higher-order SVD at the given per-mode ranks."""
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != t.ndim:
-        raise ShapeMismatchError(
-            f"{len(ranks)} ranks supplied for {t.ndim} modes"
-        )
-    for j, (r, n) in enumerate(zip(ranks, t.shape.extents)):
-        if not 1 <= r <= n:
-            raise ValueError(f"rank {r} for mode {j} out of range 1..{n}")
+    `ranks` is one rank per mode, or one TruncationRule that picks the
+    rank of every mode from that mode's spectrum.
+    """
+    if isinstance(ranks, TruncationRule):
+        rules = [ranks] * t.ndim
+    else:
+        ranks = tuple(int(r) for r in ranks)
+        if len(ranks) != t.ndim:
+            raise ShapeMismatchError(
+                f"{len(ranks)} ranks supplied for {t.ndim} modes"
+            )
+        for j, (r, n) in enumerate(zip(ranks, t.shape.extents)):
+            if not 1 <= r <= n:
+                raise ValueError(f"rank {r} for mode {j} out of range 1..{n}")
+        rules = [TruncationRule.fixed_rank(r) for r in ranks]
     wv = t.weighted_values()
     factors = []
     spectra = []
-    for j in range(t.ndim):
+    for j, rule in enumerate(rules):
         mat = np.moveaxis(wv, j, 0).reshape(t.shape.extents[j], -1)
-        U, s, _ = full_svd(mat)
-        factors.append(U[:, : ranks[j]])
-        spectra.append(SingularSpectrum(s))
+        step = truncated_svd(mat, rule)
+        factors.append(step.U)
+        spectra.append(step.full_spectrum)
     core = wv
     for j, factor in enumerate(factors):
         core = _mode_product(core, factor.T, j)
@@ -80,13 +94,7 @@ def tucker_reconstruct(d: TuckerDecomposition) -> DenseTensor:
         values = _mode_product(values, factor, j)
     if values.shape != d.source_shape.extents:
         raise ShapeMismatchError("factor and core dimensions are inconsistent")
-    if d.mode_weights is not None:
-        for ax, w in enumerate(d.mode_weights):
-            if w is None:
-                continue
-            reshape = [1] * values.ndim
-            reshape[ax] = -1
-            values = values / np.sqrt(w).reshape(reshape)
+    values = _scale_by_weights(values, d.mode_weights, -0.5)
     return DenseTensor(d.source_shape, values, d.mode_weights)
 
 

@@ -1,10 +1,15 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lrtensor as lt
 import lrtensor.harness as hz
+import lrtensor.svd as svd
 from lrtensor.cli import main as cli_main
+from lrtensor.svd import tail_energy
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,8 +54,7 @@ class TestConfigParsing:
         assert exc.value.field == "tolerance"
 
     def test_seed_and_cap_overrides(self):
-        cfg = hz.parse_config(decompose_config(), cap=1000, seed=42)
-        assert cfg.seed == 42
+        cfg = hz.parse_config(decompose_config(), cap=1000)
         assert cfg.cap == 1000
 
 
@@ -155,3 +159,100 @@ class TestCLI:
         cfg.write_text(json.dumps(decompose_config()))
         code = cli_main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+def _csv_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+def _probe_rank(spectrum, tol):
+    """The rank the former full-rank probe picked: the minimal rank whose
+    tail is <= tol times the spectrum's total energy, floored at 1."""
+    total = tail_energy(spectrum, 0)
+    usable = spectrum.above_floor()
+    for r in range(usable + 1):
+        if tail_energy(spectrum, r) <= tol * total:
+            return max(r, 1)
+    return max(usable, 1)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("fmt, factorizations", [("tucker", 4), ("tt", 3), ("tt-bidir", 3)])
+    def test_decompose_factorizes_once(self, tmp_path, monkeypatch, fmt, factorizations):
+        calls = []
+        original = svd.full_svd
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return original(mat)
+
+        monkeypatch.setattr(svd, "full_svd", counting)
+        raw = decompose_config(
+            function={"id": "weighted_exp", "m": 4}, grid={"points_per_axis": 5},
+            format=fmt, ranks=None, tolerance=1e-6,
+        )
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert len(calls) == factorizations
+
+    @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
+    def test_tolerance_above_one_keeps_rank_one(self, tmp_path, fmt):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(decompose_config(
+            function={"id": "weighted_product", "m": 3}, grid={"points_per_axis": 7},
+            format=fmt, ranks=None, tolerance=2.0,
+        )))
+        assert cli_main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        (row,) = _csv_rows(tmp_path / "o" / "decompose.csv")
+        assert set(row["ranks"].split("x")) == {"1"}
+        assert row["within_bound"] == "1"
+
+    @pytest.mark.parametrize("seed, extents, weighted", [
+        (3, (6, 5, 6, 5), True),
+        (4, (5, 6, 4, 6), False),
+    ])
+    def test_ranks_match_full_rank_probe_rule(self, seed, extents, weighted):
+        # a fixed tensor with geometrically decaying rank-one terms, so the
+        # tolerance keeps intermediate ranks
+        rng = np.random.default_rng(seed)
+        values = sum(
+            0.3 ** k * np.einsum("i,j,k,l->ijkl", *(rng.standard_normal(n) for n in extents))
+            for k in range(8)
+        )
+        weights = [rng.random(n) + 0.1 for n in extents] if weighted else None
+        t = lt.DenseTensor.from_array(values, mode_weights=weights)
+        tol = 1e-2
+        norm = lt.frobenius_norm(t)
+        rule = lt.TruncationRule.tail_energy(tol * norm)
+
+        d = lt.hosvd(t, rule)
+        probe = lt.hosvd(t, t.shape.extents)
+        assert d.ranks == tuple(_probe_rank(sp, tol) for sp in probe.mode_spectra)
+        assert lt.tucker_error(t, d) <= math.sqrt(t.ndim) * tol * norm + 1e-10 * norm
+
+        for sweep in (lt.tt_svd, lt.tt_svd_bidirectional):
+            d = sweep(t, rule)
+            probe_ranks = [_probe_rank(sp, tol) for sp in sweep(t).spectra]
+            assert all(r <= p for r, p in zip(d.ranks, probe_ranks))
+            assert lt.tt_error(t, d) <= math.sqrt(t.ndim - 1) * tol * norm + 1e-10 * norm
+
+
+class TestRankVsEps:
+    def test_weighted_tt_runs_dropped_bonds_at_rank_one(self, tmp_path):
+        # M = ceil(0.3^(-1/4)) = 2 < m - 1 = 3, so the schedule drops bond 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "rank-vs-eps",
+            "function": {"id": "weighted_product", "m": 4},
+            "grid": {"points_per_axis": 5},
+            "format": "tt",
+            "scheduler": {"regime": "tt-weighted", "epsilon": 0.3, "k": 1.0,
+                          "dims": [1, 1, 1, 1], "delta": 0.5, "delta_prime": 3.0},
+            "epsilons": [0.3],
+        }))
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        (row,) = _csv_rows(tmp_path / "o" / "rank_vs_eps.csv")
+        ranks = row["ranks"].split("x")
+        assert len(ranks) == 3 and ranks[-1] == "1"
+        assert row["within_bound"] == "1"
