@@ -11,8 +11,8 @@ pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -86,19 +86,18 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
     """Multiply each mode by its weights raised to `power` (0.5 or -0.5).
 
     A negative power divides by the positive one, so unscaling applies
-    exactly the factors that scaling multiplied in.
+    exactly the factors that scaling multiplied in. The result is a new
+    array (normalized weights hold at least one vector).
     """
-    out = values
-    if mode_weights is None:
-        return out.copy() if out is values else out
-    for ax, w in enumerate(mode_weights):
+    out = values.copy() if mode_weights is None else values
+    for ax, w in enumerate(mode_weights or ()):
         if w is None:
             continue
         reshape = [1] * values.ndim
         reshape[ax] = -1
         factor = (w ** abs(power)).reshape(reshape)
         out = out * factor if power > 0 else out / factor
-    return out.copy() if out is values else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,7 @@ class DenseTensor:
     shape: Shape
     values: np.ndarray
     mode_weights: Optional[tuple] = None
+    _weighted: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -137,8 +137,18 @@ class DenseTensor:
         return self.shape.ndim
 
     def weighted_values(self) -> np.ndarray:
-        """Values scaled by the square roots of all mode weights."""
-        return _scale_by_weights(self.values, self.mode_weights, 0.5)
+        """Values scaled by the square roots of all mode weights.
+
+        Computed once (the only place weights are multiplied in) and
+        read-only; `values` itself when there are no weights.
+        """
+        if self._weighted is None:
+            weighted = self.values
+            if self.mode_weights is not None:
+                weighted = _scale_by_weights(self.values, self.mode_weights, 0.5)
+                weighted.setflags(write=False)
+            object.__setattr__(self, "_weighted", weighted)
+        return self._weighted
 
     def weights_for(self, mode: int):
         if self.mode_weights is None:
@@ -214,9 +224,12 @@ def fold(
     perm = spec.row_modes + spec.col_modes
     inverse = np.argsort(perm)
     values = mat.reshape([shape.extents[p] for p in perm]).transpose(inverse)
-    weights = _normalize_weights(shape, mode_weights)
-    values = _scale_by_weights(values, weights, -0.5)
-    return DenseTensor(shape, values, weights)
+    return _from_weighted(shape, values, _normalize_weights(shape, mode_weights))
+
+
+def _from_weighted(shape: Shape, weighted: np.ndarray, mode_weights) -> DenseTensor:
+    """Divide the weights back out: the only place they are, for `fold` and both reconstructs."""
+    return DenseTensor(shape, _scale_by_weights(weighted, mode_weights, -0.5), mode_weights)
 
 
 def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
@@ -252,10 +265,11 @@ def frobenius_norm(t: DenseTensor) -> float:
     return float(np.linalg.norm(t.weighted_values()))
 
 
-def subtract(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Entrywise difference; keeps the weights of `a`."""
-    if a.shape.extents != b.shape.extents:
+def _weighted_error(t: DenseTensor, reconstruction: np.ndarray) -> float:
+    """Exact ||A_w - reconstruction||, subtracting in place: pass a fresh weighted array."""
+    if reconstruction.shape != t.shape.extents:
         raise ShapeMismatchError(
-            f"shapes {a.shape.extents} and {b.shape.extents} differ"
+            f"shapes {t.shape.extents} and {reconstruction.shape} differ"
         )
-    return DenseTensor(a.shape, a.values - b.values, a.mode_weights)
+    reconstruction -= t.weighted_values()
+    return float(np.linalg.norm(reconstruction))

@@ -7,9 +7,8 @@ broadcastable coordinate arrays, one array per scalar axis.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -48,13 +47,6 @@ class FunctionSpec:
 def default_gamma(m: int, k: float = 1.0, delta_prime: float = 2.0) -> tuple:
     """Algebraically decaying weights j^(-(1+delta')/k)."""
     return tuple(float(j) ** (-(1.0 + delta_prime) / k) for j in range(1, m + 1))
-
-
-def _axis_offsets(dims) -> list:
-    offsets = [0]
-    for n in dims:
-        offsets.append(offsets[-1] + n)
-    return offsets
 
 
 def _eval_rank_one(spec, coords):

@@ -8,12 +8,12 @@ subdomains, not individual axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, frobenius_norm
 from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
@@ -25,26 +25,11 @@ class DomainSpec:
     """Product of unit boxes; dims[j] is the spatial dimension of box j."""
 
     dims: tuple
-    permutation: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         if any(n < 1 for n in self.dims):
             raise ValueError(f"subdomain dimensions must be >= 1, got {self.dims}")
-        if self.permutation is not None:
-            object.__setattr__(
-                self, "permutation", tuple(int(p) for p in self.permutation)
-            )
-
-    @classmethod
-    def ordered_for_tt(cls, dims: Sequence[int]) -> "DomainSpec":
-        """Reorder subdomains ascending in dimension, recording the permutation."""
-        perm = tuple(int(i) for i in np.argsort(np.asarray(dims), kind="stable"))
-        return cls(tuple(dims[p] for p in perm), permutation=perm)
-
-    @property
-    def num_subdomains(self) -> int:
-        return len(self.dims)
 
 
 @dataclass(frozen=True)
@@ -63,12 +48,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function sampled onto a product grid, with its metadata."""
+    """A function sampled onto a product grid."""
 
     tensor: DenseTensor
-    source: str
-    smoothness_k: object
-    weights_gamma: Optional[tuple] = None
 
 
 def axis_rule(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,13 +83,16 @@ def build_grid(
             )
         mesh = np.meshgrid(*([x] * n), indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
-        weights = np.ones(count)
-        for axis in range(n):
-            reshape = [1] * n
-            reshape[axis] = -1
-            weights = (weights.reshape([n_axis] * n) * w.reshape(reshape)).ravel()
-        out.append((points, weights))
+        out.append((points, _product_weights(w, n)))
     return out
+
+
+def _product_weights(w: np.ndarray, n: int) -> np.ndarray:
+    """Weights (N^n,) of the n-fold tensor-product rule, row-major."""
+    weights = np.ones(1)
+    for _ in range(n):
+        weights = np.multiply.outer(weights, w).ravel()
+    return weights
 
 
 def sample(
@@ -121,7 +106,7 @@ def sample(
         raise ValueError(
             f"function dims {fn.dims} do not match domain dims {domain.dims}"
         )
-    x, _ = axis_rule(grid)
+    x, w = axis_rule(grid)
     n_axis = grid.points_per_axis
     total_axes = sum(domain.dims)
     extents = tuple(n_axis ** n for n in domain.dims)
@@ -129,24 +114,15 @@ def sample(
     coords = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
     values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
     values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)
-    weights = [wsub for _, wsub in build_grid(domain, grid, cap=cap)]
-    tensor = DenseTensor(shape, values, weights)
-    return SampledFunction(
-        tensor=tensor,
-        source=fn.id,
-        smoothness_k=fn.smoothness_k,
-        weights_gamma=fn.gamma,
-    )
+    weights = [_product_weights(w, n) for n in domain.dims]
+    return SampledFunction(DenseTensor(shape, values, weights))
 
 
 def _is_uniform_trapezoid(w: np.ndarray) -> bool:
     n = w.size
     if n < 3:
         return False
-    h = 1.0 / (n - 1)
-    ref = np.full(n, h)
-    ref[0] *= 0.5
-    ref[-1] *= 0.5
+    _, ref = axis_rule(GridSpec(n))
     return bool(np.allclose(w, ref, rtol=1e-10, atol=0.0))
 
 
@@ -176,7 +152,5 @@ def discrete_mixed_seminorm(t: DenseTensor, mode: int) -> float:
 
 def discrete_h1_norm(t: DenseTensor, mode: int) -> float:
     """sqrt(seminorm^2 + L2 norm^2), the discrete H1 norm used in checks."""
-    from .core import frobenius_norm
-
     semi = discrete_mixed_seminorm(t, mode)
     return math.hypot(semi, frobenius_norm(t))

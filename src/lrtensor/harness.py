@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -22,7 +22,6 @@ from .core import DEFAULT_ELEMENT_CAP, DenseTensor, frobenius_norm, mode_unfoldi
 from .grids import DomainSpec, GridSpec, sample
 from .schedules import (
     REGIME_TT,
-    REGIME_TT_WEIGHTED,
     REGIME_TUCKER,
     REGIME_TUCKER_WEIGHTED,
     RankSchedule,
@@ -30,7 +29,7 @@ from .schedules import (
     build_schedule,
 )
 from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent, full_svd
-from .train import _max_ranks, tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
+from .train import _feasible_ranks, tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
 from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
 
 CSV_SCHEMA = "lrtensor-csv v1"
@@ -212,20 +211,31 @@ def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
     return sample(config.function, domain, config.grid, cap=config.cap).tensor
 
 
+def _rank_count(fmt: str, m: int) -> int:
+    """Ranks a format takes on m modes: one per mode (Tucker) or bond (TT)."""
+    return m if fmt == "tucker" else m - 1
+
+
 def _decompose(t: DenseTensor, fmt: str, ranks, tolerance):
     """Run one decomposition; returns (decomposition, ranks, error, bound, cost, storage).
 
-    Given ranks are clamped to the feasible ones. Without ranks, every
-    mode or bond keeps the minimal rank whose discarded tail is at most
-    tolerance * ||A|| (default tolerance 1e-12).
+    Given ranks (one per mode or bond) are clamped to the feasible ones.
+    Without ranks, every mode or bond keeps the minimal rank whose
+    discarded tail is at most tolerance * ||A|| (default tolerance 1e-12).
     """
     extents = t.shape.extents
     if ranks is None:
         tol = tolerance if tolerance is not None else 1e-12
         ranks = TruncationRule.tail_energy(tol * frobenius_norm(t))
     else:
-        feasible = extents if fmt == "tucker" else _max_ranks(extents)
-        ranks = tuple(min(int(r), f) for r, f in zip(ranks, feasible))
+        expected = _rank_count(fmt, len(extents))
+        if len(ranks) != expected:
+            raise ConfigError("ranks", f"format {fmt!r} on {len(extents)} modes "
+                              f"takes {expected} ranks, got {len(ranks)}")
+        if fmt == "tucker":
+            ranks = [min(int(r), n) for r, n in zip(ranks, extents)]
+        else:
+            ranks = _feasible_ranks(extents, ranks, bidirectional=fmt == "tt-bidir")
     if fmt == "tucker":
         d = hosvd(t, ranks)
         err = tucker_error(t, d)
@@ -244,18 +254,19 @@ def _schedule_ranks_for(config: ExperimentConfig, epsilon: float) -> RankSchedul
     base = config.scheduler
     if base is None:
         raise ConfigError("scheduler", "this experiment requires scheduler params")
-    p = SchedulerParams(
-        epsilon=epsilon,
-        k=base.k,
-        dims=base.dims,
-        delta=base.delta,
-        delta_prime=base.delta_prime,
-        gamma=base.gamma,
-    )
     regime = config.regime
     if regime is None:
         regime = REGIME_TUCKER if config.format == "tucker" else REGIME_TT
-    return build_schedule(regime, p)
+    return build_schedule(regime, replace(base, epsilon=epsilon))
+
+
+def _check_bound(report: ExperimentReport, err: float, bound: float, norm: float):
+    """(bound + 1e-10 * ||A||, err within it); a failure counts as a violation."""
+    slack = bound + 1e-10 * norm
+    ok = err <= slack
+    if not ok:
+        report.violations += 1
+    return slack, ok
 
 
 def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
@@ -289,10 +300,7 @@ def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     _, ranks, err, bound, cost, storage = _decompose(
         t, config.format, config.ranks, config.tolerance
     )
-    slack = bound + 1e-10 * frobenius_norm(t)
-    ok = err <= slack
-    if not ok:
-        report.violations += 1
+    slack, ok = _check_bound(report, err, bound, frobenius_norm(t))
     rows = [[config.format, _ranks_str(ranks), err, slack, cost, storage, ok]]
     path = report.out_dir / "decompose.csv"
     _write_csv(path, "decompose", ["format", "ranks", "error", "bound", "cost", "storage", "within_bound"], rows)
@@ -389,13 +397,11 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
     rows = []
     for eps in config.epsilons:
         schedule = _schedule_ranks_for(config, eps)
-        # Bonds the weighted TT schedule drops (rank 0) run at rank 1.
-        ranks = [max(r, 1) for r in schedule.ranks]
+        # Bonds the weighted TT schedule drops (rank 0) run at rank 1; a
+        # schedule with more ranks than the format takes gives the leading ones.
+        ranks = [max(r, 1) for r in schedule.ranks][: _rank_count(config.format, m)]
         _, ranks, err, bound, cost, _ = _decompose(t, config.format, ranks, None)
-        slack = bound + 1e-10 * norm
-        ok = err <= slack
-        if not ok:
-            report.violations += 1
+        slack, ok = _check_bound(report, err, bound, norm)
         rows.append([eps, _ranks_str(ranks), cost, err, slack,
                      math.sqrt(m) * eps, ok])
     path = report.out_dir / "rank_vs_eps.csv"
@@ -415,10 +421,7 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
     n = base.dims[0]
     rows = []
     for m in config.m_values:
-        p = SchedulerParams(
-            epsilon=base.epsilon, k=base.k, dims=(n,) * m,
-            delta=base.delta, delta_prime=base.delta_prime, gamma=None,
-        )
+        p = replace(base, dims=(n,) * m, gamma=None)
         weighted = build_schedule(REGIME_TUCKER_WEIGHTED, p)
         unweighted = build_schedule(REGIME_TUCKER, p)
         rows.append([
@@ -452,13 +455,12 @@ def compare_formats_into(config: ExperimentConfig, report: ExperimentReport) -> 
         ranks = config.ranks
         if ranks is not None and fmt == "tucker" and len(ranks) == t.ndim - 1:
             ranks = None  # bond ranks do not apply to the Tucker format
+        elif ranks is not None:
+            ranks = ranks[: _rank_count(fmt, t.ndim)]  # each format takes the leading ranks
         begin = time.perf_counter()
         _, used, err, bound, cost, storage = _decompose(t, fmt, ranks, config.tolerance)
         timings.append((fmt, time.perf_counter() - begin))
-        slack = bound + 1e-10 * norm
-        ok = err <= slack
-        if not ok:
-            report.violations += 1
+        slack, ok = _check_bound(report, err, bound, norm)
         rows.append([fmt, _ranks_str(used), err, slack, cost, storage, ok])
     path = report.out_dir / "compare_formats.csv"
     _write_csv(path, "compare-formats",
@@ -467,9 +469,3 @@ def compare_formats_into(config: ExperimentConfig, report: ExperimentReport) -> 
     report.csv_paths.append(path)
     for fmt, dt in timings:
         report.summary_lines.append(f"- {fmt}: {dt:.3f} s")
-
-
-def compare_formats(config: ExperimentConfig, out_dir) -> ExperimentReport:
-    """Side-by-side Tucker / TT / bidirectional-TT comparison."""
-    cfg = ExperimentConfig(**{**config.__dict__, "experiment": "compare-formats"})
-    return run(cfg, out_dir)

@@ -35,11 +35,6 @@ class SingularSpectrum:
         return int(self.values.size)
 
     @property
-    def lambdas(self) -> np.ndarray:
-        """Squared singular values, the eigenvalues of the Gram operator."""
-        return self.values ** 2
-
-    @property
     def noise_floor(self) -> float:
         return NOISE_FLOOR_RATIO * (self.values[0] if len(self) else 0.0)
 
@@ -92,9 +87,6 @@ class TruncatedSVD:
     full_spectrum: SingularSpectrum
     floor_limited: bool = False
 
-    def __iter__(self):
-        return iter((self.U, self.spectrum, self.V, self.tail))
-
     @property
     def rank(self) -> int:
         return len(self.spectrum)
@@ -115,11 +107,15 @@ def full_svd(mat: np.ndarray):
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-    for c in range(U.shape[1]):
-        nz = np.flatnonzero(np.abs(U[:, c]) > SIGN_PIVOT_TOL)
-        if nz.size and U[nz[0], c] < 0:
-            U[:, c] = -U[:, c]
-            Vt[c, :] = -Vt[c, :]
+    # The first entry of each column above the pivot tolerance (if any)
+    # is made positive. Masks and in-place flips keep U and Vt uncopied.
+    above = U > SIGN_PIVOT_TOL
+    above |= U < -SIGN_PIVOT_TOL
+    cols = np.arange(U.shape[1])
+    pivot = above.argmax(axis=0)
+    flip = above[pivot, cols] & (U[pivot, cols] < 0)
+    np.negative(U, out=U, where=flip)
+    np.negative(Vt, out=Vt, where=flip[:, None])
     return U, s, Vt
 
 

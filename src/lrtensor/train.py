@@ -18,9 +18,8 @@ from .core import (
     DenseTensor,
     Shape,
     ShapeMismatchError,
-    _scale_by_weights,
-    frobenius_norm,
-    subtract,
+    _from_weighted,
+    _weighted_error,
 )
 from .svd import TruncationRule, truncated_svd
 
@@ -57,16 +56,35 @@ class TTDecomposition:
         return math.sqrt(sum(t ** 2 for t in self.step_tails))
 
 
-def _max_ranks(extents: Sequence[int]) -> list:
-    """Feasible bond ranks of an exact TT of a full tensor."""
+def _step_limit(r_prev: int, n: int, rest: int) -> int:
+    """Largest rank a sweep step can keep: its matrix is (r_prev * n) x rest."""
+    return min(r_prev * n, rest)
+
+
+def _forward_bonds(m: int) -> int:
+    """Bonds the bidirectional sweep separates left-to-right."""
+    return math.ceil((m - 1) / 2)
+
+
+def _feasible_ranks(extents: Sequence[int], ranks, bidirectional: bool = False) -> list:
+    """Clamp bond ranks to what `tt_svd` (or `tt_svd_bidirectional`) keeps.
+
+    Bonds are clamped to each step's `_step_limit` in the order and
+    direction the sweeps separate them, since a step's limit depends on
+    the rank kept at the step before.
+    """
     m = len(extents)
-    ranks = []
+    forward = _forward_bonds(m) if bidirectional else m - 1
+    clamped = [int(r) for r in ranks]
     r_prev = 1
-    for j in range(m - 1):
-        right = math.prod(extents[j + 1 :])
-        r_prev = min(r_prev * extents[j], right)
-        ranks.append(r_prev)
-    return ranks
+    for j in range(forward):
+        limit = _step_limit(r_prev, extents[j], math.prod(extents[j + 1 :]))
+        r_prev = clamped[j] = min(clamped[j], limit)
+    r_left, r_prev = r_prev, 1
+    for j in range(m - 2, forward - 1, -1):
+        limit = _step_limit(r_prev, extents[j + 1], r_left * math.prod(extents[forward : j + 1]))
+        r_prev = clamped[j] = min(clamped[j], limit)
+    return clamped
 
 
 def _bond_rules(extents: Sequence[int], ranks) -> list:
@@ -75,7 +93,7 @@ def _bond_rules(extents: Sequence[int], ranks) -> list:
     if isinstance(ranks, TruncationRule):
         return [ranks] * (m - 1)
     if ranks is None:
-        ranks = _max_ranks(extents)
+        ranks = _feasible_ranks(extents, [math.prod(extents)] * (m - 1))
     ranks = [int(r) for r in ranks]
     if len(ranks) != m - 1:
         raise ShapeMismatchError(f"{len(ranks)} bond ranks supplied for {m} modes")
@@ -99,7 +117,7 @@ def _sweep(remainder: np.ndarray, extents, rules, bonds):
     r_prev = 1
     for n, rule, bond in zip(extents, rules, bonds):
         mat = remainder.reshape(r_prev * n, -1)
-        feasible = min(mat.shape)
+        feasible = _step_limit(r_prev, n, mat.shape[1])
         if rule.kind == "fixed-rank" and rule.value > feasible:
             raise RankInfeasibleError(
                 f"rank {rule.value} infeasible at step {bond}; feasible maximum is {feasible}"
@@ -155,7 +173,7 @@ def tt_svd_bidirectional(
     if m <= 2:
         return tt_svd(t, ranks)
     rules = _bond_rules(extents, ranks)
-    forward = math.ceil((m - 1) / 2)
+    forward = _forward_bonds(m)
     left, left_steps, remainder = _sweep(
         t.weighted_values(), extents[:forward], rules[:forward], range(1, forward + 1)
     )
@@ -180,19 +198,22 @@ def tt_svd_bidirectional(
     )
 
 
-def tt_reconstruct(d: TTDecomposition) -> DenseTensor:
-    """Sequential contraction of the core chain, weights divided back out."""
-    chain = d.cores[0]
+def _weighted_chain(d: TTDecomposition) -> np.ndarray:
+    """Contract the core chain; a fresh array in weighted coordinates."""
+    chain = np.array(d.cores[0])  # a copy, so a one-core chain is fresh too
     for core in d.cores[1:]:
         chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
-    values = chain.reshape(d.source_shape.extents)
-    values = _scale_by_weights(values, d.mode_weights, -0.5)
-    return DenseTensor(d.source_shape, values, d.mode_weights)
+    return chain.reshape(d.source_shape.extents)
+
+
+def tt_reconstruct(d: TTDecomposition) -> DenseTensor:
+    """Sequential contraction of the core chain, weights divided back out."""
+    return _from_weighted(d.source_shape, _weighted_chain(d), d.mode_weights)
 
 
 def tt_error(t: DenseTensor, d: TTDecomposition) -> float:
-    """Exact weighted Frobenius error of the reconstruction."""
-    return frobenius_norm(subtract(t, tt_reconstruct(d)))
+    """Exact weighted Frobenius error of the full reconstruction."""
+    return _weighted_error(t, _weighted_chain(d))
 
 
 def tt_cost(ranks: Sequence[int]) -> int:

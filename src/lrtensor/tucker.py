@@ -17,10 +17,9 @@ from .core import (
     DenseTensor,
     Shape,
     ShapeMismatchError,
+    _from_weighted,
     _mode_product,
-    _scale_by_weights,
-    frobenius_norm,
-    subtract,
+    _weighted_error,
 )
 from .svd import TruncationRule, tail_energy, truncated_svd
 
@@ -87,20 +86,24 @@ def hosvd(
     )
 
 
-def tucker_reconstruct(d: TuckerDecomposition) -> DenseTensor:
-    """Contract the core with all factors and divide the weights back out."""
+def _weighted_reconstruction(d: TuckerDecomposition) -> np.ndarray:
+    """Contract the core with all factors; a fresh array in weighted coordinates."""
     values = d.core.values
     for j, factor in enumerate(d.factors):
         values = _mode_product(values, factor, j)
     if values.shape != d.source_shape.extents:
         raise ShapeMismatchError("factor and core dimensions are inconsistent")
-    values = _scale_by_weights(values, d.mode_weights, -0.5)
-    return DenseTensor(d.source_shape, values, d.mode_weights)
+    return values
+
+
+def tucker_reconstruct(d: TuckerDecomposition) -> DenseTensor:
+    """Contract the core with all factors and divide the weights back out."""
+    return _from_weighted(d.source_shape, _weighted_reconstruction(d), d.mode_weights)
 
 
 def tucker_error(t: DenseTensor, d: TuckerDecomposition) -> float:
-    """Exact weighted Frobenius error of the reconstruction."""
-    return frobenius_norm(subtract(t, tucker_reconstruct(d)))
+    """Exact weighted Frobenius error of the full reconstruction."""
+    return _weighted_error(t, _weighted_reconstruction(d))
 
 
 def tucker_cost(ranks: Sequence[int]) -> int:

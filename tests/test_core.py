@@ -176,6 +176,21 @@ class TestFrobeniusNorm:
             lt.DenseTensor.from_array(vals)
 
 
+class TestWeightedValues:
+    def test_computed_once_and_read_only(self):
+        rng = np.random.default_rng(4)
+        weights = [rng.random(3) + 0.1, rng.random(4) + 0.1]
+        t = lt.DenseTensor.from_array(rng.standard_normal((3, 4)), mode_weights=weights)
+        wv = t.weighted_values()
+        assert t.weighted_values() is wv
+        assert not wv.flags.writeable
+        assert np.allclose(wv, t.values * np.sqrt(np.outer(*weights)), rtol=1e-15, atol=0)
+
+    def test_unweighted_is_values_itself(self):
+        t = lt.DenseTensor.from_array(np.ones((2, 3)))
+        assert t.weighted_values() is t.values
+
+
 @st.composite
 def tensor_and_split(draw):
     ndim = draw(st.integers(min_value=1, max_value=5))

@@ -74,13 +74,6 @@ class TestSample:
             lt.sample(fn, lt.DomainSpec((1, 1, 1)), lt.GridSpec(5))
 
 
-class TestDomainOrdering:
-    def test_tt_ordering_records_permutation(self):
-        dom = lt.DomainSpec.ordered_for_tt((3, 1, 2))
-        assert dom.dims == (1, 2, 3)
-        assert dom.permutation == (1, 2, 0)
-
-
 class TestDiscreteSeminorm:
     def test_constant_is_zero(self):
         t = lt.DenseTensor.from_array(np.ones((9, 9)))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
+import lrtensor.core as core
 import lrtensor.harness as hz
 import lrtensor.svd as svd
 from lrtensor.cli import main as cli_main
 from lrtensor.svd import tail_energy
+from lrtensor.train import _feasible_ranks
 
 DATA = Path(__file__).parent / "data"
 
@@ -256,3 +258,75 @@ class TestRankVsEps:
         ranks = row["ranks"].split("x")
         assert len(ranks) == 3 and ranks[-1] == "1"
         assert row["within_bound"] == "1"
+
+
+class TestWeightOnce:
+    @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
+    def test_tolerance_decompose_weights_once(self, tmp_path, monkeypatch, fmt):
+        multiplies = []
+        original = core._scale_by_weights
+
+        def counting(values, mode_weights, power):
+            if power > 0:
+                multiplies.append(values.shape)
+            return original(values, mode_weights, power)
+
+        monkeypatch.setattr(core, "_scale_by_weights", counting)
+        raw = decompose_config(
+            function={"id": "weighted_exp", "m": 4}, grid={"points_per_axis": 5},
+            format=fmt, ranks=None, tolerance=1e-6,
+        )
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert multiplies == [(5, 5, 5, 5)]
+
+
+class TestRanksContract:
+    # rank_one on dims (1, 1, 2) with 3 points per axis: extents (3, 3, 9)
+    RANK_ONE_3_3_9 = {"id": "rank_one", "dims": [1, 1, 2]}
+
+    def _run(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("fmt", ["tt", "tt-bidir"])
+    def test_tt_ranks_clamped_in_sweep_order(self, tmp_path, fmt):
+        # bond 2 sees a 3 x 9 matrix once bond 1 keeps rank 1
+        raw = decompose_config(function=self.RANK_ONE_3_3_9, grid={"points_per_axis": 3},
+                               format=fmt, ranks=[1, 9])
+        assert self._run(tmp_path, raw) == 0
+        (row,) = _csv_rows(tmp_path / "o" / "decompose.csv")
+        assert row["ranks"] == "1x3"
+
+    def test_compare_formats_clamps_tt_ranks(self, tmp_path):
+        raw = {"experiment": "compare-formats", "function": self.RANK_ONE_3_3_9,
+               "grid": {"points_per_axis": 3}, "ranks": [1, 9]}
+        assert self._run(tmp_path, raw) == 0
+        ranks = {row["format"]: row["ranks"] for row in _csv_rows(tmp_path / "o" / "compare_formats.csv")}
+        assert ranks == {"tucker": "1x1x1", "tt": "1x3", "tt-bidir": "1x3"}
+
+    def test_tt_too_few_ranks_exit_two(self, tmp_path, capsys):
+        raw = decompose_config(format="tt", ranks=[2])
+        assert self._run(tmp_path, raw) == 2
+        assert "'ranks'" in capsys.readouterr().err
+
+    def test_tucker_too_many_ranks_exit_two(self, tmp_path, capsys):
+        raw = decompose_config(format="tucker", ranks=[2, 2, 2, 9])
+        assert self._run(tmp_path, raw) == 2
+        assert "'ranks'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_clamped_ranks_are_what_the_sweep_keeps(self, bidirectional):
+        rng = np.random.default_rng(7)
+        sweep = lt.tt_svd_bidirectional if bidirectional else lt.tt_svd
+        for _ in range(20):
+            extents = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 6))))
+            t = lt.DenseTensor.from_array(rng.standard_normal(extents))
+            wanted = [int(r) for r in rng.integers(1, 30, size=len(extents) - 1)]
+            clamped = _feasible_ranks(extents, wanted, bidirectional)
+            assert all(c <= w for c, w in zip(clamped, wanted))
+            assert sweep(t, clamped).ranks == tuple(clamped)
+            for j, (c, w) in enumerate(zip(clamped, wanted)):
+                if c < w:  # clamped to the step's limit: one more is infeasible
+                    with pytest.raises(lt.RankInfeasibleError):
+                        sweep(t, clamped[:j] + [c + 1] + clamped[j + 1 :])

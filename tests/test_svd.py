@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.svd import InsufficientSpectrumError, full_svd
+from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, full_svd
 
 
 def trapezoid(n):
@@ -65,6 +65,23 @@ class TestTruncatedSVD:
         for c in range(res.U.shape[1]):
             lead = res.U[np.abs(res.U[:, c]) > 1e-12, c][0]
             assert lead > 0
+
+    def test_sign_convention_matches_column_loop(self):
+        rng = np.random.default_rng(17)
+        zero_led = rng.standard_normal((7, 4))
+        zero_led[:3] = 0.0
+        cases = [rng.standard_normal((6, 9)), rng.standard_normal((9, 6)),
+                 zero_led, np.zeros((5, 3)), np.ones((1, 4))]
+        for m in cases:
+            U, s, Vt = np.linalg.svd(m, full_matrices=False)
+            for c in range(U.shape[1]):
+                nz = np.flatnonzero(np.abs(U[:, c]) > SIGN_PIVOT_TOL)
+                if nz.size and U[nz[0], c] < 0:
+                    U[:, c] = -U[:, c]
+                    Vt[c, :] = -Vt[c, :]
+            for expected, got in zip((U, s, Vt), full_svd(m)):
+                assert np.array_equal(expected, got)
+                assert np.array_equal(np.signbit(expected), np.signbit(got))
 
     def test_tail_energy_rule_minimal_rank(self):
         m = np.diag([3.0, 2.0, 1.0])
