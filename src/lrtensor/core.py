@@ -129,7 +129,8 @@ class DenseTensor:
 
     @classmethod
     def from_array(cls, values, mode_weights=None, cap: int = DEFAULT_ELEMENT_CAP):
-        values = np.asarray(values, dtype=float)
+        """Wrap a copy of `values`: the caller's array stays writable and independent."""
+        values = np.array(values, dtype=float, order="C")
         return cls(Shape(values.shape, cap=cap), values, mode_weights)
 
     @property
@@ -158,22 +159,14 @@ class DenseTensor:
 
 @dataclass(frozen=True)
 class UnfoldingSpec:
-    """Ordered split of the modes into a row group and a column group.
-
-    `stack_rank`, when set, asserts that the first row mode is an
-    auxiliary (unweighted) bond index of that extent, as produced by the
-    chained separation of the tensor-train construction.
-    """
+    """Ordered split of the modes into a row group and a column group."""
 
     row_modes: tuple
     col_modes: tuple
-    stack_rank: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "row_modes", tuple(int(i) for i in self.row_modes))
         object.__setattr__(self, "col_modes", tuple(int(i) for i in self.col_modes))
-        if self.stack_rank is not None and self.stack_rank < 1:
-            raise ValueError("stack_rank must be >= 1")
 
     def validate_for(self, shape: Shape) -> None:
         seen = self.row_modes + self.col_modes
@@ -182,15 +175,6 @@ class UnfoldingSpec:
                 f"row/column groups {self.row_modes}/{self.col_modes} are not "
                 f"a partition of the {shape.ndim} modes"
             )
-        if self.stack_rank is not None:
-            if not self.row_modes:
-                raise ShapeMismatchError("stack_rank requires a non-empty row group")
-            lead = shape.extents[self.row_modes[0]]
-            if lead != self.stack_rank:
-                raise ShapeMismatchError(
-                    f"stack_rank {self.stack_rank} does not match the extent "
-                    f"{lead} of the leading row mode"
-                )
 
     def matrix_dims(self, shape: Shape):
         rows = math.prod(shape.extents[i] for i in self.row_modes) if self.row_modes else 1

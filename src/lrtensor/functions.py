@@ -1,8 +1,9 @@
 """Registry of test functions with known smoothness and spectra.
 
 Each entry is a deterministic, bounded function on the unit box. The ids
-are the stable names used by CLI configs. Evaluators are vectorized over
-broadcastable coordinate arrays, one array per scalar axis.
+are the stable names used by CLI configs; each entry lists the `params`
+its evaluator reads, and no others are accepted. Evaluators are
+vectorized over broadcastable coordinate arrays, one array per scalar axis.
 """
 
 from __future__ import annotations
@@ -108,12 +109,14 @@ _REGISTRY: Dict[str, dict] = {
         "smoothness_k": ANALYTIC,
         "gamma": True,
         "scalar_modes": True,
+        "params": ("k", "delta_prime"),
     },
     "gauss_kernel": {
         "evaluator": _eval_gauss_kernel,
         "smoothness_k": ANALYTIC,
         "gamma": False,
         "two_equal": True,
+        "params": ("n", "c"),
     },
     "abs_diff": {
         "evaluator": _eval_abs_diff,
@@ -126,6 +129,7 @@ _REGISTRY: Dict[str, dict] = {
         "smoothness_k": ANALYTIC,
         "gamma": True,
         "scalar_modes": True,
+        "params": ("k", "delta_prime"),
     },
 }
 
@@ -148,6 +152,9 @@ def make_function(
         raise UnknownFunctionError(
             f"unknown function id {fn_id!r}; known: {registered_ids()}"
         ) from None
+    unknown = sorted(set(parameters) - set(entry.get("params", ())))
+    if unknown:
+        raise ValueError(f"{fn_id} takes no parameters {unknown}")
     if dims is None:
         if "fixed_dims" in entry:
             dims = entry["fixed_dims"]

@@ -106,11 +106,13 @@ def sample(
         raise ValueError(
             f"function dims {fn.dims} do not match domain dims {domain.dims}"
         )
-    x, w = axis_rule(grid)
+    if any(n > int(cap).bit_length() for n in domain.dims):  # then N**n >= 2**n > cap
+        raise ElementCapError(f"subdomain dims {domain.dims} exceed the cap of {cap} on any grid")
     n_axis = grid.points_per_axis
     total_axes = sum(domain.dims)
     extents = tuple(n_axis ** n for n in domain.dims)
-    shape = Shape(extents, cap=cap)
+    shape = Shape(extents, cap=cap)  # before any grid array is built
+    x, w = axis_rule(grid)
     coords = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
     values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
     values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)

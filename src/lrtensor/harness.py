@@ -11,15 +11,16 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from . import functions as fnreg
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, frobenius_norm, mode_unfolding
-from .grids import DomainSpec, GridSpec, sample
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, frobenius_norm, mode_unfolding
+from .grids import RULE_TRAPEZOID, DomainSpec, GridSpec, sample
 from .schedules import (
     REGIME_TT,
     REGIME_TUCKER,
@@ -88,6 +89,62 @@ class ExperimentReport:
         return 0 if self.violations == 0 else 1
 
 
+@contextmanager
+def _field(name: str, errors=(TypeError, ValueError, LookupError, AttributeError, ArithmeticError)):
+    """Report an error of `errors` raised inside the block as a ConfigError naming `name`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(name, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _read(raw: dict, name: str, convert: Callable, default):
+    """`convert(raw[name])` inside `_field(name)`; `default` when missing or null."""
+    with _field(name):
+        return default if raw.get(name) is None else convert(raw[name])
+
+
+def _number(value, kind=None, low=-math.inf, high=math.inf):
+    """A finite JSON number, not a bool, strictly between `low` and `high`; as `kind` if given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+            or not low < value < high or (kind is int and value != int(value))):
+        raise ValueError(f"expected a finite {'integer' if kind is int else 'number'} in ({low}, {high}), got {value!r}")
+    return kind(value) if kind else value
+
+
+def _numbers(values, kind=None, low=-math.inf, high=math.inf, length=None) -> tuple:
+    """A JSON list of `_number`s, of `length` entries if given."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise TypeError(f"expected a list of {'' if length is None else f'{length} '}numbers, got {values!r}")
+    return tuple(_number(v, kind, low, high) for v in values)
+
+
+_MAX_MODES = 1000  # bounds a function's `m` and `m_values`: no tuple of modes outgrows memory
+
+
+def _function(fn: dict) -> fnreg.FunctionSpec:
+    return fnreg.make_function(
+        fn["id"],
+        dims=None if fn.get("dims") is None else _numbers(fn["dims"], int, 0),
+        m=None if fn.get("m") is None else _number(fn["m"], int, 0, _MAX_MODES),
+        gamma=None if fn.get("gamma") is None else _numbers(fn["gamma"]),
+        **fn.get("params", {}),
+    )
+
+
+def _scheduler(s: dict) -> SchedulerParams:
+    return SchedulerParams(
+        epsilon=_number(s["epsilon"], float),
+        k=_number(s["k"], float),
+        dims=_numbers(s["dims"], int, 0),
+        delta=None if s.get("delta") is None else _number(s["delta"]),
+        delta_prime=None if s.get("delta_prime") is None else _number(s["delta_prime"]),
+        gamma=None if s.get("gamma") is None else _numbers(s["gamma"]),
+    )
+
+
 def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     """Validate a raw JSON dict; raise ConfigError naming the bad field."""
     if not isinstance(raw, dict):
@@ -95,88 +152,32 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
-
-    function = None
-    if "function" in raw:
-        fn = raw["function"]
-        if not isinstance(fn, dict) or "id" not in fn:
-            raise ConfigError("function", "must be an object with an 'id'")
-        try:
-            function = fnreg.make_function(
-                fn["id"],
-                dims=fn.get("dims"),
-                m=fn.get("m"),
-                gamma=fn.get("gamma"),
-                **fn.get("params", {}),
-            )
-        except (fnreg.UnknownFunctionError, ValueError) as exc:
-            raise ConfigError("function", str(exc)) from exc
-
-    grid = None
-    if "grid" in raw:
-        g = raw["grid"]
-        try:
-            grid = GridSpec(int(g.get("points_per_axis", 0)), g.get("rule", "uniform-trapezoid"))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError("grid", str(exc)) from exc
-
     fmt = raw.get("format", "tucker")
     if fmt not in FORMATS:
         raise ConfigError("format", f"must be one of {FORMATS}, got {fmt!r}")
-
-    scheduler = None
-    regime = None
-    if "scheduler" in raw:
-        s = raw["scheduler"]
-        try:
-            scheduler = SchedulerParams(
-                epsilon=float(s["epsilon"]),
-                k=float(s["k"]),
-                dims=tuple(s["dims"]),
-                delta=s.get("delta"),
-                delta_prime=s.get("delta_prime"),
-                gamma=tuple(s["gamma"]) if s.get("gamma") is not None else None,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scheduler.{exc.args[0]}", "missing") from exc
-        except ValueError as exc:
-            raise ConfigError("scheduler", str(exc)) from exc
-        regime = s.get("regime")
-
-    tolerance = raw.get("tolerance")
-    if tolerance is not None:
-        tolerance = float(tolerance)
-        if tolerance <= 0:
-            raise ConfigError("tolerance", "must be positive")
-
-    ranks = tuple(int(r) for r in raw["ranks"]) if raw.get("ranks") else None
-    fit_window = tuple(int(v) for v in raw["fit_window"]) if raw.get("fit_window") else None
-
     return ExperimentConfig(
         experiment=experiment,
-        function=function,
-        grid=grid,
+        function=_read(raw, "function", _function, None),
+        grid=_read(raw, "grid", lambda g: GridSpec(
+            _number(g["points_per_axis"], int), g.get("rule", RULE_TRAPEZOID)), None),
         format=fmt,
-        ranks=ranks,
-        tolerance=tolerance,
-        scheduler=scheduler,
-        regime=regime,
-        epsilons=tuple(float(e) for e in raw.get("epsilons", ())),
-        m_values=tuple(int(m) for m in raw.get("m_values", ())),
-        mode=int(raw.get("mode", 0)),
-        fit_window=fit_window,
-        expected_exponent=raw.get("expected_exponent"),
-        exponent_tol=raw.get("exponent_tol"),
-        cap=int(cap if cap is not None else raw.get("cap", DEFAULT_ELEMENT_CAP)),
+        ranks=_read(raw, "ranks", lambda v: _numbers(v, int, 0), None),
+        tolerance=_read(raw, "tolerance", lambda v: _number(v, float, 0), None),
+        scheduler=_read(raw, "scheduler", _scheduler, None),
+        regime=_read(raw, "scheduler", lambda s: s.get("regime"), None),
+        epsilons=_read(raw, "epsilons", lambda v: _numbers(v, float, 0, 1), ()),
+        m_values=_read(raw, "m_values", lambda v: _numbers(v, int, 0, _MAX_MODES), ()),
+        mode=_read(raw, "mode", lambda v: _number(v, int), 0),
+        fit_window=_read(raw, "fit_window", lambda v: _numbers(v, int, 0, length=2), None),
+        expected_exponent=_read(raw, "expected_exponent", _number, None),
+        exponent_tol=_read(raw, "exponent_tol", lambda v: _number(v, None, 0), None),
+        cap=cap if cap is not None else _read(raw, "cap", lambda v: _number(v, int, 0), DEFAULT_ELEMENT_CAP),
     )
 
 
 def load_config(path, cap=None) -> ExperimentConfig:
-    with open(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
+    with open(path) as handle, _field("<root>"):
+        raw = json.load(handle)
     return parse_config(raw, cap=cap)
 
 
@@ -207,8 +208,8 @@ def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
         raise ConfigError("function", "this experiment requires a function")
     if config.grid is None:
         raise ConfigError("grid", "this experiment requires a grid")
-    domain = DomainSpec(config.function.dims)
-    return sample(config.function, domain, config.grid, cap=config.cap).tensor
+    with _field("function"), _field("grid", ElementCapError):
+        return sample(config.function, DomainSpec(config.function.dims), config.grid, cap=config.cap).tensor
 
 
 def _rank_count(fmt: str, m: int) -> int:
@@ -250,14 +251,15 @@ def _decompose(t: DenseTensor, fmt: str, ranks, tolerance):
     return d, d.ranks, err, d.tail_bound(), cost, storage
 
 
-def _schedule_ranks_for(config: ExperimentConfig, epsilon: float) -> RankSchedule:
+def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = None) -> RankSchedule:
     base = config.scheduler
     if base is None:
         raise ConfigError("scheduler", "this experiment requires scheduler params")
     regime = config.regime
     if regime is None:
         regime = REGIME_TUCKER if config.format == "tucker" else REGIME_TT
-    return build_schedule(regime, replace(base, epsilon=epsilon))
+    with _field("scheduler"):
+        return build_schedule(regime, base if epsilon is None else replace(base, epsilon=epsilon))
 
 
 def _check_bound(report: ExperimentReport, err: float, bound: float, norm: float):
@@ -312,15 +314,18 @@ def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     ]
 
 
-def _spectrum_of(config: ExperimentConfig) -> SingularSpectrum:
+def _spectrum_fit(config: ExperimentConfig):
+    """The spectrum of the config's mode unfolding and its decay fit."""
     t = _sample_tensor(config)
-    mat = mode_unfolding(t, config.mode)
-    _, s, _ = full_svd(mat)
-    return SingularSpectrum(s)
+    with _field("mode"):
+        mat = mode_unfolding(t, config.mode)
+    spectrum = SingularSpectrum(full_svd(mat)[1])
+    with _field("fit_window"):
+        return spectrum, fit_decay_exponent(spectrum, window=config.fit_window)
 
 
 def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
-    spectrum = _spectrum_of(config)
+    spectrum, fit = _spectrum_fit(config)
     rows = [
         [alpha + 1, sigma, sigma ** 2]
         for alpha, sigma in enumerate(spectrum.values)
@@ -328,7 +333,6 @@ def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
     path = report.out_dir / "spectrum.csv"
     _write_csv(path, "spectrum", ["alpha", "sigma", "lambda"], rows)
     report.csv_paths.append(path)
-    fit = fit_decay_exponent(spectrum, window=config.fit_window)
     report.summary_lines += [
         f"- function: {config.function.id}, mode {config.mode}",
         f"- fitted lambda exponent: {fit.exponent:.4f} (r2 {fit.r2:.4f}, "
@@ -351,7 +355,7 @@ def _check_exponent(config, report, exponent) -> None:
 
 
 def _run_schedule(config: ExperimentConfig, report: ExperimentReport) -> None:
-    schedule = _schedule_ranks_for(config, config.scheduler.epsilon)
+    schedule = _schedule_ranks_for(config)
     path = report.out_dir / "schedule.json"
     path.write_text(schedule.to_json())
     report.csv_paths.append(path)
@@ -368,8 +372,7 @@ def _run_schedule(config: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _run_decay_rate(config: ExperimentConfig, report: ExperimentReport) -> None:
-    spectrum = _spectrum_of(config)
-    fit = fit_decay_exponent(spectrum, window=config.fit_window)
+    _, fit = _spectrum_fit(config)
     k = config.function.smoothness_k
     theory = None
     if isinstance(k, (int, float)):
@@ -418,12 +421,13 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
     base = config.scheduler
     if base is None:
         raise ConfigError("scheduler", "dim-robustness needs scheduler params")
-    n = base.dims[0]
     rows = []
     for m in config.m_values:
-        p = replace(base, dims=(n,) * m, gamma=None)
-        weighted = build_schedule(REGIME_TUCKER_WEIGHTED, p)
-        unweighted = build_schedule(REGIME_TUCKER, p)
+        with _field("scheduler"):
+            n = base.dims[0]
+            p = replace(base, dims=(n,) * m, gamma=None)
+            weighted = build_schedule(REGIME_TUCKER_WEIGHTED, p)
+            unweighted = build_schedule(REGIME_TUCKER, p)
         rows.append([
             m,
             weighted.predicted_cost,

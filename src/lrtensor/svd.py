@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .core import ShapeMismatchError
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
@@ -69,6 +72,19 @@ class TruncationRule:
     @classmethod
     def tail_energy_relative(cls, eps_rel: float) -> "TruncationRule":
         return cls("tail-energy-relative", float(eps_rel))
+
+
+def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list:
+    """One rule per step (mode or bond): one rule for all, or `count` fixed ranks >= 1."""
+    if isinstance(ranks, TruncationRule):
+        return [ranks] * count
+    ranks = [int(r) for r in ranks]
+    if len(ranks) != count:
+        raise ShapeMismatchError(f"{len(ranks)} ranks supplied for {count} steps")
+    for step, r in enumerate(ranks, start=1):
+        if r < 1:
+            raise ValueError(f"rank at step {step} must be positive, got {r}")
+    return [TruncationRule.fixed_rank(r) for r in ranks]
 
 
 @dataclass(frozen=True)
@@ -179,6 +195,11 @@ def tail_energy(spectrum: SingularSpectrum, r: int) -> float:
     if r < 0:
         raise ValueError("rank must be nonnegative")
     return float(np.sqrt(np.sum(spectrum.values[r:] ** 2)))
+
+
+def _tail_bound(spectra, ranks) -> float:
+    """sqrt(sum over steps of the squared tail energy beyond the kept rank)."""
+    return math.sqrt(sum(tail_energy(spectrum, r) ** 2 for spectrum, r in zip(spectra, ranks)))
 
 
 def fit_decay_exponent(

@@ -14,14 +14,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (
-    DenseTensor,
-    Shape,
-    ShapeMismatchError,
-    _from_weighted,
-    _weighted_error,
-)
-from .svd import TruncationRule, truncated_svd
+from .core import DenseTensor, Shape, _from_weighted, _weighted_error
+from .svd import TruncationRule, _step_rules, _tail_bound, truncated_svd
 
 
 class RankInfeasibleError(ValueError):
@@ -40,7 +34,6 @@ class TTDecomposition:
 
     cores: tuple
     spectra: tuple
-    step_tails: tuple
     mode_weights: tuple
     source_shape: Shape
     orthogonality: str = "left"
@@ -53,7 +46,7 @@ class TTDecomposition:
 
     def tail_bound(self) -> float:
         """sqrt(sum of squared per-step truncation tails)."""
-        return math.sqrt(sum(t ** 2 for t in self.step_tails))
+        return _tail_bound(self.spectra, self.ranks)
 
 
 def _step_limit(r_prev: int, n: int, rest: int) -> int:
@@ -87,30 +80,14 @@ def _feasible_ranks(extents: Sequence[int], ranks, bidirectional: bool = False) 
     return clamped
 
 
-def _bond_rules(extents: Sequence[int], ranks) -> list:
-    """One truncation rule per bond; None keeps full ranks."""
-    m = len(extents)
-    if isinstance(ranks, TruncationRule):
-        return [ranks] * (m - 1)
-    if ranks is None:
-        ranks = _feasible_ranks(extents, [math.prod(extents)] * (m - 1))
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != m - 1:
-        raise ShapeMismatchError(f"{len(ranks)} bond ranks supplied for {m} modes")
-    for bond, r in enumerate(ranks, start=1):
-        if r < 1:
-            raise ValueError(f"bond rank at step {bond} must be positive")
-    return [TruncationRule.fixed_rank(r) for r in ranks]
-
-
 def _sweep(remainder: np.ndarray, extents, rules, bonds):
     """Separate `extents`, in order, off the front of `remainder`.
 
     Each step stacks the previous bond onto the active mode, truncates
     that matrix, keeps U_r as a left-orthonormal core and passes
     s_r V_r^T on, so the singular values travel in the remainder.
-    Returns the cores, one (spectrum, tail, stack dim) per step, and
-    the final remainder.
+    Returns the cores, one (spectrum, stack dim) per step, and the
+    final remainder.
     """
     cores = []
     steps = []
@@ -124,10 +101,44 @@ def _sweep(remainder: np.ndarray, extents, rules, bonds):
             )
         step = truncated_svd(mat, rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
-        steps.append((step.full_spectrum, step.tail, mat.shape[0]))
+        steps.append((step.full_spectrum, mat.shape[0]))
         remainder = step.spectrum.values[:, None] * step.V.T
         r_prev = step.rank
     return cores, steps, remainder
+
+
+def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
+    """TT-SVD separating bonds 1..`forward` left-to-right, the rest right-to-left.
+
+    Core `forward` is the meeting core (see :func:`tt_svd_bidirectional`).
+    With `forward` = m-1 this is :func:`tt_svd`: the backward half is
+    empty and the meeting core is the last core.
+    """
+    extents = t.shape.extents
+    m = len(extents)
+    if ranks is None:
+        ranks = _feasible_ranks(extents, [math.prod(extents)] * (m - 1), forward < m - 1)
+    rules = _step_rules(ranks, m - 1)
+    left, left_steps, remainder = _sweep(
+        t.weighted_values(), extents[:forward], rules[:forward], range(1, forward + 1)
+    )
+    mirrored = remainder.reshape(-1, *extents[forward:]).T
+    right, right_steps, remainder = _sweep(
+        mirrored,
+        extents[forward + 1 :][::-1],
+        rules[forward:][::-1],
+        range(m - 1, forward, -1),
+    )
+    r_left = left[-1].shape[2] if left else 1
+    meeting = remainder.reshape(-1, extents[forward], r_left).T
+    return TTDecomposition(
+        cores=tuple(left + [meeting] + [core.T for core in right[::-1]]),
+        spectra=tuple(spectrum for spectrum, _ in left_steps + right_steps[::-1]),
+        mode_weights=t.mode_weights,
+        source_shape=t.shape,
+        orthogonality="left" if forward == m - 1 else "split",
+        step_stack_dims=tuple(dims for _, dims in left_steps + right_steps),
+    )
 
 
 def tt_svd(
@@ -139,22 +150,7 @@ def tt_svd(
     picks the rank of every bond from that step's spectrum, or None to
     keep full ranks.
     """
-    extents = t.shape.extents
-    m = len(extents)
-    rules = _bond_rules(extents, ranks)
-    cores, steps, remainder = _sweep(
-        t.weighted_values(), extents[:-1], rules, range(1, m)
-    )
-    cores.append(remainder.reshape(-1, extents[-1], 1))
-    return TTDecomposition(
-        cores=tuple(cores),
-        spectra=tuple(spectrum for spectrum, _, _ in steps),
-        step_tails=tuple(tail for _, tail, _ in steps),
-        mode_weights=t.mode_weights,
-        source_shape=t.shape,
-        orthogonality="left",
-        step_stack_dims=tuple(dims for _, _, dims in steps),
-    )
+    return _tt_svd(t, ranks, t.ndim - 1)
 
 
 def tt_svd_bidirectional(
@@ -168,34 +164,7 @@ def tt_svd_bidirectional(
     core joins the two sweeps. Error accounting is identical to the
     unidirectional sweep. `ranks` is as for :func:`tt_svd`.
     """
-    extents = t.shape.extents
-    m = len(extents)
-    if m <= 2:
-        return tt_svd(t, ranks)
-    rules = _bond_rules(extents, ranks)
-    forward = _forward_bonds(m)
-    left, left_steps, remainder = _sweep(
-        t.weighted_values(), extents[:forward], rules[:forward], range(1, forward + 1)
-    )
-    mirrored = remainder.reshape(-1, *extents[forward:]).T
-    right, right_steps, remainder = _sweep(
-        mirrored,
-        extents[forward + 1 :][::-1],
-        rules[forward:][::-1],
-        range(m - 1, forward, -1),
-    )
-    meeting = remainder.reshape(-1, extents[forward], left[-1].shape[2]).T
-    cores = left + [meeting] + [core.T for core in right[::-1]]
-    by_bond = left_steps + right_steps[::-1]
-    return TTDecomposition(
-        cores=tuple(cores),
-        spectra=tuple(spectrum for spectrum, _, _ in by_bond),
-        step_tails=tuple(tail for _, tail, _ in by_bond),
-        mode_weights=t.mode_weights,
-        source_shape=t.shape,
-        orthogonality="split",
-        step_stack_dims=tuple(dims for _, _, dims in left_steps + right_steps),
-    )
+    return _tt_svd(t, ranks, _forward_bonds(t.ndim))
 
 
 def _weighted_chain(d: TTDecomposition) -> np.ndarray:

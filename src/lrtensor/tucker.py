@@ -20,8 +20,9 @@ from .core import (
     _from_weighted,
     _mode_product,
     _weighted_error,
+    mode_unfolding,
 )
-from .svd import TruncationRule, tail_energy, truncated_svd
+from .svd import TruncationRule, _step_rules, _tail_bound, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,7 @@ class TuckerDecomposition:
 
     def tail_bound(self) -> float:
         """sqrt(sum over modes of squared discarded tail energies)."""
-        total = 0.0
-        for spectrum, r in zip(self.mode_spectra, self.ranks):
-            total += tail_energy(spectrum, r) ** 2
-        return math.sqrt(total)
+        return _tail_bound(self.mode_spectra, self.ranks)
 
 
 def hosvd(
@@ -54,27 +52,15 @@ def hosvd(
     `ranks` is one rank per mode, or one TruncationRule that picks the
     rank of every mode from that mode's spectrum.
     """
-    if isinstance(ranks, TruncationRule):
-        rules = [ranks] * t.ndim
-    else:
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != t.ndim:
-            raise ShapeMismatchError(
-                f"{len(ranks)} ranks supplied for {t.ndim} modes"
-            )
-        for j, (r, n) in enumerate(zip(ranks, t.shape.extents)):
-            if not 1 <= r <= n:
-                raise ValueError(f"rank {r} for mode {j} out of range 1..{n}")
-        rules = [TruncationRule.fixed_rank(r) for r in ranks]
-    wv = t.weighted_values()
     factors = []
     spectra = []
-    for j, rule in enumerate(rules):
-        mat = np.moveaxis(wv, j, 0).reshape(t.shape.extents[j], -1)
-        step = truncated_svd(mat, rule)
+    for j, (rule, n) in enumerate(zip(_step_rules(ranks, t.ndim), t.shape.extents)):
+        if rule.kind == "fixed-rank" and rule.value > n:
+            raise ValueError(f"rank {rule.value} for mode {j} out of range 1..{n}")
+        step = truncated_svd(mode_unfolding(t, j), rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)
-    core = wv
+    core = t.weighted_values()
     for j, factor in enumerate(factors):
         core = _mode_product(core, factor.T, j)
     return TuckerDecomposition(

@@ -75,14 +75,6 @@ class TestUnfold:
         with pytest.raises(lt.ShapeMismatchError):
             lt.unfold(t, lt.UnfoldingSpec((0,), ()))
 
-    def test_stack_rank_validation(self):
-        t = lt.DenseTensor.from_array(np.zeros((3, 2, 2)))
-        lt.unfold(t, lt.UnfoldingSpec((0, 1), (2,), stack_rank=3))
-        with pytest.raises(lt.ShapeMismatchError):
-            lt.unfold(t, lt.UnfoldingSpec((0, 1), (2,), stack_rank=4))
-        with pytest.raises(ValueError):
-            lt.UnfoldingSpec((0,), (1, 2), stack_rank=0)
-
 
 class TestFold:
     def test_round_trip_plain(self):
@@ -189,6 +181,19 @@ class TestWeightedValues:
     def test_unweighted_is_values_itself(self):
         t = lt.DenseTensor.from_array(np.ones((2, 3)))
         assert t.weighted_values() is t.values
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_from_array_does_not_alias_the_callers_array(self, weighted):
+        a = np.ones((3, 4))
+        view = a[1:]
+        weights = [np.full(3, 0.5), np.full(4, 2.0)] if weighted else None
+        t = lt.DenseTensor.from_array(a, mode_weights=weights)
+        before = t.weighted_values().copy()
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        view[0, 0] = 7.0
+        assert np.array_equal(t.values, np.ones((3, 4)))
+        assert np.array_equal(t.weighted_values(), before)
 
 
 @st.composite

@@ -1,9 +1,12 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrtensor as lt
 import lrtensor.core as core
@@ -330,3 +333,103 @@ class TestRanksContract:
                 if c < w:  # clamped to the step's limit: one more is infeasible
                     with pytest.raises(lt.RankInfeasibleError):
                         sweep(t, clamped[:j] + [c + 1] + clamped[j + 1 :])
+
+
+# One small valid config per experiment (decompose both by ranks and by
+# tolerance); each runs in milliseconds under `--cap 4096`.
+WEIGHTED_SCHEDULER = {"epsilon": 0.3, "k": 1.0, "dims": [1, 1, 1], "delta": 0.5, "delta_prime": 3.0}
+SMALL_CONFIGS = {
+    "decompose": decompose_config(grid={"points_per_axis": 5}),
+    "decompose-tol": decompose_config(function={"id": "weighted_exp", "m": 3}, grid={"points_per_axis": 5},
+                                      format="tt", ranks=None, tolerance=1e-6),
+    "spectrum": {"experiment": "spectrum", "function": {"id": "brownian_bridge"},
+                 "grid": {"points_per_axis": 33}, "mode": 1, "fit_window": [2, 8],
+                 "expected_exponent": -4, "exponent_tol": 0.5},
+    "schedule": {"experiment": "schedule", "scheduler": dict(WEIGHTED_SCHEDULER, regime="tt-weighted")},
+    "decay-rate": {"experiment": "decay-rate", "function": {"id": "gauss_kernel", "params": {"n": 1, "c": 2.0}},
+                   "grid": {"points_per_axis": 33}},
+    "rank-vs-eps": {"experiment": "rank-vs-eps", "function": {"id": "weighted_product", "m": 3},
+                    "grid": {"points_per_axis": 5}, "format": "tucker",
+                    "scheduler": dict(WEIGHTED_SCHEDULER, regime="tucker-weighted"), "epsilons": [0.3, 0.1]},
+    "dim-robustness": {"experiment": "dim-robustness", "scheduler": dict(WEIGHTED_SCHEDULER, dims=[1]),
+                       "m_values": [2, 4]},
+    "compare-formats": {"experiment": "compare-formats", "function": {"id": "rank_one", "m": 3},
+                        "grid": {"points_per_axis": 5}, "ranks": [1, 1]},
+}
+
+SCHEDULER = SMALL_CONFIGS["schedule"]["scheduler"]
+BAD_INPUT = [
+    ("decompose", {"ranks": ["x"]}, "ranks"),
+    ("decompose", {"ranks": 5}, "ranks"),
+    ("decompose", {"format": "tt", "ranks": [0, 1]}, "ranks"),
+    ("decompose", {"ranks": [0, 1, 1]}, "ranks"),
+    ("decompose", {"ranks": [1.5, 1, 1]}, "ranks"),
+    ("decompose", {"ranks": [True, 1, 1]}, "ranks"),
+    ("decompose-tol", {"tolerance": "x"}, "tolerance"),
+    ("decompose-tol", {"tolerance": math.nan}, "tolerance"),
+    ("spectrum", {"mode": "x"}, "mode"),
+    ("spectrum", {"function": {"id": "weighted_exp", "m": 3}, "grid": {"points_per_axis": 9}, "mode": 7}, "mode"),
+    ("decompose", {"cap": "x"}, "cap"),
+    ("decompose", {"function": {"id": "rank_one", "m": "x"}}, "function"),
+    ("decompose", {"function": {"id": "rank_one", "m": 3, "params": [1]}}, "function"),
+    ("decompose", {"function": {"id": "rank_one", "dims": [1, -1]}, "ranks": [1, 1]}, "function"),
+    ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"C": 10}}}, "function"),
+    ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "gamma": [1e308] * 3}}, "function"),
+    ("decompose", {"grid": {"points_per_axis": 1000}}, "grid"),
+    ("spectrum", {"fit_window": ["a", 2]}, "fit_window"),
+    ("spectrum", {"fit_window": [False]}, "fit_window"),
+    ("spectrum", {"function": {"id": "rank_one", "m": 2}, "fit_window": None}, "fit_window"),
+    ("spectrum", {"expected_exponent": "x"}, "expected_exponent"),
+    ("rank-vs-eps", {"epsilons": ["a"]}, "epsilons"),
+    ("rank-vs-eps", {"epsilons": [2.0]}, "epsilons"),
+    ("decompose", {"epsilons": [2.0]}, "epsilons"),
+    ("dim-robustness", {"m_values": ["x"]}, "m_values"),
+    ("schedule", {"scheduler": dict(SCHEDULER, dims=5)}, "scheduler"),
+    ("schedule", {"scheduler": dict(SCHEDULER, regime="bogus")}, "scheduler"),
+    ("schedule", {"scheduler": dict(SCHEDULER, delta=None)}, "scheduler"),
+    ("schedule", {"scheduler": None}, "scheduler"),
+]
+
+
+def _run_cli(tmp_path, raw, *options):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    return cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o"), *options])
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_small_configs_pass(self, tmp_path, name):
+        assert _run_cli(tmp_path, SMALL_CONFIGS[name], "--cap", "4096") == 0
+
+    @pytest.mark.parametrize("name, change, field", BAD_INPUT)
+    def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, name, change, field):
+        raw = {**SMALL_CONFIGS[name], **change}
+        assert _run_cli(tmp_path, raw) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_field_mutation_keeps_the_exit_code_contract(data):
+    name = data.draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    raw = json.loads(json.dumps(SMALL_CONFIGS[name]))
+    target = raw
+    key = data.draw(st.sampled_from(sorted(raw)))
+    if isinstance(raw[key], dict) and data.draw(st.booleans()):
+        target = raw[key]  # one field of a nested object
+        key = data.draw(st.sampled_from(sorted(target)))
+    target[key] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        code = _run_cli(Path(tmp), raw, "--cap", "4096")
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "FAIL" in (out / "summary.md").read_text()
