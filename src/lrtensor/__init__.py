@@ -30,7 +30,6 @@ from .grids import (
     DomainSpec,
     GridSpec,
     SampledFunction,
-    build_grid,
     discrete_mixed_seminorm,
     sample,
 )

@@ -44,6 +44,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     for line in report.summary_lines:
         print(line)
     return report.exit_code

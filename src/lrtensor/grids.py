@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -66,25 +66,6 @@ def axis_rule(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
         x = 0.5 * (t + 1.0)
         w = 0.5 * wt
     return x, w
-
-
-def build_grid(
-    domain: DomainSpec, grid: GridSpec, cap: int = DEFAULT_ELEMENT_CAP
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per-subdomain tensor-product points (N^n, n) and weights (N^n,)."""
-    x, w = axis_rule(grid)
-    n_axis = grid.points_per_axis
-    out = []
-    for n in domain.dims:
-        count = n_axis ** n
-        if count > cap:
-            raise ElementCapError(
-                f"{count} points in one subdomain exceed the cap of {cap}"
-            )
-        mesh = np.meshgrid(*([x] * n), indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
-        out.append((points, _product_weights(w, n)))
-    return out
 
 
 def _product_weights(w: np.ndarray, n: int) -> np.ndarray:

@@ -35,16 +35,6 @@ from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
 
 CSV_SCHEMA = "lrtensor-csv v1"
 
-EXPERIMENTS = (
-    "decompose",
-    "spectrum",
-    "schedule",
-    "decay-rate",
-    "rank-vs-eps",
-    "dim-robustness",
-    "compare-formats",
-)
-
 FORMATS = ("tucker", "tt", "tt-bidir")
 
 
@@ -199,6 +189,16 @@ def _write_csv(path: Path, experiment: str, header: Sequence[str], rows) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
+def _emit(report: ExperimentReport, header: Sequence[str], rows) -> None:
+    """Write the experiment's one CSV table, named and tagged after it."""
+    path = report.out_dir / f"{report.experiment.replace('-', '_')}.csv"
+    _write_csv(path, report.experiment, header, rows)
+    report.csv_paths.append(path)
+
+
+_DECOMPOSITION_HEADER = ("format", "ranks", "error", "bound", "cost", "storage", "within_bound")
+
+
 def _ranks_str(ranks) -> str:
     return "x".join(str(int(r)) for r in ranks)
 
@@ -217,17 +217,19 @@ def _rank_count(fmt: str, m: int) -> int:
     return m if fmt == "tucker" else m - 1
 
 
-def _decompose(t: DenseTensor, fmt: str, ranks, tolerance):
-    """Run one decomposition; returns (decomposition, ranks, error, bound, cost, storage).
+def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
+    """Build, measure and check one decomposition of `t`, whose norm is `norm`.
 
     Given ranks (one per mode or bond) are clamped to the feasible ones.
     Without ranks, every mode or bond keeps the minimal rank whose
-    discarded tail is at most tolerance * ||A|| (default tolerance 1e-12).
+    discarded tail is at most tolerance * norm (default tolerance 1e-12).
+    The bound is the tail bound plus a slack relative to `norm`; a failed
+    check counts as a violation, and every check writes one PASS/FAIL line
+    to the summary. Returns (ranks, error, bound, cost, storage, ok).
     """
     extents = t.shape.extents
     if ranks is None:
-        tol = tolerance if tolerance is not None else 1e-12
-        ranks = TruncationRule.tail_energy(tol * frobenius_norm(t))
+        ranks = TruncationRule.tail_energy((tolerance if tolerance is not None else 1e-12) * norm)
     else:
         expected = _rank_count(fmt, len(extents))
         if len(ranks) != expected:
@@ -239,16 +241,17 @@ def _decompose(t: DenseTensor, fmt: str, ranks, tolerance):
             ranks = _feasible_ranks(extents, ranks, bidirectional=fmt == "tt-bidir")
     if fmt == "tucker":
         d = hosvd(t, ranks)
-        err = tucker_error(t, d)
-        cost = tucker_cost(d.ranks)
-        storage = tucker_factor_storage(extents, d.ranks)
+        err, cost, storage = tucker_error(t, d), tucker_cost(d.ranks), tucker_factor_storage(extents, d.ranks)
     else:
-        builder = tt_svd if fmt == "tt" else tt_svd_bidirectional
-        d = builder(t, ranks)
-        err = tt_error(t, d)
-        cost = tt_cost(d.ranks)
-        storage = tt_storage(extents, d.ranks)
-    return d, d.ranks, err, d.tail_bound(), cost, storage
+        d = (tt_svd if fmt == "tt" else tt_svd_bidirectional)(t, ranks)
+        err, cost, storage = tt_error(t, d), tt_cost(d.ranks), tt_storage(extents, d.ranks)
+    bound = d.tail_bound() + 1e-10 * norm
+    ok = err <= bound
+    if not ok:
+        report.violations += 1
+    report.summary_lines.append(f"- {fmt}, ranks {_ranks_str(d.ranks)}: error {err:.6e} "
+                                f"vs bound {bound:.6e} -> {'PASS' if ok else 'FAIL'}")
+    return d.ranks, err, bound, cost, storage, ok
 
 
 def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = None) -> RankSchedule:
@@ -262,31 +265,13 @@ def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = Non
         return build_schedule(regime, base if epsilon is None else replace(base, epsilon=epsilon))
 
 
-def _check_bound(report: ExperimentReport, err: float, bound: float, norm: float):
-    """(bound + 1e-10 * ||A||, err within it); a failure counts as a violation."""
-    slack = bound + 1e-10 * norm
-    ok = err <= slack
-    if not ok:
-        report.violations += 1
-    return slack, ok
-
-
 def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
     """Dispatch one experiment; deterministic for a fixed config."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(config.experiment, out_dir)
     started = time.perf_counter()
-    runner = {
-        "decompose": _run_decompose,
-        "spectrum": _run_spectrum,
-        "schedule": _run_schedule,
-        "decay-rate": _run_decay_rate,
-        "rank-vs-eps": _run_rank_vs_eps,
-        "dim-robustness": _run_dim_robustness,
-        "compare-formats": compare_formats_into,
-    }[config.experiment]
-    runner(config, report)
+    _RUNNERS[config.experiment](config, report)
     elapsed = time.perf_counter() - started
     report.summary_lines.append(f"- wall time: {elapsed:.3f} s")
     report.summary_lines.append(f"- bound violations: {report.violations}")
@@ -299,19 +284,9 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
 
 def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
-    _, ranks, err, bound, cost, storage = _decompose(
-        t, config.format, config.ranks, config.tolerance
-    )
-    slack, ok = _check_bound(report, err, bound, frobenius_norm(t))
-    rows = [[config.format, _ranks_str(ranks), err, slack, cost, storage, ok]]
-    path = report.out_dir / "decompose.csv"
-    _write_csv(path, "decompose", ["format", "ranks", "error", "bound", "cost", "storage", "within_bound"], rows)
-    report.csv_paths.append(path)
-    report.summary_lines += [
-        f"- function: {config.function.id}",
-        f"- format: {config.format}, ranks {_ranks_str(ranks)}",
-        f"- error {err:.6e} vs bound {slack:.6e} -> {'PASS' if ok else 'FAIL'}",
-    ]
+    report.summary_lines.append(f"- function: {config.function.id}")
+    ranks, *measured = _decompose(report, t, frobenius_norm(t), config.format, config.ranks, config.tolerance)
+    _emit(report, _DECOMPOSITION_HEADER, [[config.format, _ranks_str(ranks), *measured]])
 
 
 def _spectrum_fit(config: ExperimentConfig):
@@ -330,9 +305,7 @@ def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
         [alpha + 1, sigma, sigma ** 2]
         for alpha, sigma in enumerate(spectrum.values)
     ]
-    path = report.out_dir / "spectrum.csv"
-    _write_csv(path, "spectrum", ["alpha", "sigma", "lambda"], rows)
-    report.csv_paths.append(path)
+    _emit(report, ["alpha", "sigma", "lambda"], rows)
     report.summary_lines += [
         f"- function: {config.function.id}, mode {config.mode}",
         f"- fitted lambda exponent: {fit.exponent:.4f} (r2 {fit.r2:.4f}, "
@@ -379,11 +352,7 @@ def _run_decay_rate(config: ExperimentConfig, report: ExperimentReport) -> None:
         theory = -(2.0 * k / min(config.function.dims)) - 1.0
     rows = [[fit.exponent, fit.r2, fit.window[0], fit.window[1],
              theory if theory is not None else ""]]
-    path = report.out_dir / "decay_rate.csv"
-    _write_csv(path, "decay-rate",
-               ["fitted_exponent", "r2", "window_first", "window_last", "theory_exponent"],
-               rows)
-    report.csv_paths.append(path)
+    _emit(report, ["fitted_exponent", "r2", "window_first", "window_last", "theory_exponent"], rows)
     report.summary_lines.append(
         f"- fitted lambda exponent {fit.exponent:.4f}, theory "
         f"{theory if theory is not None else 'n/a (analytic)'}"
@@ -397,21 +366,19 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
     t = _sample_tensor(config)
     norm = frobenius_norm(t)
     m = t.ndim
+    count = _rank_count(config.format, m)
     rows = []
     for eps in config.epsilons:
         schedule = _schedule_ranks_for(config, eps)
+        if len(schedule.ranks) < count:
+            raise ConfigError("scheduler", f"regime {schedule.regime!r} gives {len(schedule.ranks)} ranks, "
+                              f"format {config.format!r} on {m} modes takes {count}")
         # Bonds the weighted TT schedule drops (rank 0) run at rank 1; a
         # schedule with more ranks than the format takes gives the leading ones.
-        ranks = [max(r, 1) for r in schedule.ranks][: _rank_count(config.format, m)]
-        _, ranks, err, bound, cost, _ = _decompose(t, config.format, ranks, None)
-        slack, ok = _check_bound(report, err, bound, norm)
-        rows.append([eps, _ranks_str(ranks), cost, err, slack,
-                     math.sqrt(m) * eps, ok])
-    path = report.out_dir / "rank_vs_eps.csv"
-    _write_csv(path, "rank-vs-eps",
-               ["epsilon", "ranks", "cost", "error", "bound", "sqrt_m_eps", "within_bound"],
-               rows)
-    report.csv_paths.append(path)
+        ranks = [max(r, 1) for r in schedule.ranks][:count]
+        ranks, err, bound, cost, _, ok = _decompose(report, t, norm, config.format, ranks, None)
+        rows.append([eps, _ranks_str(ranks), cost, err, bound, math.sqrt(m) * eps, ok])
+    _emit(report, ["epsilon", "ranks", "cost", "error", "bound", "sqrt_m_eps", "within_bound"], rows)
     report.summary_lines.append(f"- {len(rows)} epsilon values, format {config.format}")
 
 
@@ -434,11 +401,7 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
             math.log(weighted.predicted_cost),
             math.log(unweighted.predicted_cost),
         ])
-    path = report.out_dir / "dim_robustness.csv"
-    _write_csv(path, "dim-robustness",
-               ["m", "weighted_cost", "log_cost_weighted", "log_cost_unweighted"],
-               rows)
-    report.csv_paths.append(path)
+    _emit(report, ["m", "weighted_cost", "log_cost_weighted", "log_cost_unweighted"], rows)
     ms = np.array([r[0] for r in rows], dtype=float)
     log_unweighted = np.array([r[3] for r in rows])
     slope = float(np.polyfit(ms, log_unweighted, 1)[0]) if len(rows) > 1 else float("nan")
@@ -450,7 +413,7 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
     ]
 
 
-def compare_formats_into(config: ExperimentConfig, report: ExperimentReport) -> None:
+def _run_compare_formats(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
     norm = frobenius_norm(t)
     rows = []
@@ -462,14 +425,21 @@ def compare_formats_into(config: ExperimentConfig, report: ExperimentReport) -> 
         elif ranks is not None:
             ranks = ranks[: _rank_count(fmt, t.ndim)]  # each format takes the leading ranks
         begin = time.perf_counter()
-        _, used, err, bound, cost, storage = _decompose(t, fmt, ranks, config.tolerance)
+        used, *measured = _decompose(report, t, norm, fmt, ranks, config.tolerance)
         timings.append((fmt, time.perf_counter() - begin))
-        slack, ok = _check_bound(report, err, bound, norm)
-        rows.append([fmt, _ranks_str(used), err, slack, cost, storage, ok])
-    path = report.out_dir / "compare_formats.csv"
-    _write_csv(path, "compare-formats",
-               ["format", "ranks", "error", "bound", "cost", "storage", "within_bound"],
-               rows)
-    report.csv_paths.append(path)
+        rows.append([fmt, _ranks_str(used), *measured])
+    _emit(report, _DECOMPOSITION_HEADER, rows)
     for fmt, dt in timings:
         report.summary_lines.append(f"- {fmt}: {dt:.3f} s")
+
+
+_RUNNERS = {
+    "decompose": _run_decompose,
+    "spectrum": _run_spectrum,
+    "schedule": _run_schedule,
+    "decay-rate": _run_decay_rate,
+    "rank-vs-eps": _run_rank_vs_eps,
+    "dim-robustness": _run_dim_robustness,
+    "compare-formats": _run_compare_formats,
+}
+EXPERIMENTS = tuple(_RUNNERS)

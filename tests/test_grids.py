@@ -9,32 +9,10 @@ from lrtensor.svd import full_svd
 
 
 class TestBuildGrid:
-    def test_trapezoid_three_points(self):
-        grid = lt.build_grid(lt.DomainSpec((1,)), lt.GridSpec(3))
-        points, weights = grid[0]
-        assert np.allclose(weights, [0.25, 0.5, 0.25])
-        assert np.allclose(points.ravel(), [0.0, 0.5, 1.0])
-
-    def test_two_dimensional_subdomain_mass(self):
-        grid = lt.build_grid(lt.DomainSpec((2,)), lt.GridSpec(4))
-        points, weights = grid[0]
-        assert points.shape == (16, 2)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(weights > 0)
-
     def test_gauss_legendre_exactness(self):
         x, w = axis_rule(lt.GridSpec(5, rule="gauss-legendre"))
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
         assert float(np.sum(w * x**4)) == pytest.approx(0.2, abs=1e-14)
-
-    def test_cap_enforced(self):
-        with pytest.raises(lt.ElementCapError):
-            lt.build_grid(lt.DomainSpec((4,)), lt.GridSpec(64), cap=2**20)
-
-    def test_unit_mass_every_subdomain(self):
-        grid = lt.build_grid(lt.DomainSpec((1, 2, 3)), lt.GridSpec(5))
-        for _, weights in grid:
-            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSample:
@@ -67,6 +45,19 @@ class TestSample:
         fn = lt.make_function("gauss_kernel", n=2, c=1.0)
         sf = lt.sample(fn, lt.DomainSpec((2, 2)), lt.GridSpec(5))
         assert sf.tensor.shape.extents == (25, 25)
+
+    def test_mode_weights_and_cap(self):
+        fn = lt.make_function("rank_one", dims=(1,))
+        weights = lt.sample(fn, lt.DomainSpec((1,)), lt.GridSpec(3)).tensor.weights_for(0)
+        assert np.allclose(weights, [0.25, 0.5, 0.25])
+        fn = lt.make_function("rank_one", dims=(1, 2, 3))
+        t = lt.sample(fn, lt.DomainSpec((1, 2, 3)), lt.GridSpec(5)).tensor
+        for mode in range(3):
+            assert t.weights_for(mode).sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(t.weights_for(mode) > 0)
+        fn = lt.make_function("rank_one", dims=(4,))
+        with pytest.raises(lt.ElementCapError):
+            lt.sample(fn, lt.DomainSpec((4,)), lt.GridSpec(64), cap=2**20)
 
     def test_dims_mismatch(self):
         fn = lt.make_function("brownian_bridge")

@@ -159,6 +159,14 @@ class TestCLI:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("out", ["afile", "afile/x"])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(decompose_config()))
+        (tmp_path / "afile").write_text("")
+        assert cli_main(["decompose", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_command_experiment_mismatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(decompose_config()))
@@ -388,6 +396,7 @@ BAD_INPUT = [
     ("schedule", {"scheduler": dict(SCHEDULER, regime="bogus")}, "scheduler"),
     ("schedule", {"scheduler": dict(SCHEDULER, delta=None)}, "scheduler"),
     ("schedule", {"scheduler": None}, "scheduler"),
+    ("rank-vs-eps", {"scheduler": dict(WEIGHTED_SCHEDULER, regime="tt-weighted")}, "scheduler"),
 ]
 
 
@@ -407,6 +416,17 @@ class TestInputContract:
         raw = {**SMALL_CONFIGS[name], **change}
         assert _run_cli(tmp_path, raw) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["decompose", "compare-formats", "rank-vs-eps"])
+    def test_failed_bound_checks_report_themselves(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(lt.TuckerDecomposition, "tail_bound", lambda self: -1.0)
+        monkeypatch.setattr(lt.TTDecomposition, "tail_bound", lambda self: -1.0)
+        report = hz.run(hz.parse_config(SMALL_CONFIGS[name], cap=4096), tmp_path)
+        rows = _csv_rows(report.csv_paths[0])
+        assert report.exit_code == 1
+        assert [row["within_bound"] for row in rows] == ["0"] * len(rows)
+        assert report.violations == len(rows)
+        assert report.summary_path.read_text().count("-> FAIL") == len(rows)
 
 
 JSON_VALUES = st.recursive(
