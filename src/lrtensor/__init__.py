@@ -11,18 +11,13 @@ from .core import (
     ElementCapError,
     Shape,
     ShapeMismatchError,
-    UnfoldingSpec,
-    contract_mode,
-    fold,
     frobenius_norm,
     mode_unfolding,
-    unfold,
 )
 from .functions import (
     FunctionSpec,
     UnknownFunctionError,
     default_gamma,
-    evaluate,
     make_function,
     registered_ids,
 )
@@ -30,7 +25,6 @@ from .grids import (
     DomainSpec,
     GridSpec,
     SampledFunction,
-    discrete_mixed_seminorm,
     sample,
 )
 from .schedules import (

@@ -24,6 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.cap is not None and args.cap < 1:
+        print(f"error: --cap must be a positive integer, got {args.cap}", file=sys.stderr)
+        return 2
     try:
         config = load_config(args.config, cap=args.cap)
     except ConfigError as exc:

@@ -157,91 +157,21 @@ class DenseTensor:
         return self.mode_weights[mode]
 
 
-@dataclass(frozen=True)
-class UnfoldingSpec:
-    """Ordered split of the modes into a row group and a column group."""
-
-    row_modes: tuple
-    col_modes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_modes", tuple(int(i) for i in self.row_modes))
-        object.__setattr__(self, "col_modes", tuple(int(i) for i in self.col_modes))
-
-    def validate_for(self, shape: Shape) -> None:
-        seen = self.row_modes + self.col_modes
-        if sorted(seen) != list(range(shape.ndim)):
-            raise ShapeMismatchError(
-                f"row/column groups {self.row_modes}/{self.col_modes} are not "
-                f"a partition of the {shape.ndim} modes"
-            )
-
-    def matrix_dims(self, shape: Shape):
-        rows = math.prod(shape.extents[i] for i in self.row_modes) if self.row_modes else 1
-        cols = math.prod(shape.extents[i] for i in self.col_modes) if self.col_modes else 1
-        return rows, cols
-
-
-def unfold(t: DenseTensor, spec: UnfoldingSpec) -> np.ndarray:
-    """Matricize `t` per `spec`, with quadrature weights absorbed as sqrt."""
-    spec.validate_for(t.shape)
-    wv = t.weighted_values()
-    perm = spec.row_modes + spec.col_modes
-    rows, cols = spec.matrix_dims(t.shape)
-    return np.transpose(wv, perm).reshape(rows, cols)
-
-
-def fold(
-    mat: np.ndarray,
-    spec: UnfoldingSpec,
-    shape: Shape,
-    mode_weights=None,
-) -> DenseTensor:
-    """Exact inverse of :func:`unfold` (weights divided back out)."""
-    spec.validate_for(shape)
-    mat = np.asarray(mat, dtype=float)
-    rows, cols = spec.matrix_dims(shape)
-    if mat.shape != (rows, cols):
-        raise ShapeMismatchError(
-            f"matrix is {mat.shape}, spec requires {(rows, cols)}"
-        )
-    perm = spec.row_modes + spec.col_modes
-    inverse = np.argsort(perm)
-    values = mat.reshape([shape.extents[p] for p in perm]).transpose(inverse)
-    return _from_weighted(shape, values, _normalize_weights(shape, mode_weights))
-
-
 def _from_weighted(shape: Shape, weighted: np.ndarray, mode_weights) -> DenseTensor:
-    """Divide the weights back out: the only place they are, for `fold` and both reconstructs."""
+    """Divide the weights back out: the only place they are, for both reconstructs."""
     return DenseTensor(shape, _scale_by_weights(weighted, mode_weights, -0.5), mode_weights)
 
 
 def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
-    """Classical mode-`mode` unfolding: that mode vs all the others."""
-    rest = tuple(i for i in range(t.ndim) if i != mode)
-    return unfold(t, UnfoldingSpec((mode,), rest))
+    """Classical mode-`mode` unfolding, weights absorbed: that mode vs all the others."""
+    if not 0 <= mode < t.ndim:
+        raise ShapeMismatchError(f"mode {mode} out of range 0..{t.ndim - 1}")
+    return np.moveaxis(t.weighted_values(), mode, 0).reshape(t.shape.extents[mode], -1)
 
 
 def _mode_product(values: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     """Multiply axis `mode` of `values` by the matrix `m` from the left."""
     return np.moveaxis(np.tensordot(m, values, axes=(1, mode)), 0, mode)
-
-
-def contract_mode(t: DenseTensor, m: np.ndarray, mode: int) -> DenseTensor:
-    """Mode-wise matrix product; the contracted mode loses its weights."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[1] != t.shape.extents[mode]:
-        raise ShapeMismatchError(
-            f"matrix columns {m.shape} do not match extent "
-            f"{t.shape.extents[mode]} of mode {mode}"
-        )
-    values = _mode_product(t.values, m, mode)
-    if t.mode_weights is None:
-        weights = None
-    else:
-        weights = list(t.mode_weights)
-        weights[mode] = None
-    return DenseTensor(Shape(values.shape, cap=t.shape.cap), values, weights)
 
 
 def frobenius_norm(t: DenseTensor) -> float:

@@ -205,10 +205,3 @@ def vectorized_evaluator(spec: FunctionSpec) -> Callable:
 
     return call
 
-
-def evaluate(spec: FunctionSpec, point) -> float:
-    """Scalar evaluation at one point of the unit box."""
-    point = [np.asarray(float(p)) for p in point]
-    if any(p < 0 or p > 1 for p in point):
-        raise ValueError("point must lie in the unit box")
-    return float(vectorized_evaluator(spec)(point))

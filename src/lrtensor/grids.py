@@ -1,4 +1,4 @@
-"""Product domains, quadrature grids, function sampling, and discrete seminorms.
+"""Product domains, quadrature grids, and function sampling.
 
 Subdomains are unit boxes [0,1]^n. A subdomain of dimension n contributes
 a single tensor mode of extent N^n: the decompositions separate whole
@@ -7,13 +7,12 @@ subdomains, not individual axes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, frobenius_norm
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape
 from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
@@ -69,7 +68,7 @@ def axis_rule(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _product_weights(w: np.ndarray, n: int) -> np.ndarray:
-    """Weights (N^n,) of the n-fold tensor-product rule, row-major."""
+    """Weights (N^n,) of the tensor-product rule on n axes, row-major."""
     weights = np.ones(1)
     for _ in range(n):
         weights = np.multiply.outer(weights, w).ravel()
@@ -95,45 +94,9 @@ def sample(
     shape = Shape(extents, cap=cap)  # before any grid array is built
     x, w = axis_rule(grid)
     coords = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
-    values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
+        values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
     values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)
     weights = [_product_weights(w, n) for n in domain.dims]
     return SampledFunction(DenseTensor(shape, values, weights))
 
-
-def _is_uniform_trapezoid(w: np.ndarray) -> bool:
-    n = w.size
-    if n < 3:
-        return False
-    _, ref = axis_rule(GridSpec(n))
-    return bool(np.allclose(w, ref, rtol=1e-10, atol=0.0))
-
-
-def discrete_mixed_seminorm(t: DenseTensor, mode: int) -> float:
-    """Discrete H1-seminorm in `mode` crossed with L2 in the other modes.
-
-    First-order forward differences scaled by 1/h; the differenced mode
-    must carry a uniform grid (trapezoid weights or no weights).
-    """
-    n = t.shape.extents[mode]
-    if n < 3:
-        raise ValueError("mode extent must be >= 3 for finite differences")
-    w_mode = t.weights_for(mode)
-    if w_mode is not None and not _is_uniform_trapezoid(np.asarray(w_mode)):
-        raise ValueError("discrete seminorm requires a uniform grid in the mode")
-    h = 1.0 / (n - 1)
-    diffs = np.diff(t.values, axis=mode) / h
-    # L2 weights in the remaining modes; cell weight h along the mode.
-    if t.mode_weights is None:
-        weights = [None] * t.ndim
-    else:
-        weights = list(t.mode_weights)
-    weights[mode] = np.full(n - 1, h)
-    cell = DenseTensor(Shape(diffs.shape, cap=t.shape.cap), diffs, weights)
-    return float(np.linalg.norm(cell.weighted_values()))
-
-
-def discrete_h1_norm(t: DenseTensor, mode: int) -> float:
-    """sqrt(seminorm^2 + L2 norm^2), the discrete H1 norm used in checks."""
-    semi = discrete_mixed_seminorm(t, mode)
-    return math.hypot(semi, frobenius_norm(t))

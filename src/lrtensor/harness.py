@@ -124,6 +124,12 @@ def _function(fn: dict) -> fnreg.FunctionSpec:
     )
 
 
+def _format(value) -> str:
+    if value not in FORMATS:
+        raise ValueError(f"must be one of {FORMATS}, got {value!r}")
+    return value
+
+
 def _scheduler(s: dict) -> SchedulerParams:
     return SchedulerParams(
         epsilon=_number(s["epsilon"], float),
@@ -142,15 +148,12 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
-    fmt = raw.get("format", "tucker")
-    if fmt not in FORMATS:
-        raise ConfigError("format", f"must be one of {FORMATS}, got {fmt!r}")
     return ExperimentConfig(
         experiment=experiment,
         function=_read(raw, "function", _function, None),
         grid=_read(raw, "grid", lambda g: GridSpec(
             _number(g["points_per_axis"], int), g.get("rule", RULE_TRAPEZOID)), None),
-        format=fmt,
+        format=_read(raw, "format", _format, "tucker"),
         ranks=_read(raw, "ranks", lambda v: _numbers(v, int, 0), None),
         tolerance=_read(raw, "tolerance", lambda v: _number(v, float, 0), None),
         scheduler=_read(raw, "scheduler", _scheduler, None),

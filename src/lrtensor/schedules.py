@@ -186,12 +186,11 @@ def dimension_truncation_index(p: SchedulerParams) -> Tuple[int, float]:
     return max(operational, 1), printed
 
 
-def tt_ranks_weighted(p: SchedulerParams, apply_truncation: bool = True) -> RankSchedule:
+def tt_ranks_weighted(p: SchedulerParams) -> RankSchedule:
     """Recursive bond ranks r_j = ceil(r_{j-1} gamma_j^n j^((1+delta)n/k) eps^(-n/k)).
 
     Bonds beyond the dimension-truncation index M are set to zero
-    (modes dropped entirely). `apply_truncation=False` exposes the
-    untruncated recursion for diagnostics.
+    (modes dropped entirely).
     """
     n = p.require_weighted()
     if p.m < 2:
@@ -200,7 +199,7 @@ def tt_ranks_weighted(p: SchedulerParams, apply_truncation: bool = True) -> Rank
     ranks = []
     r_prev = 1
     for j in range(1, p.m):
-        if apply_truncation and j > M:
+        if j > M:
             ranks.append(0)
             continue
         raw = (

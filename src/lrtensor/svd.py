@@ -48,12 +48,12 @@ class SingularSpectrum:
 
 @dataclass(frozen=True)
 class TruncationRule:
-    """How to pick the kept rank: fixed, absolute tail, or relative tail."""
+    """How to pick the kept rank: a fixed rank, or the minimal one within a tail energy."""
 
     kind: str
     value: float
 
-    _KINDS = ("fixed-rank", "tail-energy", "tail-energy-relative")
+    _KINDS = ("fixed-rank", "tail-energy")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -68,10 +68,6 @@ class TruncationRule:
     @classmethod
     def tail_energy(cls, eps: float) -> "TruncationRule":
         return cls("tail-energy", float(eps))
-
-    @classmethod
-    def tail_energy_relative(cls, eps_rel: float) -> "TruncationRule":
-        return cls("tail-energy-relative", float(eps_rel))
 
 
 def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list:
@@ -91,7 +87,7 @@ def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list
 class TruncatedSVD:
     """Result of a rank-truncated SVD.
 
-    `floor_limited` is set when an absolute tail-energy target below the
+    `floor_limited` is set when a tail-energy target below the
     achievable noise floor was requested; `tail` then reports the floor
     actually achieved.
     """
@@ -157,10 +153,7 @@ def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
     if rule.kind == "fixed-rank":
         rank = min(int(rule.value), len(s))
     else:
-        target = rule.value
-        if rule.kind == "tail-energy-relative":
-            target = rule.value * tails[0]
-        candidates = np.flatnonzero(tails[: usable + 1] <= target)
+        candidates = np.flatnonzero(tails[: usable + 1] <= rule.value)
         if candidates.size:
             rank = int(candidates[0])
         else:

@@ -39,7 +39,7 @@ class TestUnfold:
             lambda i, j, k: 100 * i + 10 * j + k, (2, 3, 4), dtype=float
         )
         t = lt.DenseTensor.from_array(vals)
-        mat = lt.unfold(t, lt.UnfoldingSpec((1,), (0, 2)))
+        mat = lt.mode_unfolding(t, 1)
         assert mat.shape == (3, 8)
         # row j lists all (i, k) pairs with i outer, k inner
         for j in range(3):
@@ -48,102 +48,23 @@ class TestUnfold:
 
     def test_rank_one_structure(self):
         t = rank_one_tensor([np.arange(1.0, 4), np.arange(1.0, 5), np.arange(1.0, 3)])
-        for spec in [
-            lt.UnfoldingSpec((0,), (1, 2)),
-            lt.UnfoldingSpec((1,), (0, 2)),
-            lt.UnfoldingSpec((0, 2), (1,)),
-        ]:
-            assert np.linalg.matrix_rank(lt.unfold(t, spec)) == 1
+        for mode in range(3):
+            assert np.linalg.matrix_rank(lt.mode_unfolding(t, mode)) == 1
 
     def test_norm_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(7)
         t = lt.DenseTensor.from_array(rng.standard_normal((4, 4, 4)))
         oracle = math.sqrt(float(np.sum(t.values**2)))
-        for spec in [
-            lt.UnfoldingSpec((0,), (1, 2)),
-            lt.UnfoldingSpec((2, 0), (1,)),
-            lt.UnfoldingSpec((0, 1, 2), ()),
-        ]:
-            assert np.linalg.norm(lt.unfold(t, spec)) == pytest.approx(
+        for mode in range(3):
+            assert np.linalg.norm(lt.mode_unfolding(t, mode)) == pytest.approx(
                 oracle, rel=1e-12
             )
 
     def test_invalid_partition(self):
         t = lt.DenseTensor.from_array(np.zeros((2, 2)))
-        with pytest.raises(lt.ShapeMismatchError):
-            lt.unfold(t, lt.UnfoldingSpec((0,), (0, 1)))
-        with pytest.raises(lt.ShapeMismatchError):
-            lt.unfold(t, lt.UnfoldingSpec((0,), ()))
-
-
-class TestFold:
-    def test_round_trip_plain(self):
-        vals = np.fromfunction(
-            lambda i, j, k: 100 * i + 10 * j + k, (2, 3, 4), dtype=float
-        )
-        t = lt.DenseTensor.from_array(vals)
-        spec = lt.UnfoldingSpec((1,), (0, 2))
-        back = lt.fold(lt.unfold(t, spec), spec, t.shape)
-        assert np.array_equal(back.values, t.values)
-
-    def test_round_trip_trapezoid_weights(self):
-        n = 5
-        w = np.full(n, 1.0 / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        rng = np.random.default_rng(3)
-        t = lt.DenseTensor.from_array(rng.standard_normal((n, n)), mode_weights=[w, w])
-        spec = lt.UnfoldingSpec((0,), (1,))
-        back = lt.fold(lt.unfold(t, spec), spec, t.shape, t.mode_weights)
-        assert np.max(np.abs(back.values - t.values)) <= 1e-15 * np.max(
-            np.abs(t.values)
-        )
-
-    def test_empty_row_group(self):
-        rng = np.random.default_rng(4)
-        vals = rng.standard_normal((3, 4))
-        t = lt.DenseTensor.from_array(vals)
-        spec = lt.UnfoldingSpec((), (0, 1))
-        mat = lt.unfold(t, spec)
-        assert mat.shape == (1, 12)
-        back = lt.fold(mat, spec, t.shape)
-        assert np.array_equal(back.values, vals)
-
-    def test_dimension_mismatch(self):
-        spec = lt.UnfoldingSpec((0,), (1,))
-        with pytest.raises(lt.ShapeMismatchError):
-            lt.fold(np.zeros((3, 3)), spec, lt.Shape((2, 3)))
-
-
-class TestContractMode:
-    def test_identity(self):
-        rng = np.random.default_rng(5)
-        t = lt.DenseTensor.from_array(rng.standard_normal((3, 4)))
-        out = lt.contract_mode(t, np.eye(4), 1)
-        assert np.allclose(out.values, t.values)
-
-    def test_ones_row_sums(self):
-        vals = np.fromfunction(lambda i, j: i, (3, 4), dtype=float)
-        t = lt.DenseTensor.from_array(vals)
-        out = lt.contract_mode(t, np.ones((1, 3)), 0)
-        assert out.shape.extents == (1, 4)
-        assert np.allclose(out.values, 3.0)
-
-    def test_orthonormal_chain_preserves_norm(self):
-        rng = np.random.default_rng(6)
-        t = lt.DenseTensor.from_array(rng.standard_normal((4, 5, 6)))
-        out = t
-        for mode, n in enumerate(t.shape.extents):
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            out = lt.contract_mode(out, q, mode)
-        assert lt.frobenius_norm(out) == pytest.approx(
-            lt.frobenius_norm(t), rel=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        t = lt.DenseTensor.from_array(np.zeros((3, 4)))
-        with pytest.raises(lt.ShapeMismatchError):
-            lt.contract_mode(t, np.zeros((2, 5)), 1)
+        for mode in (-1, t.ndim):
+            with pytest.raises(lt.ShapeMismatchError):
+                lt.mode_unfolding(t, mode)
 
 
 class TestFrobeniusNorm:
@@ -197,7 +118,7 @@ class TestWeightedValues:
 
 
 @st.composite
-def tensor_and_split(draw):
+def tensor_and_mode(draw):
     ndim = draw(st.integers(min_value=1, max_value=5))
     extents = tuple(draw(st.integers(min_value=1, max_value=4)) for _ in range(ndim))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -207,38 +128,15 @@ def tensor_and_split(draw):
     if weighted:
         weights = [rng.uniform(0.1, 2.0, size=n) for n in extents]
     values = rng.standard_normal(extents)
-    modes = list(range(ndim))
-    rng.shuffle(modes)
-    cut = draw(st.integers(min_value=0, max_value=ndim))
-    spec = lt.UnfoldingSpec(tuple(modes[:cut]), tuple(modes[cut:]))
-    return lt.DenseTensor.from_array(values, mode_weights=weights), spec
+    mode = draw(st.integers(min_value=0, max_value=ndim - 1))
+    return lt.DenseTensor.from_array(values, mode_weights=weights), mode
 
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)
-    @given(tensor_and_split())
-    def test_unfold_fold_inverse(self, case):
-        t, spec = case
-        back = lt.fold(lt.unfold(t, spec), spec, t.shape, t.mode_weights)
-        scale = max(1.0, float(np.max(np.abs(t.values))))
-        assert np.max(np.abs(back.values - t.values)) <= 1e-12 * scale
-
-    @settings(max_examples=60, deadline=None)
-    @given(tensor_and_split())
+    @given(tensor_and_mode())
     def test_norm_invariant_under_unfolding(self, case):
-        t, spec = case
-        assert np.linalg.norm(lt.unfold(t, spec)) == pytest.approx(
+        t, mode = case
+        assert np.linalg.norm(lt.mode_unfolding(t, mode)) == pytest.approx(
             lt.frobenius_norm(t), rel=1e-12, abs=1e-12
         )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=2**31 - 1),
-        st.integers(min_value=1, max_value=4),
-    )
-    def test_orthonormal_rows_never_increase_norm(self, seed, keep):
-        rng = np.random.default_rng(seed)
-        t = lt.DenseTensor.from_array(rng.standard_normal((4, 4, 4)))
-        q, _ = np.linalg.qr(rng.standard_normal((4, keep)))
-        out = lt.contract_mode(t, q.T, 1)
-        assert lt.frobenius_norm(out) <= lt.frobenius_norm(t) * (1 + 1e-12)

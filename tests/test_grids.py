@@ -4,8 +4,49 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.grids import axis_rule, discrete_h1_norm
+from lrtensor import DenseTensor, GridSpec, Shape, frobenius_norm
+from lrtensor.grids import axis_rule
 from lrtensor.svd import full_svd
+
+
+# Discrete H1 norms: the oracle of the regularity tests below.
+def _is_uniform_trapezoid(w: np.ndarray) -> bool:
+    n = w.size
+    if n < 3:
+        return False
+    _, ref = axis_rule(GridSpec(n))
+    return bool(np.allclose(w, ref, rtol=1e-10, atol=0.0))
+
+
+def discrete_mixed_seminorm(t: DenseTensor, mode: int) -> float:
+    """Discrete H1-seminorm in `mode` crossed with L2 in the other modes.
+
+    First-order forward differences scaled by 1/h; the differenced mode
+    must carry a uniform grid (trapezoid weights or no weights).
+    """
+    n = t.shape.extents[mode]
+    if n < 3:
+        raise ValueError("mode extent must be >= 3 for finite differences")
+    w_mode = t.weights_for(mode)
+    if w_mode is not None and not _is_uniform_trapezoid(np.asarray(w_mode)):
+        raise ValueError("discrete seminorm requires a uniform grid in the mode")
+    h = 1.0 / (n - 1)
+    diffs = np.diff(t.values, axis=mode) / h
+    # L2 weights in the remaining modes; cell weight h along the mode.
+    if t.mode_weights is None:
+        weights = [None] * t.ndim
+    else:
+        weights = list(t.mode_weights)
+    weights[mode] = np.full(n - 1, h)
+    cell = DenseTensor(Shape(diffs.shape, cap=t.shape.cap), diffs, weights)
+    return float(np.linalg.norm(cell.weighted_values()))
+
+
+def discrete_h1_norm(t: DenseTensor, mode: int) -> float:
+    """sqrt(seminorm^2 + L2 norm^2), the discrete H1 norm used in checks."""
+    semi = discrete_mixed_seminorm(t, mode)
+    return math.hypot(semi, frobenius_norm(t))
+
 
 
 class TestBuildGrid:
@@ -68,7 +109,7 @@ class TestSample:
 class TestDiscreteSeminorm:
     def test_constant_is_zero(self):
         t = lt.DenseTensor.from_array(np.ones((9, 9)))
-        assert lt.discrete_mixed_seminorm(t, 0) == 0.0
+        assert discrete_mixed_seminorm(t, 0) == 0.0
 
     def test_linear_function(self):
         n = 65
@@ -80,7 +121,7 @@ class TestDiscreteSeminorm:
             np.broadcast_to(x[:, None], (n, n)),
             sf.tensor.mode_weights,
         )
-        assert lt.discrete_mixed_seminorm(t, 0) == pytest.approx(1.0, abs=2e-2)
+        assert discrete_mixed_seminorm(t, 0) == pytest.approx(1.0, abs=2e-2)
 
     def test_sine_seminorm(self):
         n = 129
@@ -93,18 +134,18 @@ class TestDiscreteSeminorm:
             mode_weights=[w, w],
         )
         target = math.sqrt(2) * math.pi
-        assert lt.discrete_mixed_seminorm(t, 0) == pytest.approx(target, rel=0.02)
+        assert discrete_mixed_seminorm(t, 0) == pytest.approx(target, rel=0.02)
 
     def test_rejects_short_mode(self):
         t = lt.DenseTensor.from_array(np.ones((2, 5)))
         with pytest.raises(ValueError):
-            lt.discrete_mixed_seminorm(t, 0)
+            discrete_mixed_seminorm(t, 0)
 
     def test_rejects_non_uniform_grid(self):
         x, w = axis_rule(lt.GridSpec(9, rule="gauss-legendre"))
         t = lt.DenseTensor.from_array(np.ones((9, 9)), mode_weights=[w, w])
         with pytest.raises(ValueError):
-            lt.discrete_mixed_seminorm(t, 0)
+            discrete_mixed_seminorm(t, 0)
 
 
 class TestEigenfunctionRegularityBound:
@@ -120,7 +161,7 @@ class TestEigenfunctionRegularityBound:
         sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(n))
         t = sf.tensor
         w = np.asarray(t.mode_weights[0])
-        semi = lt.discrete_mixed_seminorm(t, 0)
+        semi = discrete_mixed_seminorm(t, 0)
         f_norm = math.hypot(semi, lt.frobenius_norm(t))
         U, s, _ = full_svd(lt.mode_unfolding(t, 0))
         constants = []

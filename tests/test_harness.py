@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from lrtensor.svd import tail_energy
 from lrtensor.train import _feasible_ranks
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def decompose_config(**overrides):
@@ -166,6 +170,13 @@ class TestCLI:
         (tmp_path / "afile").write_text("")
         assert cli_main(["decompose", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
         assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_cap_exit_two_naming_it(self, tmp_path, capsys, cap):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(decompose_config()))
+        assert cli_main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o"), "--cap", cap]) == 2
+        assert "--cap" in capsys.readouterr().err
 
     def test_command_experiment_mismatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -397,6 +408,7 @@ BAD_INPUT = [
     ("schedule", {"scheduler": dict(SCHEDULER, delta=None)}, "scheduler"),
     ("schedule", {"scheduler": None}, "scheduler"),
     ("rank-vs-eps", {"scheduler": dict(WEIGHTED_SCHEDULER, regime="tt-weighted")}, "scheduler"),
+    ("spectrum", {"mode": -1}, "mode"),
 ]
 
 
@@ -416,6 +428,24 @@ class TestInputContract:
         raw = {**SMALL_CONFIGS[name], **change}
         assert _run_cli(tmp_path, raw) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_null_format_takes_tucker(self, tmp_path):
+        assert _run_cli(tmp_path, {**SMALL_CONFIGS["decompose"], "format": None}) == 0
+        (row,) = _csv_rows(tmp_path / "o" / "decompose.csv")
+        assert row["format"] == "tucker"
+
+    def test_non_finite_samples_print_one_error_line(self, tmp_path):
+        raw = {**SMALL_CONFIGS["decompose-tol"], "function": {"id": "weighted_exp", "m": 3, "gamma": [1e308] * 3}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrtensor.cli", "experiment", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="default"),
+        )
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: config field 'function'")
 
     @pytest.mark.parametrize("name", ["decompose", "compare-formats", "rank-vs-eps"])
     def test_failed_bound_checks_report_themselves(self, tmp_path, monkeypatch, name):

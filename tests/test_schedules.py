@@ -122,16 +122,6 @@ class TestWeightedTT:
         gamma=lt.default_gamma(8, k=1.0, delta_prime=3.0),
     )
 
-    def test_untruncated_recursion(self):
-        s = tt_ranks_weighted(params(**self.GOLDEN), apply_truncation=False)
-        assert s.ranks == (10, 18, 12, 4, 1, 1, 1)
-        # after the initial burst the recursion is non-increasing and
-        # reaches 1 well before the last mode
-        peak = s.ranks.index(max(s.ranks))
-        tail = s.ranks[peak:]
-        assert all(a >= b for a, b in zip(tail, tail[1:]))
-        assert 1 in s.ranks
-
     def test_truncated_schedule_and_cost(self):
         s = tt_ranks_weighted(params(**self.GOLDEN))
         assert s.M == 2

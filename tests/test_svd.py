@@ -29,7 +29,7 @@ class TestTruncatedSVD:
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 4.0])
         res = lt.truncated_svd(
-            np.outer(u, v), lt.TruncationRule.tail_energy_relative(1e-12)
+            np.outer(u, v), lt.TruncationRule.tail_energy(1e-12 * np.linalg.norm(np.outer(u, v)))
         )
         assert res.rank == 1
         assert res.spectrum.values[0] == pytest.approx(
