@@ -29,7 +29,7 @@ from .schedules import (
     SchedulerParams,
     build_schedule,
 )
-from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent, full_svd
+from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent
 from .train import _feasible_ranks, tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
 from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
 
@@ -90,10 +90,15 @@ def _field(name: str, errors=(TypeError, ValueError, LookupError, AttributeError
         raise ConfigError(name, f"{type(exc).__name__}: {exc}") from exc
 
 
+def _get(raw: dict, name: str, convert: Callable = lambda v: v, default=None):
+    """`convert(raw[name])`, or `default` when `name` is missing or null."""
+    return default if raw.get(name) is None else convert(raw[name])
+
+
 def _read(raw: dict, name: str, convert: Callable, default):
-    """`convert(raw[name])` inside `_field(name)`; `default` when missing or null."""
+    """`_get` inside `_field(name)`, for a top-level field."""
     with _field(name):
-        return default if raw.get(name) is None else convert(raw[name])
+        return _get(raw, name, convert, default)
 
 
 def _number(value, kind=None, low=-math.inf, high=math.inf):
@@ -117,10 +122,10 @@ _MAX_MODES = 1000  # bounds a function's `m` and `m_values`: no tuple of modes o
 def _function(fn: dict) -> fnreg.FunctionSpec:
     return fnreg.make_function(
         fn["id"],
-        dims=None if fn.get("dims") is None else _numbers(fn["dims"], int, 0),
-        m=None if fn.get("m") is None else _number(fn["m"], int, 0, _MAX_MODES),
-        gamma=None if fn.get("gamma") is None else _numbers(fn["gamma"]),
-        **fn.get("params", {}),
+        dims=_get(fn, "dims", lambda v: _numbers(v, int, 0)),
+        m=_get(fn, "m", lambda v: _number(v, int, 0, _MAX_MODES)),
+        gamma=_get(fn, "gamma", _numbers),
+        **_get(fn, "params", default={}),
     )
 
 
@@ -135,9 +140,9 @@ def _scheduler(s: dict) -> SchedulerParams:
         epsilon=_number(s["epsilon"], float),
         k=_number(s["k"], float),
         dims=_numbers(s["dims"], int, 0),
-        delta=None if s.get("delta") is None else _number(s["delta"]),
-        delta_prime=None if s.get("delta_prime") is None else _number(s["delta_prime"]),
-        gamma=None if s.get("gamma") is None else _numbers(s["gamma"]),
+        delta=_get(s, "delta", _number),
+        delta_prime=_get(s, "delta_prime", _number),
+        gamma=_get(s, "gamma", _numbers),
     )
 
 
@@ -152,7 +157,7 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
         experiment=experiment,
         function=_read(raw, "function", _function, None),
         grid=_read(raw, "grid", lambda g: GridSpec(
-            _number(g["points_per_axis"], int), g.get("rule", RULE_TRAPEZOID)), None),
+            _number(g["points_per_axis"], int), _get(g, "rule", default=RULE_TRAPEZOID)), None),
         format=_read(raw, "format", _format, "tucker"),
         ranks=_read(raw, "ranks", lambda v: _numbers(v, int, 0), None),
         tolerance=_read(raw, "tolerance", lambda v: _number(v, float, 0), None),
@@ -164,7 +169,8 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
         fit_window=_read(raw, "fit_window", lambda v: _numbers(v, int, 0, length=2), None),
         expected_exponent=_read(raw, "expected_exponent", _number, None),
         exponent_tol=_read(raw, "exponent_tol", lambda v: _number(v, None, 0), None),
-        cap=cap if cap is not None else _read(raw, "cap", lambda v: _number(v, int, 0), DEFAULT_ELEMENT_CAP),
+        # a `cap` argument overrides the config's field and is checked alike
+        cap=_read(raw if cap is None else {"cap": cap}, "cap", lambda v: _number(v, int, 0), DEFAULT_ELEMENT_CAP),
     )
 
 
@@ -184,18 +190,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, experiment: str, header: Sequence[str], rows) -> None:
-    lines = [f"# {CSV_SCHEMA} experiment={experiment}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _emit(report: ExperimentReport, header: Sequence[str], rows) -> None:
     """Write the experiment's one CSV table, named and tagged after it."""
+    lines = [f"# {CSV_SCHEMA} experiment={report.experiment}", ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     path = report.out_dir / f"{report.experiment.replace('-', '_')}.csv"
-    _write_csv(path, report.experiment, header, rows)
+    path.write_text("\n".join(lines) + "\n")
     report.csv_paths.append(path)
 
 
@@ -297,7 +297,7 @@ def _spectrum_fit(config: ExperimentConfig):
     t = _sample_tensor(config)
     with _field("mode"):
         mat = mode_unfolding(t, config.mode)
-    spectrum = SingularSpectrum(full_svd(mat)[1])
+    spectrum = SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
     with _field("fit_window"):
         return spectrum, fit_decay_exponent(spectrum, window=config.fit_window)
 

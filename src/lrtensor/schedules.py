@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Tuple
 
 from .train import tt_cost
@@ -140,12 +141,7 @@ def tt_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
     """r_j = ceil(eps^(-(n_1+...+n_j)/k)) for the m-1 bonds."""
     if p.m < 2:
         raise ValueError("tensor-train schedules need at least two modes")
-    partial = 0
-    ranks = []
-    for n in p.dims[:-1]:
-        partial += n
-        ranks.append(_ceil(p.epsilon ** (-partial / p.k)))
-    ranks = tuple(ranks)
+    ranks = tuple(_ceil(p.epsilon ** (-partial / p.k)) for partial in accumulate(p.dims[:-1]))
     return RankSchedule(
         regime=REGIME_TT,
         ranks=ranks,
@@ -211,13 +207,10 @@ def tt_ranks_weighted(p: SchedulerParams) -> RankSchedule:
         r = max(_ceil(raw), 1)
         ranks.append(r)
         r_prev = r
-    ranks = tuple(ranks)
-    active = [r for r in ranks if r > 0]
-    cost = tt_cost(active) if active else 0
     return RankSchedule(
         regime=REGIME_TT_WEIGHTED,
-        ranks=ranks,
-        predicted_cost=cost,
+        ranks=tuple(ranks),
+        predicted_cost=tt_cost([r for r in ranks if r > 0]),
         params=p,
         M=M,
         paper_M_value=printed,

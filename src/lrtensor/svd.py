@@ -12,6 +12,7 @@ from .core import ShapeMismatchError
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
+WIDE_RATIO = 2  # a matrix with cols >= WIDE_RATIO * rows is reduced by QR first
 
 
 class InsufficientSpectrumError(ValueError):
@@ -85,7 +86,7 @@ def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list
 
 @dataclass(frozen=True)
 class TruncatedSVD:
-    """Result of a rank-truncated SVD.
+    """Result of a rank-truncated SVD: kept left vectors and spectrum, no V.
 
     `floor_limited` is set when a tail-energy target below the
     achievable noise floor was requested; `tail` then reports the floor
@@ -94,7 +95,6 @@ class TruncatedSVD:
 
     U: np.ndarray
     spectrum: SingularSpectrum
-    V: np.ndarray
     tail: float
     full_spectrum: SingularSpectrum
     floor_limited: bool = False
@@ -113,11 +113,16 @@ class DecayFit:
     window: Tuple[int, int]
 
 
-def full_svd(mat: np.ndarray):
-    """SVD with a deterministic sign convention on the left vectors."""
+def _finite(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
+    return mat
+
+
+def full_svd(mat: np.ndarray):
+    """SVD with a deterministic sign convention on the left vectors."""
+    mat = _finite(mat)
     U, s, Vt = np.linalg.svd(mat, full_matrices=False)
     # The first entry of each column above the pivot tolerance (if any)
     # is made positive. Masks and in-place flips keep U and Vt uncopied.
@@ -143,9 +148,13 @@ def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
     A tail-energy rule keeps at least one singular value, so a
     decomposition driven by a tolerance never gets a rank-0 mode or
     bond. The reported tail is the exact Frobenius error of the
-    truncation.
+    truncation. A wide m is replaced by R^T from m^T = QR, which has the
+    same left vectors and singular values, so no V the size of m is formed.
     """
-    U, s, Vt = full_svd(m)
+    m = np.asarray(m, dtype=float)
+    if m.shape[1] >= WIDE_RATIO * m.shape[0]:  # full_svd checks any other m
+        m = np.linalg.qr(_finite(m).T, mode="r").T
+    U, s, _ = full_svd(m)
     full = SingularSpectrum(s)
     tails = _tails(s)
     usable = full.above_floor()
@@ -163,7 +172,6 @@ def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
     return TruncatedSVD(
         U=U[:, :rank],
         spectrum=SingularSpectrum(s[:rank]),
-        V=Vt[:rank].T,
         tail=float(tails[rank]),
         full_spectrum=full,
         floor_limited=floor_limited,
@@ -176,9 +184,7 @@ def gram_spectrum(m: np.ndarray) -> SingularSpectrum:
     Independent oracle for the squared singular values: sqrt of these
     must match the singular values of `m` on the non-noise range.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = _finite(m)
     eig = np.linalg.eigvalsh(m.T @ m)[::-1]
     return SingularSpectrum(np.maximum(eig, 0.0))
 

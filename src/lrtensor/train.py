@@ -84,8 +84,9 @@ def _sweep(remainder: np.ndarray, extents, rules, bonds):
     """Separate `extents`, in order, off the front of `remainder`.
 
     Each step stacks the previous bond onto the active mode, truncates
-    that matrix, keeps U_r as a left-orthonormal core and passes
-    s_r V_r^T on, so the singular values travel in the remainder.
+    that matrix A, keeps U_r as a left-orthonormal core and passes
+    U_r^T A (= s_r V_r^T) on, so the singular values travel in the
+    remainder and no right vectors are formed.
     Returns the cores, one (spectrum, stack dim) per step, and the
     final remainder.
     """
@@ -102,7 +103,7 @@ def _sweep(remainder: np.ndarray, extents, rules, bonds):
         step = truncated_svd(mat, rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
         steps.append((step.full_spectrum, mat.shape[0]))
-        remainder = step.spectrum.values[:, None] * step.V.T
+        remainder = step.U.T @ mat
         r_prev = step.rank
     return cores, steps, remainder
 

@@ -66,6 +66,20 @@ class TestConfigParsing:
         cfg = hz.parse_config(decompose_config(), cap=1000)
         assert cfg.cap == 1000
 
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, True])
+    def test_bad_cap_argument_names_cap(self, cap):
+        with pytest.raises(hz.ConfigError) as exc:
+            hz.parse_config(decompose_config(), cap=cap)
+        assert exc.value.field == "cap"
+
+    def test_null_grid_rule_takes_trapezoid(self):
+        cfg = hz.parse_config(decompose_config(grid={"points_per_axis": 5, "rule": None}))
+        assert cfg.grid.rule == lt.grids.RULE_TRAPEZOID
+
+    def test_null_function_params_take_empty(self):
+        cfg = hz.parse_config(decompose_config(function={"id": "rank_one", "m": 3, "params": None}))
+        assert cfg.function == hz.parse_config(decompose_config()).function
+
 
 class TestDecomposeRun:
     def test_rank_one_function_needs_rank_one(self, tmp_path):
@@ -101,6 +115,17 @@ class TestDeterminism:
             out = tmp_path / name
             hz.run(hz.parse_config(raw), out)
             outputs.append((out / "compare_formats.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    def test_tolerance_decompose_bytes_identical_on_wide_unfoldings(self, tmp_path, fmt):
+        # every mode unfolding (6 x 1296) and the first TT steps are wide
+        raw = decompose_config(function={"id": "weighted_exp", "m": 5}, grid={"points_per_axis": 6},
+                               format=fmt, ranks=None, tolerance=1e-12)
+        outputs = []
+        for name in ("a", "b"):
+            assert hz.run(hz.parse_config(raw), tmp_path / name).exit_code == 0
+            outputs.append((tmp_path / name / "decompose.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_schedule_matches_golden_bytes(self, tmp_path):
@@ -457,6 +482,36 @@ class TestInputContract:
         assert [row["within_bound"] for row in rows] == ["0"] * len(rows)
         assert report.violations == len(rows)
         assert report.summary_path.read_text().count("-> FAIL") == len(rows)
+
+
+class TestSingularVectorsComputed:
+    """No singular vectors of a wide matrix are computed, and spectra compute none."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return calls
+
+    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    def test_tolerance_decompose(self, tmp_path, svd_calls, fmt):
+        raw = decompose_config(function={"id": "weighted_exp", "m": 4}, grid={"points_per_axis": 5},
+                               format=fmt, ranks=None, tolerance=1e-6)
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert svd_calls
+        for (rows, cols), compute_uv in svd_calls:
+            assert not (compute_uv and cols >= svd.WIDE_RATIO * rows), (rows, cols)
+
+    @pytest.mark.parametrize("name", ["spectrum", "decay-rate"])
+    def test_spectrum(self, tmp_path, svd_calls, name):
+        assert hz.run(hz.parse_config(SMALL_CONFIGS[name]), tmp_path).exit_code == 0
+        assert svd_calls and all(not compute_uv for _, compute_uv in svd_calls)
 
 
 JSON_VALUES = st.recursive(

@@ -44,19 +44,20 @@ class TestTruncatedSVD:
         u_o, s_o, vt_o = np.linalg.svd(m)
         for r in range(7):
             res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(r))
-            recon = res.U @ np.diag(res.spectrum.values) @ res.V.T
-            err = np.linalg.norm(m - recon)
+            err = np.linalg.norm(m - res.U @ (res.U.T @ m))
             oracle = np.sqrt(np.sum(s_o[r:] ** 2))
             assert err == pytest.approx(res.tail, rel=1e-12, abs=1e-12)
             assert err == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(12)
-        res = lt.truncated_svd(
-            rng.standard_normal((8, 5)), lt.TruncationRule.fixed_rank(4)
-        )
+        m = rng.standard_normal((8, 5))
+        res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(4))
         assert np.max(np.abs(res.U.T @ res.U - np.eye(4))) <= 1e-12
-        assert np.max(np.abs(res.V.T @ res.V - np.eye(4))) <= 1e-12
+        # the rows of U_r^T m (= s_r V_r^T) are orthogonal with norms s_r
+        head = res.U.T @ m
+        gram = head @ head.T
+        assert np.max(np.abs(gram - np.diag(res.spectrum.values ** 2))) <= 1e-12 * gram[0, 0]
 
     def test_sign_convention(self):
         rng = np.random.default_rng(13)
@@ -82,6 +83,28 @@ class TestTruncatedSVD:
             for expected, got in zip((U, s, Vt), full_svd(m)):
                 assert np.array_equal(expected, got)
                 assert np.array_equal(np.signbit(expected), np.signbit(got))
+
+    @pytest.mark.parametrize("rows, cols", [(5, 40), (11, 1331), (4, 8)])
+    def test_wide_matrix_matches_dense_svd(self, rows, cols):
+        rng = np.random.default_rng(rows)
+        left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        right = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+        s = np.linspace(3.0, 0.5, rows)  # well separated, so U is unique up to sign
+        m = left @ np.diag(s) @ right.T
+        res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(rows))
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assert np.max(np.abs(res.full_spectrum.values - sigma)) <= 1e-14 * sigma[0]
+        assert np.max(np.abs(res.U - full_svd(m)[0])) <= 1e-10
+        for c in range(rows):
+            assert res.U[np.abs(res.U[:, c]) > SIGN_PIVOT_TOL, c][0] > 0
+
+    @pytest.mark.parametrize("shape", [(3, 10), (5, 5), (10, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, shape, bad):
+        m = np.ones(shape)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lt.truncated_svd(m, lt.TruncationRule.fixed_rank(1))
 
     def test_tail_energy_rule_minimal_rank(self):
         m = np.diag([3.0, 2.0, 1.0])
