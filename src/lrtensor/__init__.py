@@ -24,7 +24,6 @@ from .functions import (
 from .grids import (
     DomainSpec,
     GridSpec,
-    SampledFunction,
     sample,
 )
 from .schedules import (
@@ -50,7 +49,6 @@ from .svd import (
     truncated_svd,
 )
 from .train import (
-    RankInfeasibleError,
     TTDecomposition,
     tt_cost,
     tt_error,

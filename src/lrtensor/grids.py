@@ -45,13 +45,6 @@ class GridSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """A function sampled onto a product grid."""
-
-    tensor: DenseTensor
-
-
 def axis_rule(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     """1D points and weights on [0,1]; weights sum to 1."""
     n = grid.points_per_axis
@@ -80,7 +73,7 @@ def sample(
     domain: DomainSpec,
     grid: GridSpec,
     cap: int = DEFAULT_ELEMENT_CAP,
-) -> SampledFunction:
+) -> DenseTensor:
     """Evaluate `fn` on the product grid; one tensor mode per subdomain."""
     if fn.dims != domain.dims:
         raise ValueError(
@@ -98,5 +91,5 @@ def sample(
         values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
     values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)
     weights = [_product_weights(w, n) for n in domain.dims]
-    return SampledFunction(DenseTensor(shape, values, weights))
+    return DenseTensor(shape, values, weights)
 

@@ -30,7 +30,7 @@ from .schedules import (
     build_schedule,
 )
 from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent
-from .train import _feasible_ranks, tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
+from .train import tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
 from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
 
 CSV_SCHEMA = "lrtensor-csv v1"
@@ -118,8 +118,22 @@ def _numbers(values, kind=None, low=-math.inf, high=math.inf, length=None) -> tu
 
 _MAX_MODES = 1000  # bounds a function's `m` and `m_values`: no tuple of modes outgrows memory
 
+# The top-level keys `parse_config` reads; any other key exits 2 rather than run at a default.
+_FIELDS = ("experiment", "function", "grid", "format", "ranks", "tolerance", "scheduler", "epsilons",
+           "m_values", "mode", "fit_window", "expected_exponent", "exponent_tol", "cap")
+
+
+def _known(obj: dict, keys: tuple) -> None:
+    """Check that `obj` is a JSON object with no key outside `keys`."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; expected one of {keys}")
+
 
 def _function(fn: dict) -> fnreg.FunctionSpec:
+    _known(fn, ("id", "dims", "m", "gamma", "params"))
     return fnreg.make_function(
         fn["id"],
         dims=_get(fn, "dims", lambda v: _numbers(v, int, 0)),
@@ -135,7 +149,13 @@ def _format(value) -> str:
     return value
 
 
+def _grid(g: dict) -> GridSpec:
+    _known(g, ("points_per_axis", "rule"))
+    return GridSpec(_number(g["points_per_axis"], int), _get(g, "rule", default=RULE_TRAPEZOID))
+
+
 def _scheduler(s: dict) -> SchedulerParams:
+    _known(s, ("regime", "epsilon", "k", "dims", "delta", "delta_prime", "gamma"))
     return SchedulerParams(
         epsilon=_number(s["epsilon"], float),
         k=_number(s["k"], float),
@@ -153,11 +173,13 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
+    unknown = sorted(set(raw) - set(_FIELDS))
+    if unknown:
+        raise ConfigError(unknown[0], f"unknown field; expected one of {_FIELDS}")
     return ExperimentConfig(
         experiment=experiment,
         function=_read(raw, "function", _function, None),
-        grid=_read(raw, "grid", lambda g: GridSpec(
-            _number(g["points_per_axis"], int), _get(g, "rule", default=RULE_TRAPEZOID)), None),
+        grid=_read(raw, "grid", _grid, None),
         format=_read(raw, "format", _format, "tucker"),
         ranks=_read(raw, "ranks", lambda v: _numbers(v, int, 0), None),
         tolerance=_read(raw, "tolerance", lambda v: _number(v, float, 0), None),
@@ -212,7 +234,7 @@ def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
     if config.grid is None:
         raise ConfigError("grid", "this experiment requires a grid")
     with _field("function"), _field("grid", ElementCapError):
-        return sample(config.function, DomainSpec(config.function.dims), config.grid, cap=config.cap).tensor
+        return sample(config.function, DomainSpec(config.function.dims), config.grid, cap=config.cap)
 
 
 def _rank_count(fmt: str, m: int) -> int:
@@ -223,8 +245,9 @@ def _rank_count(fmt: str, m: int) -> int:
 def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
     """Build, measure and check one decomposition of `t`, whose norm is `norm`.
 
-    Given ranks (one per mode or bond) are clamped to the feasible ones.
-    Without ranks, every mode or bond keeps the minimal rank whose
+    Given ranks (one per mode or bond) are upper limits: each step keeps
+    at most the rank of its matrix, and the ranks returned are the kept
+    ones. Without ranks, every mode or bond keeps the minimal rank whose
     discarded tail is at most tolerance * norm (default tolerance 1e-12).
     The bound is the tail bound plus a slack relative to `norm`; a failed
     check counts as a violation, and every check writes one PASS/FAIL line
@@ -233,15 +256,9 @@ def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, 
     extents = t.shape.extents
     if ranks is None:
         ranks = TruncationRule.tail_energy((tolerance if tolerance is not None else 1e-12) * norm)
-    else:
-        expected = _rank_count(fmt, len(extents))
-        if len(ranks) != expected:
-            raise ConfigError("ranks", f"format {fmt!r} on {len(extents)} modes "
-                              f"takes {expected} ranks, got {len(ranks)}")
-        if fmt == "tucker":
-            ranks = [min(int(r), n) for r, n in zip(ranks, extents)]
-        else:
-            ranks = _feasible_ranks(extents, ranks, bidirectional=fmt == "tt-bidir")
+    elif len(ranks) != (expected := _rank_count(fmt, len(extents))):
+        raise ConfigError("ranks", f"format {fmt!r} on {len(extents)} modes "
+                          f"takes {expected} ranks, got {len(ranks)}")
     if fmt == "tucker":
         d = hosvd(t, ranks)
         err, cost, storage = tucker_error(t, d), tucker_cost(d.ranks), tucker_factor_storage(extents, d.ranks)

@@ -64,6 +64,7 @@ class TruncationRule:
 
     @classmethod
     def fixed_rank(cls, r: int) -> "TruncationRule":
+        """Keep r singular values, or all of them when the matrix has fewer."""
         return cls("fixed-rank", int(r))
 
     @classmethod
@@ -145,7 +146,9 @@ def _tails(s: np.ndarray) -> np.ndarray:
 def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
     """Truncate at the minimal rank satisfying `rule`.
 
-    A tail-energy rule keeps at least one singular value, so a
+    This is the one place a rank is fitted to its matrix: a fixed rank r
+    keeps min(r, min(rows, cols)) values, so an over-large r keeps the
+    full rank. A tail-energy rule keeps at least one singular value, so a
     decomposition driven by a tolerance never gets a rank-0 mode or
     bond. The reported tail is the exact Frobenius error of the
     truncation. A wide m is replaced by R^T from m^T = QR, which has the

@@ -18,10 +18,6 @@ from .core import DenseTensor, Shape, _from_weighted, _weighted_error
 from .svd import TruncationRule, _step_rules, _tail_bound, truncated_svd
 
 
-class RankInfeasibleError(ValueError):
-    """Requested bond rank exceeds what the separation step can deliver."""
-
-
 @dataclass(frozen=True)
 class TTDecomposition:
     """Chain of order-3 cores (bond_in, extent, bond_out), boundary bonds 1.
@@ -49,57 +45,28 @@ class TTDecomposition:
         return _tail_bound(self.spectra, self.ranks)
 
 
-def _step_limit(r_prev: int, n: int, rest: int) -> int:
-    """Largest rank a sweep step can keep: its matrix is (r_prev * n) x rest."""
-    return min(r_prev * n, rest)
-
-
 def _forward_bonds(m: int) -> int:
     """Bonds the bidirectional sweep separates left-to-right."""
     return math.ceil((m - 1) / 2)
 
 
-def _feasible_ranks(extents: Sequence[int], ranks, bidirectional: bool = False) -> list:
-    """Clamp bond ranks to what `tt_svd` (or `tt_svd_bidirectional`) keeps.
-
-    Bonds are clamped to each step's `_step_limit` in the order and
-    direction the sweeps separate them, since a step's limit depends on
-    the rank kept at the step before.
-    """
-    m = len(extents)
-    forward = _forward_bonds(m) if bidirectional else m - 1
-    clamped = [int(r) for r in ranks]
-    r_prev = 1
-    for j in range(forward):
-        limit = _step_limit(r_prev, extents[j], math.prod(extents[j + 1 :]))
-        r_prev = clamped[j] = min(clamped[j], limit)
-    r_left, r_prev = r_prev, 1
-    for j in range(m - 2, forward - 1, -1):
-        limit = _step_limit(r_prev, extents[j + 1], r_left * math.prod(extents[forward : j + 1]))
-        r_prev = clamped[j] = min(clamped[j], limit)
-    return clamped
-
-
-def _sweep(remainder: np.ndarray, extents, rules, bonds):
+def _sweep(remainder: np.ndarray, extents, rules):
     """Separate `extents`, in order, off the front of `remainder`.
 
     Each step stacks the previous bond onto the active mode, truncates
     that matrix A, keeps U_r as a left-orthonormal core and passes
     U_r^T A (= s_r V_r^T) on, so the singular values travel in the
-    remainder and no right vectors are formed.
+    remainder and no right vectors are formed. `truncated_svd` decides
+    each kept rank, so a fixed rank keeps at most min(rows, cols) values,
+    and the rank kept sets the rows of the next step's A.
     Returns the cores, one (spectrum, stack dim) per step, and the
     final remainder.
     """
     cores = []
     steps = []
     r_prev = 1
-    for n, rule, bond in zip(extents, rules, bonds):
+    for n, rule in zip(extents, rules):
         mat = remainder.reshape(r_prev * n, -1)
-        feasible = _step_limit(r_prev, n, mat.shape[1])
-        if rule.kind == "fixed-rank" and rule.value > feasible:
-            raise RankInfeasibleError(
-                f"rank {rule.value} infeasible at step {bond}; feasible maximum is {feasible}"
-            )
         step = truncated_svd(mat, rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
         steps.append((step.full_spectrum, mat.shape[0]))
@@ -117,19 +84,10 @@ def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
     """
     extents = t.shape.extents
     m = len(extents)
-    if ranks is None:
-        ranks = _feasible_ranks(extents, [math.prod(extents)] * (m - 1), forward < m - 1)
-    rules = _step_rules(ranks, m - 1)
-    left, left_steps, remainder = _sweep(
-        t.weighted_values(), extents[:forward], rules[:forward], range(1, forward + 1)
-    )
+    rules = _step_rules(TruncationRule.fixed_rank(t.shape.size) if ranks is None else ranks, m - 1)
+    left, left_steps, remainder = _sweep(t.weighted_values(), extents[:forward], rules[:forward])
     mirrored = remainder.reshape(-1, *extents[forward:]).T
-    right, right_steps, remainder = _sweep(
-        mirrored,
-        extents[forward + 1 :][::-1],
-        rules[forward:][::-1],
-        range(m - 1, forward, -1),
-    )
+    right, right_steps, remainder = _sweep(mirrored, extents[forward + 1 :][::-1], rules[forward:][::-1])
     r_left = left[-1].shape[2] if left else 1
     meeting = remainder.reshape(-1, extents[forward], r_left).T
     return TTDecomposition(
@@ -149,7 +107,8 @@ def tt_svd(
 
     `ranks` is one rank per bond (m-1 entries), one TruncationRule that
     picks the rank of every bond from that step's spectrum, or None to
-    keep full ranks.
+    keep full ranks. A given rank is an upper limit: each bond keeps at
+    most the rank of its step's matrix.
     """
     return _tt_svd(t, ranks, t.ndim - 1)
 

@@ -50,13 +50,12 @@ def hosvd(
     """Truncated higher-order SVD.
 
     `ranks` is one rank per mode, or one TruncationRule that picks the
-    rank of every mode from that mode's spectrum.
+    rank of every mode from that mode's spectrum. A given rank is an
+    upper limit: each mode keeps at most the rank of its unfolding.
     """
     factors = []
     spectra = []
-    for j, (rule, n) in enumerate(zip(_step_rules(ranks, t.ndim), t.shape.extents)):
-        if rule.kind == "fixed-rank" and rule.value > n:
-            raise ValueError(f"rank {rule.value} for mode {j} out of range 1..{n}")
+    for j, rule in enumerate(_step_rules(ranks, t.ndim)):
         step = truncated_svd(mode_unfolding(t, j), rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)

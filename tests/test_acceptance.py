@@ -54,7 +54,7 @@ def test_criterion_02_bivariate_truncation_law():
     start = time.perf_counter()
     fn = lt.make_function("brownian_bridge")
     sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(512))
-    s = np.linalg.svd(lt.mode_unfolding(sf.tensor, 0), compute_uv=False)
+    s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
     worst_rel = 0.0
     for alpha in range(1, 9):
         target = (math.pi * alpha) ** -2
@@ -100,7 +100,7 @@ def _sampled_fixtures(grid_points=7):
         ("gauss_kernel", dict(n=1, c=4.0), (1, 1)),
     ):
         fn = lt.make_function(fn_id, **kwargs)
-        fixtures.append(lt.sample(fn, lt.DomainSpec(dims), lt.GridSpec(grid_points)).tensor)
+        fixtures.append(lt.sample(fn, lt.DomainSpec(dims), lt.GridSpec(grid_points)))
     return fixtures
 
 
@@ -246,10 +246,10 @@ def test_criterion_08_dimension_robustness():
     ranks = tuple(
         min(r, n)
         for r, n in zip(
-            lt.tucker_ranks_weighted(weighted_params(m)).ranks, sf.tensor.shape.extents
+            lt.tucker_ranks_weighted(weighted_params(m)).ranks, sf.shape.extents
         )
     )
-    err = lt.tucker_error(sf.tensor, lt.hosvd(sf.tensor, ranks))
+    err = lt.tucker_error(sf, lt.hosvd(sf, ranks))
     budget = 3.0 * math.sqrt(m) * 0.1
     spot_elapsed = time.perf_counter() - spot_start
     assert err <= budget
@@ -271,7 +271,7 @@ def test_criterion_09_two_mode_collapse():
             t = random_tensor(rng, (9, 9), weighted=trial % 2 == 0)
         else:
             fn = lt.make_function("gauss_kernel", n=1, c=float(trial))
-            t = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(9)).tensor
+            t = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(9))
         r = int(rng.integers(1, 6))
         err_tt = lt.tt_error(t, lt.tt_svd(t, ranks=(r,)))
         err_tucker = lt.tucker_error(t, lt.hosvd(t, (r, r)))
@@ -314,8 +314,7 @@ def test_criterion_10_determinism(tmp_path):
             "function": {"id": "weighted_exp", "m": 3, "gamma": [1.0, 0.3, 0.1]},
             "grid": {"points_per_axis": 7},
             "format": "tucker",
-            "scheduler": {"epsilon": 0.1, "k": 1.0, "dims": [1, 1, 1]},
-            "regime": "tucker-unweighted",
+            "scheduler": {"regime": "tucker-unweighted", "epsilon": 0.1, "k": 1.0, "dims": [1, 1, 1]},
             "epsilons": [0.5, 0.2, 0.1],
         },
         {

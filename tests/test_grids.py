@@ -61,38 +61,38 @@ class TestSample:
         # f = 1 via weighted_exp with zero weights
         fn = lt.make_function("weighted_exp", m=2, gamma=(0.0, 0.0))
         sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(9))
-        assert np.allclose(sf.tensor.values, 1.0)
-        assert lt.frobenius_norm(sf.tensor) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(sf.values, 1.0)
+        assert lt.frobenius_norm(sf) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_function_is_rank_one(self):
         fn = lt.make_function("rank_one", m=2)
         sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(33))
-        s = np.linalg.svd(lt.mode_unfolding(sf.tensor, 0), compute_uv=False)
+        s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
         assert s[1] <= 1e-12 * s[0]
 
     def test_brownian_bridge_leading_singular_value(self):
         fn = lt.make_function("brownian_bridge")
         sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(512))
-        s = np.linalg.svd(lt.mode_unfolding(sf.tensor, 0), compute_uv=False)
+        s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
         assert s[0] == pytest.approx(np.pi**-2, rel=0.01)
 
     def test_deterministic(self):
         fn = lt.make_function("gauss_kernel", n=1, c=2.5)
-        a = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(17)).tensor.values
-        b = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(17)).tensor.values
+        a = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(17)).values
+        b = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(17)).values
         assert np.array_equal(a, b)
 
     def test_grouped_modes(self):
         fn = lt.make_function("gauss_kernel", n=2, c=1.0)
         sf = lt.sample(fn, lt.DomainSpec((2, 2)), lt.GridSpec(5))
-        assert sf.tensor.shape.extents == (25, 25)
+        assert sf.shape.extents == (25, 25)
 
     def test_mode_weights_and_cap(self):
         fn = lt.make_function("rank_one", dims=(1,))
-        weights = lt.sample(fn, lt.DomainSpec((1,)), lt.GridSpec(3)).tensor.weights_for(0)
+        weights = lt.sample(fn, lt.DomainSpec((1,)), lt.GridSpec(3)).weights_for(0)
         assert np.allclose(weights, [0.25, 0.5, 0.25])
         fn = lt.make_function("rank_one", dims=(1, 2, 3))
-        t = lt.sample(fn, lt.DomainSpec((1, 2, 3)), lt.GridSpec(5)).tensor
+        t = lt.sample(fn, lt.DomainSpec((1, 2, 3)), lt.GridSpec(5))
         for mode in range(3):
             assert t.weights_for(mode).sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(t.weights_for(mode) > 0)
@@ -117,9 +117,9 @@ class TestDiscreteSeminorm:
         sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(n))
         x = np.linspace(0, 1, n)
         t = lt.DenseTensor(
-            sf.tensor.shape,
+            sf.shape,
             np.broadcast_to(x[:, None], (n, n)),
-            sf.tensor.mode_weights,
+            sf.mode_weights,
         )
         assert discrete_mixed_seminorm(t, 0) == pytest.approx(1.0, abs=2e-2)
 
@@ -159,7 +159,7 @@ class TestEigenfunctionRegularityBound:
         n = 257
         fn = lt.make_function("brownian_bridge")
         sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(n))
-        t = sf.tensor
+        t = sf
         w = np.asarray(t.mode_weights[0])
         semi = discrete_mixed_seminorm(t, 0)
         f_norm = math.hypot(semi, lt.frobenius_norm(t))

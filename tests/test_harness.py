@@ -17,10 +17,36 @@ import lrtensor.harness as hz
 import lrtensor.svd as svd
 from lrtensor.cli import main as cli_main
 from lrtensor.svd import tail_energy
-from lrtensor.train import _feasible_ranks
+from lrtensor.train import _forward_bonds
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _step_limit(r_prev: int, n: int, rest: int) -> int:
+    """Largest rank a sweep step can keep: its matrix is (r_prev * n) x rest."""
+    return min(r_prev * n, rest)
+
+
+def feasible_ranks(extents, ranks, bidirectional: bool = False) -> list:
+    """Clamp bond ranks to what `tt_svd` (or `tt_svd_bidirectional`) keeps.
+
+    Bonds are clamped to each step's `_step_limit` in the order and
+    direction the sweeps separate them, since a step's limit depends on
+    the rank kept at the step before.
+    """
+    m = len(extents)
+    forward = _forward_bonds(m) if bidirectional else m - 1
+    clamped = [int(r) for r in ranks]
+    r_prev = 1
+    for j in range(forward):
+        limit = _step_limit(r_prev, extents[j], math.prod(extents[j + 1 :]))
+        r_prev = clamped[j] = min(clamped[j], limit)
+    r_left, r_prev = r_prev, 1
+    for j in range(m - 2, forward - 1, -1):
+        limit = _step_limit(r_prev, extents[j + 1], r_left * math.prod(extents[forward : j + 1]))
+        r_prev = clamped[j] = min(clamped[j], limit)
+    return clamped
 
 
 def decompose_config(**overrides):
@@ -108,7 +134,6 @@ class TestDeterminism:
             "function": {"id": "gauss_kernel", "params": {"n": 1, "c": 2.0}},
             "grid": {"points_per_axis": 9},
             "ranks": [3, 3],
-            "seed": 5,
         }
         outputs = []
         for name in ("a", "b"):
@@ -370,13 +395,7 @@ class TestRanksContract:
             extents = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 6))))
             t = lt.DenseTensor.from_array(rng.standard_normal(extents))
             wanted = [int(r) for r in rng.integers(1, 30, size=len(extents) - 1)]
-            clamped = _feasible_ranks(extents, wanted, bidirectional)
-            assert all(c <= w for c, w in zip(clamped, wanted))
-            assert sweep(t, clamped).ranks == tuple(clamped)
-            for j, (c, w) in enumerate(zip(clamped, wanted)):
-                if c < w:  # clamped to the step's limit: one more is infeasible
-                    with pytest.raises(lt.RankInfeasibleError):
-                        sweep(t, clamped[:j] + [c + 1] + clamped[j + 1 :])
+            assert sweep(t, wanted).ranks == tuple(feasible_ranks(extents, wanted, bidirectional))
 
 
 # One small valid config per experiment (decompose both by ranks and by
@@ -434,6 +453,11 @@ BAD_INPUT = [
     ("schedule", {"scheduler": None}, "scheduler"),
     ("rank-vs-eps", {"scheduler": dict(WEIGHTED_SCHEDULER, regime="tt-weighted")}, "scheduler"),
     ("spectrum", {"mode": -1}, "mode"),
+    ("decompose-tol", {"tolerence": 0.5}, "tolerence"),
+    ("decompose", {"rank": [1, 1]}, "rank"),
+    ("decompose", {"function": {"id": "rank_one", "m": 3, "gama": [1.0]}}, "function"),
+    ("decompose", {"grid": {"points_per_axis": 5, "rules": "gauss-legendre"}}, "grid"),
+    ("schedule", {"scheduler": dict(SCHEDULER, epsilom=0.1)}, "scheduler"),
 ]
 
 

@@ -133,12 +133,16 @@ class TestStructure:
 
 
 class TestRankValidation:
-    def test_infeasible_rank_reports_maximum(self):
+    def test_over_large_rank_keeps_the_steps_full_rank(self):
+        # a given rank is an upper limit: each mode or bond keeps at most
+        # the rank of its step's matrix (9 x 2 here, 3 x 9 at bond 1 below)
         rng = np.random.default_rng(18)
+        t = random_tensor(rng, (9, 2))
+        for ranks in ((9, 2), (10, 2)):
+            assert lt.hosvd(t, ranks).ranks == (2, 2)
         t = random_tensor(rng, (3, 3, 3))
-        with pytest.raises(lt.RankInfeasibleError) as exc:
-            lt.tt_svd(t, ranks=(50, 2))
-        assert "3" in str(exc.value)
+        for sweep in (lt.tt_svd, lt.tt_svd_bidirectional):
+            assert sweep(t, ranks=(50, 2)).ranks == (3, 2)
 
     def test_wrong_rank_count(self):
         rng = np.random.default_rng(20)

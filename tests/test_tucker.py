@@ -74,8 +74,8 @@ class TestErrorBound:
             m = len(fn.dims)
             sf = lt.sample(fn, lt.DomainSpec((1,) * m), lt.GridSpec(9))
             for ranks in [(1,) * m, (2,) * m]:
-                d = lt.hosvd(sf.tensor, ranks)
-                assert lt.tucker_error(sf.tensor, d) <= d.tail_bound() + 1e-12
+                d = lt.hosvd(sf, ranks)
+                assert lt.tucker_error(sf, d) <= d.tail_bound() + 1e-12
 
 
 class TestSpectra:
