@@ -102,12 +102,17 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Discrete sample of a multivariate function, one mode per subdomain."""
+    """Discrete sample of a multivariate function, one mode per subdomain.
+
+    It remembers the factorizations of its unfoldings and TT steps (see
+    `_factorization`), so its decompositions factorize each distinct one once.
+    """
 
     shape: Shape
     values: np.ndarray
     mode_weights: Optional[tuple] = None
     _weighted: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -150,6 +155,21 @@ class DenseTensor:
                 weighted.setflags(write=False)
             object.__setattr__(self, "_weighted", weighted)
         return self._weighted
+
+    def _factorization(self, slot: tuple, key: tuple, factorize):
+        """`factorize()`, memoized at `slot`: ("mode", j), or (sweep, step) of a TT sweep.
+
+        An entry is reused only under an equal `key` (the ranks kept before
+        a TT step). A miss first drops the slot and the later slots of its
+        sweep, so the memo holds at most one entry per mode and step.
+        """
+        cached = self._factorizations.get(slot)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        for stale in [s for s in self._factorizations if s[0] == slot[0] and s[1] >= slot[1]]:
+            del self._factorizations[stale]
+        self._factorizations[slot] = (key, factorize())
+        return self._factorizations[slot][1]
 
     def weights_for(self, mode: int):
         if self.mode_weights is None:

@@ -145,7 +145,7 @@ def make_function(
     gamma=None,
     **parameters,
 ) -> FunctionSpec:
-    """Build a FunctionSpec, filling in defaults per registry entry."""
+    """Build a FunctionSpec, filling in defaults per registry entry; a field it leaves unread is an error."""
     try:
         entry = _REGISTRY[fn_id]
     except KeyError:
@@ -155,6 +155,12 @@ def make_function(
     unknown = sorted(set(parameters) - set(entry.get("params", ())))
     if unknown:
         raise ValueError(f"{fn_id} takes no parameters {unknown}")
+    # A field given where this entry would not read it is an error, not ignored.
+    unread = {"m": dims is not None or "fixed_dims" in entry or entry.get("two_equal"), "n": dims is not None,
+              "gamma": not entry["gamma"], "k": gamma is not None, "delta_prime": gamma is not None}
+    ignored = sorted(f for f, v in {"m": m, "gamma": gamma, **parameters}.items() if v is not None and unread.get(f))
+    if ignored:
+        raise ValueError(f"{fn_id} does not read {ignored} with the other fields given")
     if dims is None:
         if "fixed_dims" in entry:
             dims = entry["fixed_dims"]

@@ -107,9 +107,9 @@ class RankSchedule:
     def active_ranks(self) -> tuple:
         return tuple(r for r in self.ranks if r > 0)
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
         p = self.params
-        return {
+        return json.dumps({
             "regime": self.regime,
             "epsilon": p.epsilon,
             "k": p.k,
@@ -120,10 +120,7 @@ class RankSchedule:
             "M": self.M,
             "predicted_cost": self.predicted_cost,
             "paper_M_value": self.paper_M_value,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        }, indent=2, sort_keys=True) + "\n"
 
 
 def tucker_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
@@ -150,18 +147,16 @@ def tt_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
     )
 
 
+def _weighted_rank(p: SchedulerParams, n: int, j: int, r_prev: int = 1) -> int:
+    """ceil(r_prev gamma_j^n j^((1+delta)n/k) eps^(-n/k)), floored at 1: the weighted regimes' rule."""
+    raw = r_prev * p.gamma_at(j) ** n * float(j) ** ((1.0 + p.delta) * n / p.k) * p.epsilon ** (-n / p.k)
+    return max(_ceil(raw), 1)
+
+
 def tucker_ranks_weighted(p: SchedulerParams) -> RankSchedule:
     """r_j = ceil(gamma_j^n j^((1+delta)n/k) eps^(-n/k)), floored at 1."""
     n = p.require_weighted()
-    ranks = []
-    for j in range(1, p.m + 1):
-        raw = (
-            p.gamma_at(j) ** n
-            * float(j) ** ((1.0 + p.delta) * n / p.k)
-            * p.epsilon ** (-n / p.k)
-        )
-        ranks.append(max(_ceil(raw), 1))
-    ranks = tuple(ranks)
+    ranks = tuple(_weighted_rank(p, n, j) for j in range(1, p.m + 1))
     return RankSchedule(
         regime=REGIME_TUCKER_WEIGHTED,
         ranks=ranks,
@@ -198,15 +193,8 @@ def tt_ranks_weighted(p: SchedulerParams) -> RankSchedule:
         if j > M:
             ranks.append(0)
             continue
-        raw = (
-            r_prev
-            * p.gamma_at(j) ** n
-            * float(j) ** ((1.0 + p.delta) * n / p.k)
-            * p.epsilon ** (-n / p.k)
-        )
-        r = max(_ceil(raw), 1)
-        ranks.append(r)
-        r_prev = r
+        r_prev = _weighted_rank(p, n, j, r_prev)
+        ranks.append(r_prev)
     return RankSchedule(
         regime=REGIME_TT_WEIGHTED,
         ranks=tuple(ranks),

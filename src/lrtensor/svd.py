@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -143,21 +143,36 @@ def _tails(s: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def truncated_svd(m: np.ndarray, rule: TruncationRule) -> TruncatedSVD:
-    """Truncate at the minimal rank satisfying `rule`.
+# All left vectors (read-only, so truncations share views of them) and singular values.
+Factorization = NamedTuple("Factorization", [("U", np.ndarray), ("s", np.ndarray)])
+
+
+def factorize(m: np.ndarray) -> Factorization:
+    """The Factorization of m; a wide m is replaced by R^T from m^T = QR first.
+
+    R^T has the same left vectors and singular values, and no V the size
+    of m is formed.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[1] >= WIDE_RATIO * m.shape[0]:  # full_svd checks any other m
+        m = np.linalg.qr(_finite(m).T, mode="r").T
+    U, s, _ = full_svd(m)
+    U.setflags(write=False)
+    return Factorization(U, s)
+
+
+def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
+    """Truncate a matrix, or a Factorization of one, at the minimal rank satisfying `rule`.
 
     This is the one place a rank is fitted to its matrix: a fixed rank r
     keeps min(r, min(rows, cols)) values, so an over-large r keeps the
     full rank. A tail-energy rule keeps at least one singular value, so a
     decomposition driven by a tolerance never gets a rank-0 mode or
     bond. The reported tail is the exact Frobenius error of the
-    truncation. A wide m is replaced by R^T from m^T = QR, which has the
-    same left vectors and singular values, so no V the size of m is formed.
+    truncation. A given Factorization is only truncated, so one serves
+    any number of rules; a matrix is factorized first.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape[1] >= WIDE_RATIO * m.shape[0]:  # full_svd checks any other m
-        m = np.linalg.qr(_finite(m).T, mode="r").T
-    U, s, _ = full_svd(m)
+    U, s = m if isinstance(m, Factorization) else factorize(m)
     full = SingularSpectrum(s)
     tails = _tails(s)
     usable = full.above_floor()

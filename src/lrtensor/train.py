@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import DenseTensor, Shape, _from_weighted, _weighted_error
-from .svd import TruncationRule, _step_rules, _tail_bound, truncated_svd
+from .svd import TruncationRule, _step_rules, _tail_bound, factorize, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ def _forward_bonds(m: int) -> int:
     return math.ceil((m - 1) / 2)
 
 
-def _sweep(remainder: np.ndarray, extents, rules):
-    """Separate `extents`, in order, off the front of `remainder`.
+def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, key=()):
+    """Separate `extents`, in order, off the front of `remainder`, a reshape of `t`.
 
     Each step stacks the previous bond onto the active mode, truncates
     that matrix A, keeps U_r as a left-orthonormal core and passes
@@ -59,19 +59,22 @@ def _sweep(remainder: np.ndarray, extents, rules):
     remainder and no right vectors are formed. `truncated_svd` decides
     each kept rank, so a fixed rank keeps at most min(rows, cols) values,
     and the rank kept sets the rows of the next step's A.
+    A step's A is fixed by `t` and the ranks kept before it (`key` starts
+    with those of earlier sweeps), so `t` factorizes it once per such key.
     Returns the cores, one (spectrum, stack dim) per step, and the
     final remainder.
     """
     cores = []
     steps = []
     r_prev = 1
-    for n, rule in zip(extents, rules):
+    for i, (n, rule) in enumerate(zip(extents, rules)):
         mat = remainder.reshape(r_prev * n, -1)
-        step = truncated_svd(mat, rule)
+        step = truncated_svd(t._factorization((sweep, i), key, lambda: factorize(mat)), rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
         steps.append((step.full_spectrum, mat.shape[0]))
         remainder = step.U.T @ mat
         r_prev = step.rank
+        key += (r_prev,)
     return cores, steps, remainder
 
 
@@ -85,10 +88,12 @@ def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
     extents = t.shape.extents
     m = len(extents)
     rules = _step_rules(TruncationRule.fixed_rank(t.shape.size) if ranks is None else ranks, m - 1)
-    left, left_steps, remainder = _sweep(t.weighted_values(), extents[:forward], rules[:forward])
+    left, left_steps, remainder = _sweep(t, "forward", t.weighted_values(), extents[:forward], rules[:forward])
     mirrored = remainder.reshape(-1, *extents[forward:]).T
-    right, right_steps, remainder = _sweep(mirrored, extents[forward + 1 :][::-1], rules[forward:][::-1])
-    r_left = left[-1].shape[2] if left else 1
+    left_ranks = tuple(core.shape[2] for core in left)
+    right, right_steps, remainder = _sweep(t, "backward", mirrored, extents[forward + 1 :][::-1],
+                                           rules[forward:][::-1], left_ranks)
+    r_left = left_ranks[-1] if left else 1
     meeting = remainder.reshape(-1, extents[forward], r_left).T
     return TTDecomposition(
         cores=tuple(left + [meeting] + [core.T for core in right[::-1]]),

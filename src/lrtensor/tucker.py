@@ -22,7 +22,7 @@ from .core import (
     _weighted_error,
     mode_unfolding,
 )
-from .svd import TruncationRule, _step_rules, _tail_bound, truncated_svd
+from .svd import TruncationRule, _step_rules, _tail_bound, factorize, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,14 @@ def hosvd(
     `ranks` is one rank per mode, or one TruncationRule that picks the
     rank of every mode from that mode's spectrum. A given rank is an
     upper limit: each mode keeps at most the rank of its unfolding.
+    A mode's factorization does not depend on the rank kept, so `t`
+    factorizes each unfolding once, on the first `hosvd` of it.
     """
     factors = []
     spectra = []
     for j, rule in enumerate(_step_rules(ranks, t.ndim)):
-        step = truncated_svd(mode_unfolding(t, j), rule)
+        factorization = t._factorization(("mode", j), (), lambda: factorize(mode_unfolding(t, j)))
+        step = truncated_svd(factorization, rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)
     core = t.weighted_values()

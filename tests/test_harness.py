@@ -458,6 +458,11 @@ BAD_INPUT = [
     ("decompose", {"function": {"id": "rank_one", "m": 3, "gama": [1.0]}}, "function"),
     ("decompose", {"grid": {"points_per_axis": 5, "rules": "gauss-legendre"}}, "grid"),
     ("schedule", {"scheduler": dict(SCHEDULER, epsilom=0.1)}, "scheduler"),
+    ("spectrum", {"function": {"id": "brownian_bridge", "m": 3}}, "function"),
+    ("decompose", {"function": {"id": "rank_one", "m": 3, "gamma": [1.0, 0.5, 0.25]}}, "function"),
+    ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "gamma": [1.0, 0.5, 0.25],
+                                    "params": {"k": 7, "delta_prime": 9}}}, "function"),
+    ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "dims": [1, 1, 1, 1]}}, "function"),
 ]
 
 
