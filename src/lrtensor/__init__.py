@@ -43,8 +43,6 @@ from .svd import (
     TruncatedSVD,
     TruncationRule,
     fit_decay_exponent,
-    gram_spectrum,
-    projection_trace_check,
     tail_energy,
     truncated_svd,
 )

@@ -87,17 +87,23 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
 
     A negative power divides by the positive one, so unscaling applies
     exactly the factors that scaling multiplied in. The result is a new
-    array (normalized weights hold at least one vector).
+    array (normalized weights hold at least one vector): the first
+    weighted mode allocates it and the later ones scale it in place.
     """
-    out = values.copy() if mode_weights is None else values
+    out = None
     for ax, w in enumerate(mode_weights or ()):
         if w is None:
             continue
         reshape = [1] * values.ndim
         reshape[ax] = -1
         factor = (w ** abs(power)).reshape(reshape)
-        out = out * factor if power > 0 else out / factor
-    return out
+        if out is None:
+            out = values * factor if power > 0 else values / factor
+        elif power > 0:
+            out *= factor
+        else:
+            out /= factor
+    return values.copy() if out is None else out
 
 
 @dataclass(frozen=True)
@@ -157,18 +163,21 @@ class DenseTensor:
         return self._weighted
 
     def _factorization(self, slot: tuple, key: tuple, factorize):
-        """`factorize()`, memoized at `slot`: ("mode", j), or (sweep, step) of a TT sweep.
+        """The Factorization at `slot`: ("mode", j), or (sweep, step) of a TT sweep.
 
         An entry is reused only under an equal `key` (the ranks kept before
         a TT step). A miss first drops the slot and the later slots of its
-        sweep, so the memo holds at most one entry per mode and step.
+        sweep, so the memo holds at most one entry per mode and step and no
+        stale one while `factorize()` runs. That returns a dict from slot to
+        Factorization, stored under `key`: `slot`, and any other slot its one
+        SVD fills (a two-mode tensor's mode 1, see `svd._mode_factorization`).
         """
         cached = self._factorizations.get(slot)
         if cached is not None and cached[0] == key:
             return cached[1]
         for stale in [s for s in self._factorizations if s[0] == slot[0] and s[1] >= slot[1]]:
             del self._factorizations[stale]
-        self._factorizations[slot] = (key, factorize())
+        self._factorizations.update((filled, (key, f)) for filled, f in factorize().items())
         return self._factorizations[slot][1]
 
     def weights_for(self, mode: int):

@@ -1,4 +1,4 @@
-"""Truncated SVD, Gram-matrix oracle, tail energies, and decay fits."""
+"""Truncated SVD, tail energies, and decay fits."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ShapeMismatchError
+from .core import DenseTensor, ShapeMismatchError, mode_unfolding
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
@@ -121,17 +121,25 @@ def _finite(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def full_svd(mat: np.ndarray):
-    """SVD with a deterministic sign convention on the left vectors."""
-    mat = _finite(mat)
-    U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-    # The first entry of each column above the pivot tolerance (if any)
-    # is made positive. Masks and in-place flips keep U and Vt uncopied.
+def _sign_flips(U: np.ndarray) -> np.ndarray:
+    """The columns of U whose first entry above SIGN_PIVOT_TOL is negative.
+
+    Flipping them makes that entry positive (a column with none is kept):
+    the one sign convention of every factor a decomposition reads.
+    """
     above = U > SIGN_PIVOT_TOL
     above |= U < -SIGN_PIVOT_TOL
     cols = np.arange(U.shape[1])
     pivot = above.argmax(axis=0)
-    flip = above[pivot, cols] & (U[pivot, cols] < 0)
+    return above[pivot, cols] & (U[pivot, cols] < 0)
+
+
+def full_svd(mat: np.ndarray):
+    """SVD with a deterministic sign convention on the left vectors."""
+    mat = _finite(mat)
+    U, s, Vt = np.linalg.svd(mat, full_matrices=False)
+    # In-place flips under a mask keep U and Vt uncopied.
+    flip = _sign_flips(U)
     np.negative(U, out=U, where=flip)
     np.negative(Vt, out=Vt, where=flip[:, None])
     return U, s, Vt
@@ -159,6 +167,29 @@ def factorize(m: np.ndarray) -> Factorization:
     U, s, _ = full_svd(m)
     U.setflags(write=False)
     return Factorization(U, s)
+
+
+def _mode_factorization(t: DenseTensor, j: int) -> Factorization:
+    """The Factorization of tensor t's mode-j unfolding, memoized on t at slot ("mode", j).
+
+    A two-mode tensor's mode-1 unfolding is the transpose of its mode-0
+    one, A, so one SVD of A fills both slots, whichever is asked for
+    first: mode 0 gets (U, s) and mode 1 gets (V, s). V's columns take the
+    sign convention of every left factor, so mode 1 holds what
+    `factorize(A.T)` gives, up to rounding.
+    """
+    if t.ndim != 2:
+        return t._factorization(("mode", j), (), lambda: {("mode", j): factorize(mode_unfolding(t, j))})
+
+    def both_sides():
+        U, s, Vt = full_svd(mode_unfolding(t, 0))
+        V = Vt.T
+        np.negative(V, out=V, where=_sign_flips(V))
+        U.setflags(write=False)
+        V.setflags(write=False)
+        return {("mode", 0): Factorization(U, s), ("mode", 1): Factorization(V, s)}
+
+    return t._factorization(("mode", j), (), both_sides)
 
 
 def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
@@ -194,17 +225,6 @@ def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
         full_spectrum=full,
         floor_limited=floor_limited,
     )
-
-
-def gram_spectrum(m: np.ndarray) -> SingularSpectrum:
-    """Eigenvalues of m^T m, descending and clipped at zero.
-
-    Independent oracle for the squared singular values: sqrt of these
-    must match the singular values of `m` on the non-noise range.
-    """
-    m = _finite(m)
-    eig = np.linalg.eigvalsh(m.T @ m)[::-1]
-    return SingularSpectrum(np.maximum(eig, 0.0))
 
 
 def tail_energy(spectrum: SingularSpectrum, r: int) -> float:
@@ -249,21 +269,3 @@ def fit_decay_exponent(
     ss_tot = float(np.sum((log_lam - log_lam.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(exponent=float(coeffs[0]), r2=r2, window=(first, last))
-
-
-def projection_trace_check(m: np.ndarray, r: int) -> Tuple[float, float]:
-    """Both sides of the projection trace identity.
-
-    lhs: squared Frobenius error of projecting onto the top-r left
-    singular vectors. rhs: trace of the Gram matrix minus trace of the
-    projected Gram matrix. The two agree to rounding.
-    """
-    m = np.asarray(m, dtype=float)
-    if not 1 <= r <= m.shape[0]:
-        raise ValueError(f"rank {r} out of range for {m.shape[0]} rows")
-    U, _, _ = full_svd(m)
-    Ur = U[:, :r]
-    pm = Ur @ (Ur.T @ m)
-    lhs = float(np.linalg.norm(m - pm) ** 2)
-    rhs = float(np.trace(m.T @ m) - np.trace(pm.T @ pm))
-    return lhs, rhs

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import DenseTensor, Shape, _from_weighted, _weighted_error
-from .svd import TruncationRule, _step_rules, _tail_bound, factorize, truncated_svd
+from .svd import TruncationRule, _mode_factorization, _step_rules, _tail_bound, factorize, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, ke
     each kept rank, so a fixed rank keeps at most min(rows, cols) values,
     and the rank kept sets the rows of the next step's A.
     A step's A is fixed by `t` and the ranks kept before it (`key` starts
-    with those of earlier sweeps), so `t` factorizes it once per such key.
+    with those of earlier sweeps), so `t` factorizes it once per such key;
+    the forward sweep's first A is the mode-0 unfolding, shared with Tucker.
     Returns the cores, one (spectrum, stack dim) per step, and the
     final remainder.
     """
@@ -69,7 +70,11 @@ def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, ke
     r_prev = 1
     for i, (n, rule) in enumerate(zip(extents, rules)):
         mat = remainder.reshape(r_prev * n, -1)
-        step = truncated_svd(t._factorization((sweep, i), key, lambda: factorize(mat)), rule)
+        if (sweep, i) == ("forward", 0):
+            factorization = _mode_factorization(t, 0)
+        else:
+            factorization = t._factorization((sweep, i), key, lambda: {(sweep, i): factorize(mat)})
+        step = truncated_svd(factorization, rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
         steps.append((step.full_spectrum, mat.shape[0]))
         remainder = step.U.T @ mat

@@ -20,9 +20,8 @@ from .core import (
     _from_weighted,
     _mode_product,
     _weighted_error,
-    mode_unfolding,
 )
-from .svd import TruncationRule, _step_rules, _tail_bound, factorize, truncated_svd
+from .svd import TruncationRule, _mode_factorization, _step_rules, _tail_bound, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,13 @@ def hosvd(
     rank of every mode from that mode's spectrum. A given rank is an
     upper limit: each mode keeps at most the rank of its unfolding.
     A mode's factorization does not depend on the rank kept, so `t`
-    factorizes each unfolding once, on the first `hosvd` of it.
+    factorizes each unfolding once, on the first `hosvd` of it; a
+    two-mode tensor's two factors come from one SVD.
     """
     factors = []
     spectra = []
     for j, rule in enumerate(_step_rules(ranks, t.ndim)):
-        factorization = t._factorization(("mode", j), (), lambda: factorize(mode_unfolding(t, j)))
-        step = truncated_svd(factorization, rule)
+        step = truncated_svd(_mode_factorization(t, j), rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)
     core = t.weighted_values()

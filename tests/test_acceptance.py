@@ -13,12 +13,8 @@ import pytest
 
 import lrtensor as lt
 import lrtensor.harness as hz
-from lrtensor.svd import (
-    SingularSpectrum,
-    fit_decay_exponent,
-    gram_spectrum,
-    projection_trace_check,
-)
+from lrtensor.svd import SingularSpectrum, fit_decay_exponent
+from oracles import gram_spectrum, projection_trace_check
 
 
 def random_tensor(rng, extents, weighted=False):

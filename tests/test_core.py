@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lrtensor as lt
+from lrtensor.core import _scale_by_weights
 
 
 def rank_one_tensor(vectors, weights=None):
@@ -115,6 +116,22 @@ class TestWeightedValues:
         view[0, 0] = 7.0
         assert np.array_equal(t.values, np.ones((3, 4)))
         assert np.array_equal(t.weighted_values(), before)
+
+    @pytest.mark.parametrize("power", [0.5, -0.5])
+    def test_scaling_equals_one_product_per_mode(self, power):
+        # reference: a fresh array per mode, the product or quotient taken out of place
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((3, 4, 5, 2))
+        weights = (rng.random(3) + 0.1, None, rng.random(5) + 0.1, rng.random(2) + 0.1)
+        expected = values
+        for ax, w in enumerate(weights):
+            if w is not None:
+                factor = (w ** 0.5).reshape([-1 if i == ax else 1 for i in range(4)])
+                expected = expected * factor if power > 0 else expected / factor
+        got = _scale_by_weights(values, weights, power)
+        assert np.array_equal(got, expected)
+        assert not np.shares_memory(got, values)
+        assert not np.shares_memory(_scale_by_weights(values, None, power), values)
 
 
 @st.composite

@@ -1,5 +1,8 @@
 """A tensor factorizes each distinct unfolding and TT-step matrix once.
 
+A two-mode tensor's two unfoldings are one matrix and its transpose, so
+one SVD serves both; TT's first step is the mode-0 unfolding.
+
 Counts wrap `svd.full_svd`, the one SVD call. The property test checks
 that a decomposition read through a tensor's memo equals the same
 decomposition of a fresh copy, bit for bit, whatever came before it.
@@ -16,6 +19,9 @@ import lrtensor.svd as svd
 from lrtensor.train import _forward_bonds
 
 
+BUILDERS = {"tucker": lt.hosvd, "tt": lt.tt_svd, "tt-bidir": lt.tt_svd_bidirectional}
+
+
 @pytest.fixture
 def full_svd_calls(monkeypatch):
     calls = []
@@ -29,13 +35,13 @@ def full_svd_calls(monkeypatch):
     return calls
 
 
-def _rank_vs_eps(fmt):
+def _rank_vs_eps(fmt, m=4):
     return {
         "experiment": "rank-vs-eps",
-        "function": {"id": "weighted_exp", "m": 4},
+        "function": {"id": "weighted_exp", "m": m},
         "grid": {"points_per_axis": 8},
         "format": fmt,
-        "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1, 1, 1, 1]},
+        "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1] * m},
         "epsilons": [0.5 * 0.5 ** i for i in range(6)],
     }
 
@@ -62,11 +68,48 @@ class TestFactorizationCounts:
         raw = {"experiment": "compare-formats", "function": {"id": "weighted_exp", "m": 5},
                "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
-        # 5 Tucker modes, 4 TT steps, and only the 2 backward steps of tt-bidir
-        assert len(full_svd_calls) == 11
+        # 5 Tucker modes, TT steps 2-4 (step 1 is Tucker's mode 0), the 2 backward steps of tt-bidir
+        assert len(full_svd_calls) == 10
 
+    def test_a_miss_drops_the_stale_steps_before_it_factorizes(self, monkeypatch):
+        t = lt.DenseTensor.from_array(np.random.default_rng(4).standard_normal((4, 4, 4, 4)))
+        lt.tt_svd(t, [2, 2, 2])
+        held = []
+        original = svd.full_svd
 
-BUILDERS = {"tucker": lt.hosvd, "tt": lt.tt_svd, "tt-bidir": lt.tt_svd_bidirectional}
+        def recording(mat):
+            held.append(set(t._factorizations))
+            return original(mat)
+
+        monkeypatch.setattr(svd, "full_svd", recording)
+        lt.tt_svd(t, [3, 2, 2])  # step 0 is a hit; steps 1 and 2 miss under the new first rank
+        assert held == [{("mode", 0)}, {("mode", 0), ("forward", 1)}]
+
+    def test_two_mode_hosvd_factorizes_once(self, full_svd_calls):
+        rng = np.random.default_rng(3)
+        t = lt.DenseTensor.from_array(rng.standard_normal((7, 16)))
+        for ranks in [(2, 3), (7, 7), lt.TruncationRule.tail_energy(0.5)]:
+            lt.hosvd(t, ranks)
+        lt.tt_svd(t, [2])
+        lt.tt_svd_bidirectional(t, [5])
+        assert full_svd_calls == [(7, 16)]
+
+    def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, full_svd_calls):
+        raw = {"experiment": "decompose", "function": {"id": "brownian_bridge"},
+               "grid": {"points_per_axis": 64}, "tolerance": 1e-6}
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert full_svd_calls == [(64, 64)]
+
+    @pytest.mark.parametrize("fmt", sorted(BUILDERS))
+    def test_two_mode_rank_vs_eps_factorizes_once(self, tmp_path, full_svd_calls, fmt):
+        assert hz.run(hz.parse_config(_rank_vs_eps(fmt, m=2)), tmp_path).exit_code == 0
+        assert full_svd_calls == [(8, 8)]
+
+    def test_two_mode_compare_formats_factorizes_once(self, tmp_path, full_svd_calls):
+        raw = {"experiment": "compare-formats", "function": {"id": "weighted_exp", "m": 2},
+               "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert full_svd_calls == [(6, 6)]
 
 
 def _arrays(fmt, d):
@@ -77,9 +120,12 @@ def _arrays(fmt, d):
 
 
 def _slots(m):
-    """Every slot a tensor of m modes can memoize: one per Tucker mode and TT step."""
+    """Every slot a tensor of m modes can memoize: one per Tucker mode and TT step.
+
+    TT's forward step 0 factorizes the mode-0 unfolding, so it reads ("mode", 0).
+    """
     forward = _forward_bonds(m)
-    return ({("mode", j) for j in range(m)} | {("forward", i) for i in range(m - 1)}
+    return ({("mode", j) for j in range(m)} | {("forward", i) for i in range(1, m - 1)}
             | {("backward", i) for i in range(m - 1 - forward)})
 
 

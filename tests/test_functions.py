@@ -3,7 +3,8 @@ import pytest
 
 import lrtensor as lt
 from lrtensor.functions import FunctionSpec, default_gamma, registered_ids, vectorized_evaluator
-from lrtensor.svd import SingularSpectrum, fit_decay_exponent, gram_spectrum
+from lrtensor.svd import SingularSpectrum, fit_decay_exponent
+from oracles import gram_spectrum
 
 
 def evaluate(spec: FunctionSpec, point) -> float:

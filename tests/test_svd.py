@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, full_svd
+from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _mode_factorization, full_svd
+from oracles import gram_spectrum, projection_trace_check
 
 
 def trapezoid(n):
@@ -83,6 +84,16 @@ class TestTruncatedSVD:
             for expected, got in zip((U, s, Vt), full_svd(m)):
                 assert np.array_equal(expected, got)
                 assert np.array_equal(np.signbit(expected), np.signbit(got))
+            # a two-mode tensor's mode-1 factor is V under the same rule
+            V = Vt.T.copy()
+            for c in range(V.shape[1]):
+                nz = np.flatnonzero(np.abs(V[:, c]) > SIGN_PIVOT_TOL)
+                if nz.size and V[nz[0], c] < 0:
+                    V[:, c] = -V[:, c]
+            got = _mode_factorization(lt.DenseTensor.from_array(m), 1)
+            assert np.array_equal(V, got.U)
+            assert np.array_equal(np.signbit(V), np.signbit(got.U))
+            assert np.array_equal(s, got.s)
 
     @pytest.mark.parametrize("rows, cols", [(5, 40), (11, 1331), (4, 8)])
     def test_wide_matrix_matches_dense_svd(self, rows, cols):
@@ -123,17 +134,17 @@ class TestTruncatedSVD:
 
 class TestGramSpectrum:
     def test_identity(self):
-        assert np.allclose(lt.gram_spectrum(np.eye(3)).values, [1.0, 1.0, 1.0])
+        assert np.allclose(gram_spectrum(np.eye(3)).values, [1.0, 1.0, 1.0])
 
     def test_diag_squares(self):
         assert np.allclose(
-            lt.gram_spectrum(np.diag([3.0, 2.0, 1.0])).values, [9.0, 4.0, 1.0]
+            gram_spectrum(np.diag([3.0, 2.0, 1.0])).values, [9.0, 4.0, 1.0]
         )
 
     def test_matches_singular_values(self):
         rng = np.random.default_rng(14)
         m = rng.standard_normal((8, 5))
-        eig = lt.gram_spectrum(m).values
+        eig = gram_spectrum(m).values
         res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(5))
         sig = res.spectrum.values
         keep = sig > res.full_spectrum.noise_floor
@@ -187,19 +198,19 @@ class TestProjectionTrace:
     def test_full_rank(self):
         rng = np.random.default_rng(15)
         m = rng.standard_normal((5, 5))
-        lhs, rhs = lt.projection_trace_check(m, 5)
+        lhs, rhs = projection_trace_check(m, 5)
         assert lhs == pytest.approx(0.0, abs=1e-20)
         assert rhs == pytest.approx(0.0, abs=1e-10)
 
     def test_diag(self):
-        lhs, rhs = lt.projection_trace_check(np.diag([3.0, 2.0, 1.0]), 2)
+        lhs, rhs = projection_trace_check(np.diag([3.0, 2.0, 1.0]), 2)
         assert lhs == pytest.approx(1.0)
         assert rhs == pytest.approx(1.0)
 
     def test_random_agreement(self):
         rng = np.random.default_rng(16)
         m = rng.standard_normal((10, 7))
-        lhs, rhs = lt.projection_trace_check(m, 3)
+        lhs, rhs = projection_trace_check(m, 3)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(m) ** 2
 
 
@@ -214,12 +225,12 @@ class TestSpectrumInvariants:
     def test_eigenvalue_monotonicity_under_projection(self):
         rng = np.random.default_rng(18)
         m = rng.standard_normal((8, 8))
-        lam = lt.gram_spectrum(m.T).values  # eigenvalues of K = m m^T here
+        lam = gram_spectrum(m.T).values  # eigenvalues of K = m m^T here
         U, _, _ = full_svd(m)
         for r in range(1, 9):
             # project the row space: K_r = P_r K P_r with P_r from an
             # arbitrary orthonormal basis, not necessarily singular vectors
             q, _ = np.linalg.qr(rng.standard_normal((8, r)))
             mr = q @ (q.T @ m)
-            lam_r = lt.gram_spectrum(mr.T).values
+            lam_r = gram_spectrum(mr.T).values
             assert np.all(lam_r <= lam[: len(lam_r)] + 1e-10 * lam[0])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.svd import gram_spectrum, tail_energy
+from lrtensor.svd import factorize, tail_energy, truncated_svd
+from oracles import gram_spectrum
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -104,6 +105,77 @@ class TestSpectra:
         assert lt.frobenius_norm(d.core) == pytest.approx(
             lt.frobenius_norm(t), rel=1e-12
         )
+
+
+def _two_mode_tensor(extents, weighted, rank):
+    """A random two-mode tensor, of full rank or of the given rank."""
+    rng = np.random.default_rng(sum(extents) + 10 * weighted + (rank or 0))
+    n0, n1 = extents
+    k = min(extents) if rank is None else rank
+    values = rng.standard_normal((n0, k)) @ rng.standard_normal((k, n1))
+    weights = [rng.random(n) + 0.1 for n in extents] if weighted else None
+    return lt.DenseTensor.from_array(values, mode_weights=weights)
+
+
+def _per_mode(t, rules):
+    """The per-mode path: each mode's unfolding factorized on its own."""
+    return [truncated_svd(factorize(lt.mode_unfolding(t, j)), rule) for j, rule in enumerate(rules)]
+
+
+def _clear_gaps(s):
+    """Ranks r whose cut s[r-1] > s[r] (s[k] = 0) is clear of rounding."""
+    padded = np.append(s, 0.0)
+    return [r for r in range(1, len(s) + 1) if padded[r - 1] - padded[r] >= 1e-3 * s[0]]
+
+
+@pytest.mark.parametrize("rank", [None, 3], ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("extents", [(12, 12), (6, 15), (15, 6)], ids=["square", "wide", "tall"])
+class TestTwoModeOneSVD:
+    """hosvd's one SVD of a two-mode tensor agrees with factorizing each unfolding on its own."""
+
+    def test_fixed_ranks_match_the_per_mode_path(self, extents, weighted, rank):
+        t = _two_mode_tensor(extents, weighted, rank)
+        norm = lt.frobenius_norm(t)
+        k = min(extents)
+        for r0 in range(1, k + 2):
+            ranks = (r0, k + 2 - r0)
+            d = lt.hosvd(lt.DenseTensor.from_array(t.values, t.mode_weights), ranks)
+            old = _per_mode(t, [lt.TruncationRule.fixed_rank(r) for r in ranks])
+            assert d.ranks == tuple(step.rank for step in old)
+            assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
+
+    def test_tolerance_ranks_match_the_per_mode_path(self, extents, weighted, rank):
+        t = _two_mode_tensor(extents, weighted, rank)
+        norm = lt.frobenius_norm(t)
+        s = np.linalg.svd(lt.mode_unfolding(t, 0), compute_uv=False)
+        tails = [float(np.sqrt(np.sum(s[r:] ** 2))) for r in range(len(s) + 1)]
+        # midway between consecutive tails, and below the noise floor
+        kept = len(s) if rank is None else rank
+        targets = [0.5 * (tails[r] + tails[r + 1]) for r in range(kept)] + [1e-14 * norm]
+        for target in targets:
+            rule = lt.TruncationRule.tail_energy(target)
+            d = lt.hosvd(lt.DenseTensor.from_array(t.values, t.mode_weights), rule)
+            assert d.ranks == tuple(step.rank for step in _per_mode(t, [rule, rule]))
+            assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
+
+    def test_spectra_and_projectors_match_the_per_mode_path(self, extents, weighted, rank):
+        t = _two_mode_tensor(extents, weighted, rank)
+        k = min(extents)
+        d = lt.hosvd(t, (k, k))
+        old = _per_mode(t, [lt.TruncationRule.fixed_rank(k)] * 2)
+        for j, step in enumerate(old):
+            s = step.full_spectrum.values
+            assert np.max(np.abs(d.mode_spectra[j].values - s)) <= 1e-13 * s[0]
+            new_u, old_u = d.factors[j], step.U
+            for r in _clear_gaps(s):
+                projector = new_u[:, :r] @ new_u[:, :r].T
+                assert np.max(np.abs(projector - old_u[:, :r] @ old_u[:, :r].T)) <= 1e-10
+            # an isolated singular value's vector agrees column by column: one sign convention
+            cuts = set(_clear_gaps(s))
+            for c in range(k):
+                if c + 1 in cuts and (c == 0 or c in cuts):
+                    assert np.max(np.abs(new_u[:, c] - old_u[:, c])) <= 1e-10
 
 
 class TestCost:
