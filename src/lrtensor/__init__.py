@@ -3,10 +3,13 @@
 Tucker and tensor-train decompositions of dense weighted tensors, with
 the rank-selection schedules for unweighted and weighted Sobolev
 regimes and a batch experiment harness.
+
+A name is exported here iff README.md or tests/test_acceptance.py reads
+it, or an exported callable takes, returns or raises it. Everything else
+is imported from its module.
 """
 
 from .core import (
-    DEFAULT_ELEMENT_CAP,
     DenseTensor,
     ElementCapError,
     Shape,
@@ -19,7 +22,6 @@ from .functions import (
     UnknownFunctionError,
     default_gamma,
     make_function,
-    registered_ids,
 )
 from .grids import (
     DomainSpec,
@@ -30,15 +32,12 @@ from .schedules import (
     RankSchedule,
     SchedulerParams,
     WeightedHypothesisError,
-    build_schedule,
-    dimension_truncation_index,
-    tt_ranks_unweighted,
-    tt_ranks_weighted,
     tucker_ranks_unweighted,
     tucker_ranks_weighted,
 )
 from .svd import (
     DecayFit,
+    InsufficientSpectrumError,
     SingularSpectrum,
     TruncatedSVD,
     TruncationRule,
@@ -50,8 +49,6 @@ from .train import (
     TTDecomposition,
     tt_cost,
     tt_error,
-    tt_reconstruct,
-    tt_storage,
     tt_svd,
     tt_svd_bidirectional,
 )
@@ -60,8 +57,6 @@ from .tucker import (
     hosvd,
     tucker_cost,
     tucker_error,
-    tucker_factor_storage,
-    tucker_reconstruct,
 )
 
 __version__ = "0.1.0"

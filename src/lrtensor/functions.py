@@ -165,7 +165,10 @@ def make_function(
         if "fixed_dims" in entry:
             dims = entry["fixed_dims"]
         elif entry.get("two_equal"):
-            dims = (parameters.pop("n", 1),) * 2
+            n = parameters.pop("n", 1)
+            if n != int(n):
+                raise ValueError(f"{fn_id} needs an integer n, got {n!r}")
+            dims = (n, n)
         else:
             dims = (1,) * (m if m is not None else 2)
     dims = tuple(int(n) for n in dims)

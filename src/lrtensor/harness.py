@@ -12,9 +12,9 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .schedules import (
     SchedulerParams,
     build_schedule,
 )
-from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent
+from .svd import TruncationRule, fit_decay_exponent, spectrum
 from .train import tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
 from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
 
@@ -46,39 +46,6 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    function: Optional[fnreg.FunctionSpec] = None
-    grid: Optional[GridSpec] = None
-    format: str = "tucker"
-    ranks: Optional[tuple] = None
-    tolerance: Optional[float] = None
-    scheduler: Optional[SchedulerParams] = None
-    regime: Optional[str] = None
-    epsilons: tuple = ()
-    m_values: tuple = ()
-    mode: int = 0
-    fit_window: Optional[tuple] = None
-    expected_exponent: Optional[float] = None
-    exponent_tol: Optional[float] = None
-    cap: int = DEFAULT_ELEMENT_CAP
-
-
-@dataclass
-class ExperimentReport:
-    experiment: str
-    out_dir: Path
-    csv_paths: List[Path] = field(default_factory=list)
-    summary_path: Optional[Path] = None
-    violations: int = 0
-    summary_lines: List[str] = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.violations == 0 else 1
-
-
 @contextmanager
 def _field(name: str, errors=(TypeError, ValueError, LookupError, AttributeError, ArithmeticError)):
     """Report an error of `errors` raised inside the block as a ConfigError naming `name`."""
@@ -88,17 +55,6 @@ def _field(name: str, errors=(TypeError, ValueError, LookupError, AttributeError
         raise
     except errors as exc:
         raise ConfigError(name, f"{type(exc).__name__}: {exc}") from exc
-
-
-def _get(raw: dict, name: str, convert: Callable = lambda v: v, default=None):
-    """`convert(raw[name])`, or `default` when `name` is missing or null."""
-    return default if raw.get(name) is None else convert(raw[name])
-
-
-def _read(raw: dict, name: str, convert: Callable, default):
-    """`_get` inside `_field(name)`, for a top-level field."""
-    with _field(name):
-        return _get(raw, name, convert, default)
 
 
 def _number(value, kind=None, low=-math.inf, high=math.inf):
@@ -118,29 +74,35 @@ def _numbers(values, kind=None, low=-math.inf, high=math.inf, length=None) -> tu
 
 _MAX_MODES = 1000  # bounds a function's `m` and `m_values`: no tuple of modes outgrows memory
 
-# The top-level keys `parse_config` reads; any other key exits 2 rather than run at a default.
-_FIELDS = ("experiment", "function", "grid", "format", "ranks", "tolerance", "scheduler", "epsilons",
-           "m_values", "mode", "fit_window", "expected_exponent", "exponent_tol", "cap")
 
-
-def _known(obj: dict, keys: tuple) -> None:
-    """Check that `obj` is a JSON object with no key outside `keys`."""
+def _object(obj, table: dict) -> dict:
+    """A JSON object read by `table`, {key: (converter, default)}: a key missing or null takes its
+    default (MISSING: the key is required), any other goes through its converter, and no key is unknown."""
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - set(keys))
+    unknown = sorted(set(obj) - set(table))
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}; expected one of {keys}")
+        raise ValueError(f"unknown key {unknown[0]!r}; expected one of {tuple(table)}")
+    return {key: default if default is not MISSING and obj.get(key) is None else convert(obj[key])
+            for key, (convert, default) in table.items()}
 
 
-def _function(fn: dict) -> fnreg.FunctionSpec:
-    _known(fn, ("id", "dims", "m", "gamma", "params"))
-    return fnreg.make_function(
-        fn["id"],
-        dims=_get(fn, "dims", lambda v: _numbers(v, int, 0)),
-        m=_get(fn, "m", lambda v: _number(v, int, 0, _MAX_MODES)),
-        gamma=_get(fn, "gamma", _numbers),
-        **_get(fn, "params", default={}),
-    )
+def _experiment(value) -> str:
+    if value not in EXPERIMENTS:
+        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {value!r}")
+    return value
+
+
+def _function(fn) -> fnreg.FunctionSpec:
+    fn_id, dims, m, gamma, params = _object(fn, {
+        "id": (lambda v: v, MISSING),
+        "dims": (lambda v: _numbers(v, int, 0), None),
+        "m": (lambda v: _number(v, int, 0, _MAX_MODES), None),
+        "gamma": (_numbers, None),
+        # each value a number; a non-object is left for `**params` to reject
+        "params": (lambda v: {key: _number(x) for key, x in v.items()} if isinstance(v, dict) else v, {}),
+    }).values()
+    return fnreg.make_function(fn_id, dims=dims, m=m, gamma=gamma, **params)
 
 
 def _format(value) -> str:
@@ -149,51 +111,81 @@ def _format(value) -> str:
     return value
 
 
-def _grid(g: dict) -> GridSpec:
-    _known(g, ("points_per_axis", "rule"))
-    return GridSpec(_number(g["points_per_axis"], int), _get(g, "rule", default=RULE_TRAPEZOID))
+def _grid(g) -> GridSpec:
+    return GridSpec(**_object(g, {
+        "points_per_axis": (lambda v: _number(v, int), MISSING),
+        "rule": (lambda v: v, RULE_TRAPEZOID),
+    }))
 
 
-def _scheduler(s: dict) -> SchedulerParams:
-    _known(s, ("regime", "epsilon", "k", "dims", "delta", "delta_prime", "gamma"))
-    return SchedulerParams(
-        epsilon=_number(s["epsilon"], float),
-        k=_number(s["k"], float),
-        dims=_numbers(s["dims"], int, 0),
-        delta=_get(s, "delta", _number),
-        delta_prime=_get(s, "delta_prime", _number),
-        gamma=_get(s, "gamma", _numbers),
-    )
+def _scheduler(s) -> Tuple[Optional[str], SchedulerParams]:
+    """The regime named (None if none is) and the schedule's parameters, keyed in SchedulerParams' order."""
+    regime, *params = _object(s, {
+        "regime": (lambda v: v, None),
+        "epsilon": (lambda v: _number(v, float), MISSING),
+        "k": (lambda v: _number(v, float), MISSING),
+        "dims": (lambda v: _numbers(v, int, 0), MISSING),
+        "delta": (_number, None),
+        "delta_prime": (_number, None),
+        "gamma": (_numbers, None),
+    }).values()
+    return regime, SchedulerParams(*params)
+
+
+def _config(convert: Callable, default=MISSING):
+    """A top-level config field: its JSON value, null if missing, goes through `convert` unless null with a `default`."""
+    return field(default=default, metadata={"convert": convert})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The config's top-level fields, each with its converter and default: `parse_config` reads these and no other."""
+
+    experiment: str = _config(_experiment)
+    function: Optional[fnreg.FunctionSpec] = _config(_function, None)
+    grid: Optional[GridSpec] = _config(_grid, None)
+    format: str = _config(_format, "tucker")
+    ranks: Optional[tuple] = _config(lambda v: _numbers(v, int, 0), None)
+    tolerance: float = _config(lambda v: _number(v, float, 0), 1e-12)
+    scheduler: Optional[Tuple[Optional[str], SchedulerParams]] = _config(_scheduler, None)
+    epsilons: tuple = _config(lambda v: _numbers(v, float, 0, 1), ())
+    m_values: tuple = _config(lambda v: _numbers(v, int, 0, _MAX_MODES), ())
+    mode: int = _config(lambda v: _number(v, int), 0)
+    fit_window: Optional[tuple] = _config(lambda v: _numbers(v, int, 0, length=2), None)
+    expected_exponent: Optional[float] = _config(_number, None)
+    exponent_tol: float = _config(lambda v: _number(v, None, 0), 0.3)
+    cap: int = _config(lambda v: _number(v, int, 0), DEFAULT_ELEMENT_CAP)
+
+
+@dataclass
+class ExperimentReport:
+    experiment: str
+    out_dir: Path
+    csv_paths: List[Path] = field(default_factory=list)
+    summary_path: Optional[Path] = None
+    violations: int = 0
+    summary_lines: List[str] = field(default_factory=list)
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.violations == 0 else 1
 
 
 def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     """Validate a raw JSON dict; raise ConfigError naming the bad field."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
-    unknown = sorted(set(raw) - set(_FIELDS))
+    if cap is not None:
+        raw = {**raw, "cap": cap}  # a `cap` argument overrides the config's field and is checked alike
+    values = {}
+    for f in fields(ExperimentConfig):
+        with _field(f.name):
+            value = raw.get(f.name)
+            values[f.name] = f.default if value is None and f.default is not MISSING else f.metadata["convert"](value)
+    unknown = sorted(set(raw) - set(values))
     if unknown:
-        raise ConfigError(unknown[0], f"unknown field; expected one of {_FIELDS}")
-    return ExperimentConfig(
-        experiment=experiment,
-        function=_read(raw, "function", _function, None),
-        grid=_read(raw, "grid", _grid, None),
-        format=_read(raw, "format", _format, "tucker"),
-        ranks=_read(raw, "ranks", lambda v: _numbers(v, int, 0), None),
-        tolerance=_read(raw, "tolerance", lambda v: _number(v, float, 0), None),
-        scheduler=_read(raw, "scheduler", _scheduler, None),
-        regime=_read(raw, "scheduler", lambda s: s.get("regime"), None),
-        epsilons=_read(raw, "epsilons", lambda v: _numbers(v, float, 0, 1), ()),
-        m_values=_read(raw, "m_values", lambda v: _numbers(v, int, 0, _MAX_MODES), ()),
-        mode=_read(raw, "mode", lambda v: _number(v, int), 0),
-        fit_window=_read(raw, "fit_window", lambda v: _numbers(v, int, 0, length=2), None),
-        expected_exponent=_read(raw, "expected_exponent", _number, None),
-        exponent_tol=_read(raw, "exponent_tol", lambda v: _number(v, None, 0), None),
-        # a `cap` argument overrides the config's field and is checked alike
-        cap=_read(raw if cap is None else {"cap": cap}, "cap", lambda v: _number(v, int, 0), DEFAULT_ELEMENT_CAP),
-    )
+        raise ConfigError(unknown[0], f"unknown field; expected one of {tuple(values)}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path, cap=None) -> ExperimentConfig:
@@ -248,14 +240,14 @@ def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, 
     Given ranks (one per mode or bond) are upper limits: each step keeps
     at most the rank of its matrix, and the ranks returned are the kept
     ones. Without ranks, every mode or bond keeps the minimal rank whose
-    discarded tail is at most tolerance * norm (default tolerance 1e-12).
+    discarded tail is at most tolerance * norm.
     The bound is the tail bound plus a slack relative to `norm`; a failed
     check counts as a violation, and every check writes one PASS/FAIL line
     to the summary. Returns (ranks, error, bound, cost, storage, ok).
     """
     extents = t.shape.extents
     if ranks is None:
-        ranks = TruncationRule.tail_energy((tolerance if tolerance is not None else 1e-12) * norm)
+        ranks = TruncationRule.tail_energy(tolerance * norm)
     elif len(ranks) != (expected := _rank_count(fmt, len(extents))):
         raise ConfigError("ranks", f"format {fmt!r} on {len(extents)} modes "
                           f"takes {expected} ranks, got {len(ranks)}")
@@ -275,10 +267,9 @@ def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, 
 
 
 def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = None) -> RankSchedule:
-    base = config.scheduler
-    if base is None:
+    if config.scheduler is None:
         raise ConfigError("scheduler", "this experiment requires scheduler params")
-    regime = config.regime
+    regime, base = config.scheduler
     if regime is None:
         regime = REGIME_TUCKER if config.format == "tucker" else REGIME_TT
     with _field("scheduler"):
@@ -314,16 +305,16 @@ def _spectrum_fit(config: ExperimentConfig):
     t = _sample_tensor(config)
     with _field("mode"):
         mat = mode_unfolding(t, config.mode)
-    spectrum = SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
+    spec = spectrum(mat)
     with _field("fit_window"):
-        return spectrum, fit_decay_exponent(spectrum, window=config.fit_window)
+        return spec, fit_decay_exponent(spec, window=config.fit_window)
 
 
 def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
-    spectrum, fit = _spectrum_fit(config)
+    spec, fit = _spectrum_fit(config)
     rows = [
         [alpha + 1, sigma, sigma ** 2]
-        for alpha, sigma in enumerate(spectrum.values)
+        for alpha, sigma in enumerate(spec.values)
     ]
     _emit(report, ["alpha", "sigma", "lambda"], rows)
     report.summary_lines += [
@@ -337,7 +328,7 @@ def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
 def _check_exponent(config, report, exponent) -> None:
     if config.expected_exponent is None:
         return
-    tol = config.exponent_tol if config.exponent_tol is not None else 0.3
+    tol = config.exponent_tol
     ok = abs(exponent - config.expected_exponent) <= tol
     if not ok:
         report.violations += 1
@@ -405,9 +396,9 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
 def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> None:
     if not config.m_values:
         raise ConfigError("m_values", "dim-robustness needs a list of mode counts")
-    base = config.scheduler
-    if base is None:
+    if config.scheduler is None:
         raise ConfigError("scheduler", "dim-robustness needs scheduler params")
+    _, base = config.scheduler
     rows = []
     for m in config.m_values:
         with _field("scheduler"):

@@ -145,6 +145,11 @@ def full_svd(mat: np.ndarray):
     return U, s, Vt
 
 
+def spectrum(mat: np.ndarray) -> SingularSpectrum:
+    """The singular values of mat, with no singular vectors computed."""
+    return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
+
+
 def _tails(s: np.ndarray) -> np.ndarray:
     """tails[r] = sqrt(sum of s[r:]**2), length len(s)+1."""
     sq = np.concatenate([(s ** 2)[::-1].cumsum()[::-1], [0.0]])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
+from lrtensor.train import tt_reconstruct
+from lrtensor.tucker import tucker_reconstruct
 
 
 def trapezoid_weighted(rng, extents):
@@ -34,9 +36,9 @@ def weighted_error_oracle(t, reconstruction):
 
 
 FORMATS = {
-    "tucker": (lambda t: lt.hosvd(t, (3, 2, 4, 3)), lt.tucker_reconstruct, lt.tucker_error),
-    "tt": (lambda t: lt.tt_svd(t, (3, 5, 2)), lt.tt_reconstruct, lt.tt_error),
-    "tt-bidir": (lambda t: lt.tt_svd_bidirectional(t, (3, 5, 2)), lt.tt_reconstruct, lt.tt_error),
+    "tucker": (lambda t: lt.hosvd(t, (3, 2, 4, 3)), tucker_reconstruct, lt.tucker_error),
+    "tt": (lambda t: lt.tt_svd(t, (3, 5, 2)), tt_reconstruct, lt.tt_error),
+    "tt-bidir": (lambda t: lt.tt_svd_bidirectional(t, (3, 5, 2)), tt_reconstruct, lt.tt_error),
 }
 
 

@@ -32,6 +32,10 @@ class TestRegistry:
         with pytest.raises(lt.UnknownFunctionError):
             lt.make_function("no_such_function", m=3)
 
+    def test_fractional_n_is_rejected(self):
+        with pytest.raises(ValueError, match="integer n"):
+            lt.make_function("gauss_kernel", n=1.5)
+
     def test_spec_is_hashable_and_deterministic(self):
         a = lt.make_function("gauss_kernel", n=2, c=1.5)
         b = lt.make_function("gauss_kernel", c=1.5, n=2)

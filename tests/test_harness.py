@@ -463,6 +463,9 @@ BAD_INPUT = [
     ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "gamma": [1.0, 0.5, 0.25],
                                     "params": {"k": 7, "delta_prime": 9}}}, "function"),
     ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "dims": [1, 1, 1, 1]}}, "function"),
+    ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"n": 1.5}}}, "function"),
+    ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"n": True}}}, "function"),
+    ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "params": {"k": True}}}, "function"),
 ]
 
 

@@ -1,12 +1,18 @@
-"""The README's examples run as written, so the docs cannot name a deleted API."""
+"""The README's examples run as written, its config table matches the reader,
+and every export follows the rule in `lrtensor`'s docstring."""
 
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
 
+import lrtensor as lt
 from lrtensor.cli import main as cli_main
+from lrtensor.harness import ExperimentConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ACCEPTANCE = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
 
 
 def _blocks(lang):
@@ -23,3 +29,41 @@ def test_decompose_config_example_exits_zero(tmp_path):
     cfg = tmp_path / "decompose.json"
     cfg.write_text(json.dumps(raw))
     assert cli_main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def _default(cell: str):
+    """A table cell as the default it states: `required`, or a JSON literal in backticks."""
+    if cell == "required":
+        return dataclasses.MISSING
+    value = json.loads(cell.strip("`"))
+    return tuple(value) if isinstance(value, list) else value
+
+
+def test_config_table_states_every_field_and_its_default():
+    rows = re.findall(r"^\| `(\w+)` \| (required|`[^`]+`) \|", README, flags=re.MULTILINE)
+    table = [(name, _default(cell)) for name, cell in rows]
+    assert table == [(f.name, f.default) for f in dataclasses.fields(ExperimentConfig)]
+
+
+def _annotations(obj) -> str:
+    """What `obj` takes and returns, as its signature annotates them."""
+    try:
+        sig = inspect.signature(obj)
+    except (TypeError, ValueError):
+        return ""
+    return " ".join(str(a) for a in [sig.return_annotation, *(p.annotation for p in sig.parameters.values())])
+
+
+def test_every_export_follows_the_stated_rule():
+    exported = {name: getattr(lt, name) for name in dir(lt)
+                if not name.startswith("_") and not inspect.ismodule(getattr(lt, name))}
+
+    def admitted(name) -> bool:
+        others = [obj for other, obj in exported.items() if other != name and callable(obj)]
+        word = re.compile(rf"\b{name}\b")
+        read = word.search(README) or word.search(ACCEPTANCE)
+        taken_or_returned = any(word.search(_annotations(obj)) for obj in others)
+        raised = any(re.search(rf"\braise {name}\b", inspect.getsource(obj)) for obj in others)
+        return bool(read or taken_or_returned or raised)
+
+    assert [name for name in exported if not admitted(name)] == []

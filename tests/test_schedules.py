@@ -10,7 +10,9 @@ from lrtensor.schedules import (
     REGIME_TT_WEIGHTED,
     REGIME_TUCKER,
     REGIME_TUCKER_WEIGHTED,
+    build_schedule,
     dimension_truncation_index,
+    tt_ranks_unweighted,
     tt_ranks_weighted,
 )
 
@@ -46,18 +48,18 @@ class TestUnweightedTucker:
 
 class TestUnweightedTT:
     def test_cumulative_dimension_example(self):
-        s = lt.tt_ranks_unweighted(params(epsilon=0.1, k=2.0, dims=(1, 2, 1)))
+        s = tt_ranks_unweighted(params(epsilon=0.1, k=2.0, dims=(1, 2, 1)))
         assert s.ranks == (4, 32)
         # check against direct evaluation: eps^-(sum n_i / k)
         assert s.ranks[0] == math.ceil(0.1 ** (-1 / 2) - 1e-9)
         assert s.ranks[1] == math.ceil(0.1 ** (-3 / 2) - 1e-9)
 
     def test_rank_count_is_modes_minus_one(self):
-        s = lt.tt_ranks_unweighted(params(dims=(1,) * 5))
+        s = tt_ranks_unweighted(params(dims=(1,) * 5))
         assert len(s.ranks) == 4
 
     def test_ranks_nondecreasing(self):
-        s = lt.tt_ranks_unweighted(params(epsilon=0.05, k=1.5, dims=(1, 2, 1, 3)))
+        s = tt_ranks_unweighted(params(epsilon=0.05, k=1.5, dims=(1, 2, 1, 3)))
         assert all(a <= b for a, b in zip(s.ranks, s.ranks[1:]))
 
 
@@ -150,23 +152,23 @@ class TestWeightedTT:
 class TestBuildSchedule:
     def test_dispatch(self):
         p = params(epsilon=0.01, k=2.0)
-        assert lt.build_schedule(REGIME_TUCKER, p).regime == REGIME_TUCKER
-        assert lt.build_schedule(REGIME_TT, p).regime == REGIME_TT
+        assert build_schedule(REGIME_TUCKER, p).regime == REGIME_TUCKER
+        assert build_schedule(REGIME_TT, p).regime == REGIME_TT
         wp = params(
             delta=1.0, delta_prime=3.0, gamma=lt.default_gamma(3, 1.0, 3.0)
         )
         assert (
-            lt.build_schedule(REGIME_TUCKER_WEIGHTED, wp).regime
+            build_schedule(REGIME_TUCKER_WEIGHTED, wp).regime
             == REGIME_TUCKER_WEIGHTED
         )
-        assert lt.build_schedule(REGIME_TT_WEIGHTED, wp).regime == REGIME_TT_WEIGHTED
+        assert build_schedule(REGIME_TT_WEIGHTED, wp).regime == REGIME_TT_WEIGHTED
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
-            lt.build_schedule("nope", params())
+            build_schedule("nope", params())
 
     def test_json_round_trip_and_key_order(self):
-        s = lt.build_schedule(REGIME_TUCKER, params(epsilon=0.01, k=2.0))
+        s = build_schedule(REGIME_TUCKER, params(epsilon=0.01, k=2.0))
         text = s.to_json()
         data = json.loads(text)
         assert data["regime"] == REGIME_TUCKER
@@ -175,7 +177,7 @@ class TestBuildSchedule:
         assert list(data) == sorted(data)
         assert text.endswith("\n")
         # deterministic serialization
-        assert text == lt.build_schedule(REGIME_TUCKER, params(epsilon=0.01, k=2.0)).to_json()
+        assert text == build_schedule(REGIME_TUCKER, params(epsilon=0.01, k=2.0)).to_json()
 
 
 class TestParamValidation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
+from lrtensor.train import tt_storage
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -173,4 +174,4 @@ class TestCost:
         assert lt.tt_cost((2, 3, 4)) == 2 + 6 + 12
 
     def test_storage(self):
-        assert lt.tt_storage((4, 4, 4), (2, 3)) == 1 * 4 * 2 + 2 * 4 * 3 + 3 * 4 * 1
+        assert tt_storage((4, 4, 4), (2, 3)) == 1 * 4 * 2 + 2 * 4 * 3 + 3 * 4 * 1

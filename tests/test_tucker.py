@@ -5,6 +5,7 @@ import pytest
 
 import lrtensor as lt
 from lrtensor.svd import factorize, tail_energy, truncated_svd
+from lrtensor.tucker import tucker_factor_storage
 from oracles import gram_spectrum
 
 
@@ -185,4 +186,4 @@ class TestCost:
         assert lt.tucker_cost(()) == 1
 
     def test_factor_storage(self):
-        assert lt.tucker_factor_storage((8, 9), (2, 3)) == 8 * 2 + 9 * 3
+        assert tucker_factor_storage((8, 9), (2, 3)) == 8 * 2 + 9 * 3
