@@ -86,17 +86,22 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
     """Multiply each mode by its weights raised to `power` (0.5 or -0.5).
 
     A negative power divides by the positive one, so unscaling applies
-    exactly the factors that scaling multiplied in. The result is a new
-    array (normalized weights hold at least one vector): the first
-    weighted mode allocates it and the later ones scale it in place.
+    exactly the factors that scaling multiplied in. A two-mode tensor
+    weighted on both modes is scaled by the one outer product s0_i * s1_j,
+    so a symmetric sample on equal grids stays bitwise symmetric. The
+    result is a new array (normalized weights hold at least one vector):
+    the first factor allocates it and the later ones scale it in place.
     """
-    out = None
+    factors = []
     for ax, w in enumerate(mode_weights or ()):
-        if w is None:
-            continue
-        reshape = [1] * values.ndim
-        reshape[ax] = -1
-        factor = (w ** abs(power)).reshape(reshape)
+        if w is not None:
+            reshape = [1] * values.ndim
+            reshape[ax] = -1
+            factors.append((w ** abs(power)).reshape(reshape))
+    if len(factors) == 2 == values.ndim:
+        factors = [factors[0] * factors[1]]
+    out = None
+    for factor in factors:
         if out is None:
             out = values * factor if power > 0 else values / factor
         elif power > 0:
@@ -170,7 +175,7 @@ class DenseTensor:
         sweep, so the memo holds at most one entry per mode and step and no
         stale one while `factorize()` runs. That returns a dict from slot to
         Factorization, stored under `key`: `slot`, and any other slot its one
-        SVD fills (a two-mode tensor's mode 1, see `svd._mode_factorization`).
+        factorization fills (a two-mode tensor's mode 1, see `svd._mode_factorization`).
         """
         cached = self._factorizations.get(slot)
         if cached is not None and cached[0] == key:

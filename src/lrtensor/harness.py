@@ -75,14 +75,21 @@ def _numbers(values, kind=None, low=-math.inf, high=math.inf, length=None) -> tu
 _MAX_MODES = 1000  # bounds a function's `m` and `m_values`: no tuple of modes outgrows memory
 
 
+def _json_object(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    return obj
+
+
 def _object(obj, table: dict) -> dict:
     """A JSON object read by `table`, {key: (converter, default)}: a key missing or null takes its
     default (MISSING: the key is required), any other goes through its converter, and no key is unknown."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"expected a JSON object, got {obj!r}")
-    unknown = sorted(set(obj) - set(table))
+    unknown = sorted(set(_json_object(obj)) - set(table))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; expected one of {tuple(table)}")
+    missing = [key for key, (_, default) in table.items() if default is MISSING and key not in obj]
+    if missing:
+        raise ValueError(f"missing required key {missing[0]!r}")
     return {key: default if default is not MISSING and obj.get(key) is None else convert(obj[key])
             for key, (convert, default) in table.items()}
 
@@ -99,8 +106,7 @@ def _function(fn) -> fnreg.FunctionSpec:
         "dims": (lambda v: _numbers(v, int, 0), None),
         "m": (lambda v: _number(v, int, 0, _MAX_MODES), None),
         "gamma": (_numbers, None),
-        # each value a number; a non-object is left for `**params` to reject
-        "params": (lambda v: {key: _number(x) for key, x in v.items()} if isinstance(v, dict) else v, {}),
+        "params": (lambda v: {key: _number(x) for key, x in _json_object(v).items()}, {}),
     }).values()
     return fnreg.make_function(fn_id, dims=dims, m=m, gamma=gamma, **params)
 

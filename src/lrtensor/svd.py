@@ -146,7 +146,13 @@ def full_svd(mat: np.ndarray):
 
 
 def spectrum(mat: np.ndarray) -> SingularSpectrum:
-    """The singular values of mat, with no singular vectors computed."""
+    """The singular values of mat, with no singular vectors computed.
+
+    Those of a mat equal to its transpose are its |eigenvalues|, from `eigvalsh`.
+    """
+    mat = _finite(mat)
+    if np.array_equal(mat, mat.T):
+        return SingularSpectrum(np.sort(np.abs(np.linalg.eigvalsh(mat)))[::-1])
     return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
 
 
@@ -178,16 +184,27 @@ def _mode_factorization(t: DenseTensor, j: int) -> Factorization:
     """The Factorization of tensor t's mode-j unfolding, memoized on t at slot ("mode", j).
 
     A two-mode tensor's mode-1 unfolding is the transpose of its mode-0
-    one, A, so one SVD of A fills both slots, whichever is asked for
-    first: mode 0 gets (U, s) and mode 1 gets (V, s). V's columns take the
-    sign convention of every left factor, so mode 1 holds what
-    `factorize(A.T)` gives, up to rounding.
+    one, A, so one factorization of A fills both slots, whichever is asked
+    for first. An A equal to its transpose is QΛQ^T, from one `eigh`: U is
+    Q ordered by descending |λ|, s = |λ|, and V = U sign(Λ) takes U's sign
+    convention, so both slots hold (U, s). Any other A gets one SVD: mode 0
+    gets (U, s) and mode 1 gets (V, s), V's columns in the sign convention
+    of every left factor, so mode 1 holds what `factorize(A.T)` gives, up
+    to rounding.
     """
     if t.ndim != 2:
         return t._factorization(("mode", j), (), lambda: {("mode", j): factorize(mode_unfolding(t, j))})
 
     def both_sides():
-        U, s, Vt = full_svd(mode_unfolding(t, 0))
+        A = _finite(mode_unfolding(t, 0))
+        if np.array_equal(A, A.T):
+            lam, Q = np.linalg.eigh(A)
+            order = np.argsort(-np.abs(lam), kind="stable")
+            U = Q[:, order]
+            np.negative(U, out=U, where=_sign_flips(U))
+            U.setflags(write=False)
+            return dict.fromkeys([("mode", 0), ("mode", 1)], Factorization(U, np.abs(lam[order])))
+        U, s, Vt = full_svd(A)
         V = Vt.T
         np.negative(V, out=V, where=_sign_flips(V))
         U.setflags(write=False)

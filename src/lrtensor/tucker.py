@@ -53,7 +53,8 @@ def hosvd(
     upper limit: each mode keeps at most the rank of its unfolding.
     A mode's factorization does not depend on the rank kept, so `t`
     factorizes each unfolding once, on the first `hosvd` of it; a
-    two-mode tensor's two factors come from one SVD.
+    two-mode tensor's two factors come from one `eigh` if its weighted
+    matrix equals its transpose, and from one SVD otherwise.
     """
     factors = []
     spectra = []

@@ -1,9 +1,11 @@
 """A tensor factorizes each distinct unfolding and TT-step matrix once.
 
 A two-mode tensor's two unfoldings are one matrix and its transpose, so
-one SVD serves both; TT's first step is the mode-0 unfolding.
+one factorization serves both: an `eigh` if the matrix equals its
+transpose, an SVD otherwise. TT's first step is the mode-0 unfolding.
 
-Counts wrap `svd.full_svd`, the one SVD call. The property test checks
+Counts wrap `svd.full_svd`, the one SVD call, and the `numpy.linalg`
+solvers themselves. The property test checks
 that a decomposition read through a tensor's memo equals the same
 decomposition of a fresh copy, bit for bit, whatever came before it.
 """
@@ -32,6 +34,19 @@ def full_svd_calls(monkeypatch):
         return original(mat)
 
     monkeypatch.setattr(svd, "full_svd", counting)
+    return calls
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(name, shape) of each np.linalg svd, eigh and eigvalsh call."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
     return calls
 
 
@@ -94,10 +109,19 @@ class TestFactorizationCounts:
         lt.tt_svd_bidirectional(t, [5])
         assert full_svd_calls == [(7, 16)]
 
-    def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, full_svd_calls):
+    def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, full_svd_calls, linalg_calls):
         raw = {"experiment": "decompose", "function": {"id": "brownian_bridge"},
                "grid": {"points_per_axis": 64}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        # a symmetric kernel's weighted sample equals its transpose: one eigh, no SVD
+        assert linalg_calls == [("eigh", (64, 64))]
+        assert full_svd_calls == []
+
+    def test_non_symmetric_two_mode_decompose_factorizes_once(self, tmp_path, full_svd_calls, linalg_calls):
+        raw = {"experiment": "decompose", "function": {"id": "weighted_exp", "m": 2, "gamma": [1, 0.5]},
+               "grid": {"points_per_axis": 64}, "tolerance": 1e-6}
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert linalg_calls == [("svd", (64, 64))]
         assert full_svd_calls == [(64, 64)]
 
     @pytest.mark.parametrize("fmt", sorted(BUILDERS))

@@ -486,6 +486,19 @@ class TestInputContract:
         assert _run_cli(tmp_path, raw) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, change, field, message", [
+        ("decompose", {"function": {"m": 3}}, "function", "ValueError: missing required key 'id'"),
+        ("decompose", {"grid": {"rule": "gauss-legendre"}}, "grid",
+         "ValueError: missing required key 'points_per_axis'"),
+        ("schedule", {"scheduler": {k: v for k, v in SCHEDULER.items() if k != "epsilon"}}, "scheduler",
+         "ValueError: missing required key 'epsilon'"),
+        ("decompose", {"function": {"id": "rank_one", "m": 3, "params": [1]}}, "function",
+         "TypeError: expected a JSON object, got [1]"),
+    ])
+    def test_bad_nested_key_prints_what_is_wrong(self, tmp_path, capsys, name, change, field, message):
+        assert _run_cli(tmp_path, {**SMALL_CONFIGS[name], **change}) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: config field '{field}': {message}"]
+
     def test_null_format_takes_tucker(self, tmp_path):
         assert _run_cli(tmp_path, {**SMALL_CONFIGS["decompose"], "format": None}) == 0
         (row,) = _csv_rows(tmp_path / "o" / "decompose.csv")
@@ -540,10 +553,29 @@ class TestSingularVectorsComputed:
         for (rows, cols), compute_uv in svd_calls:
             assert not (compute_uv and cols >= svd.WIDE_RATIO * rows), (rows, cols)
 
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        return calls
+
     @pytest.mark.parametrize("name", ["spectrum", "decay-rate"])
-    def test_spectrum(self, tmp_path, svd_calls, name):
+    def test_spectrum(self, tmp_path, svd_calls, eig_calls, name):
         assert hz.run(hz.parse_config(SMALL_CONFIGS[name]), tmp_path).exit_code == 0
-        assert svd_calls and all(not compute_uv for _, compute_uv in svd_calls)
+        # both kernels are symmetric: their values come from eigvalsh, with no SVD and no eigh
+        assert svd_calls == []
+        assert eig_calls == [("eigvalsh", (33, 33))]
+
+    @pytest.mark.parametrize("shape", [(5, 7), (6, 6)])
+    def test_non_symmetric_spectrum(self, svd_calls, eig_calls, shape):
+        svd.spectrum(np.random.default_rng(2).standard_normal(shape))
+        assert svd_calls == [(shape, False)]
+        assert eig_calls == []
 
 
 JSON_VALUES = st.recursive(
