@@ -24,7 +24,6 @@ from .functions import (
     make_function,
 )
 from .grids import (
-    DomainSpec,
     GridSpec,
     sample,
 )
@@ -42,7 +41,6 @@ from .svd import (
     TruncatedSVD,
     TruncationRule,
     fit_decay_exponent,
-    tail_energy,
     truncated_svd,
 )
 from .train import (

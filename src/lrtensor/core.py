@@ -128,13 +128,9 @@ class DenseTensor:
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape != self.shape.extents:
-            if values.size == self.shape.size:
-                values = values.reshape(self.shape.extents)
-            else:
-                raise ShapeMismatchError(
-                    f"values of size {values.size} do not fill shape "
-                    f"{self.shape.extents}"
-                )
+            raise ShapeMismatchError(
+                f"values of shape {values.shape} do not match shape {self.shape.extents}"
+            )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(
@@ -184,11 +180,6 @@ class DenseTensor:
             del self._factorizations[stale]
         self._factorizations.update((filled, (key, f)) for filled, f in factorize().items())
         return self._factorizations[slot][1]
-
-    def weights_for(self, mode: int):
-        if self.mode_weights is None:
-            return None
-        return self.mode_weights[mode]
 
 
 def _from_weighted(shape: Shape, weighted: np.ndarray, mode_weights) -> DenseTensor:

@@ -32,13 +32,11 @@ class FunctionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        if any(n < 1 for n in self.dims):
+            raise ValueError(f"subdomain dimensions must be >= 1, got {self.dims}")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         object.__setattr__(self, "parameters", tuple(sorted(dict(self.parameters).items())))
-
-    @property
-    def m(self) -> int:
-        return len(self.dims)
 
     @property
     def params(self) -> dict:

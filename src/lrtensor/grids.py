@@ -1,4 +1,4 @@
-"""Product domains, quadrature grids, and function sampling.
+"""Quadrature grids, and function sampling on product domains.
 
 Subdomains are unit boxes [0,1]^n. A subdomain of dimension n contributes
 a single tensor mode of extent N^n: the decompositions separate whole
@@ -17,18 +17,6 @@ from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
 RULE_GAUSS = "gauss-legendre"
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Product of unit boxes; dims[j] is the spatial dimension of box j."""
-
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        if any(n < 1 for n in self.dims):
-            raise ValueError(f"subdomain dimensions must be >= 1, got {self.dims}")
 
 
 @dataclass(frozen=True)
@@ -70,26 +58,21 @@ def _product_weights(w: np.ndarray, n: int) -> np.ndarray:
 
 def sample(
     fn: FunctionSpec,
-    domain: DomainSpec,
     grid: GridSpec,
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> DenseTensor:
-    """Evaluate `fn` on the product grid; one tensor mode per subdomain."""
-    if fn.dims != domain.dims:
-        raise ValueError(
-            f"function dims {fn.dims} do not match domain dims {domain.dims}"
-        )
-    if any(n > int(cap).bit_length() for n in domain.dims):  # then N**n >= 2**n > cap
-        raise ElementCapError(f"subdomain dims {domain.dims} exceed the cap of {cap} on any grid")
+    """Evaluate `fn` on the product grid; one tensor mode per subdomain of `fn.dims`."""
+    if any(n > int(cap).bit_length() for n in fn.dims):  # then N**n >= 2**n > cap
+        raise ElementCapError(f"subdomain dims {fn.dims} exceed the cap of {cap} on any grid")
     n_axis = grid.points_per_axis
-    total_axes = sum(domain.dims)
-    extents = tuple(n_axis ** n for n in domain.dims)
+    total_axes = sum(fn.dims)
+    extents = tuple(n_axis ** n for n in fn.dims)
     shape = Shape(extents, cap=cap)  # before any grid array is built
     x, w = axis_rule(grid)
     coords = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
         values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
     values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)
-    weights = [_product_weights(w, n) for n in domain.dims]
+    weights = [_product_weights(w, n) for n in fn.dims]
     return DenseTensor(shape, values, weights)
 

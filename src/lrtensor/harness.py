@@ -20,7 +20,7 @@ import numpy as np
 
 from . import functions as fnreg
 from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, frobenius_norm, mode_unfolding
-from .grids import RULE_TRAPEZOID, DomainSpec, GridSpec, sample
+from .grids import RULE_TRAPEZOID, GridSpec, sample
 from .schedules import (
     REGIME_TT,
     REGIME_TUCKER,
@@ -195,7 +195,7 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
 
 
 def load_config(path, cap=None) -> ExperimentConfig:
-    with open(path) as handle, _field("<root>"):
+    with open(path) as handle, _field("<root>", (ValueError, RecursionError)):  # bad JSON, or nested too deep
         raw = json.load(handle)
     return parse_config(raw, cap=cap)
 
@@ -232,7 +232,7 @@ def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
     if config.grid is None:
         raise ConfigError("grid", "this experiment requires a grid")
     with _field("function"), _field("grid", ElementCapError):
-        return sample(config.function, DomainSpec(config.function.dims), config.grid, cap=config.cap)
+        return sample(config.function, config.grid, cap=config.cap)
 
 
 def _rank_count(fmt: str, m: int) -> int:

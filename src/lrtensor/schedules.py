@@ -99,13 +99,19 @@ class RankSchedule:
 
     regime: str
     ranks: tuple
-    predicted_cost: int
     params: SchedulerParams
     M: Optional[int] = None
     paper_M_value: Optional[float] = None
 
     def active_ranks(self) -> tuple:
         return tuple(r for r in self.ranks if r > 0)
+
+    @property
+    def predicted_cost(self) -> int:
+        """Core entries (Tucker) or chain rank entries of the kept bonds (TT)."""
+        if self.regime in (REGIME_TUCKER, REGIME_TUCKER_WEIGHTED):
+            return tucker_cost(self.ranks)
+        return tt_cost(self.active_ranks())
 
     def to_json(self) -> str:
         p = self.params
@@ -129,7 +135,6 @@ def tucker_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
     return RankSchedule(
         regime=REGIME_TUCKER,
         ranks=ranks,
-        predicted_cost=tucker_cost(ranks),
         params=p,
     )
 
@@ -142,7 +147,6 @@ def tt_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
     return RankSchedule(
         regime=REGIME_TT,
         ranks=ranks,
-        predicted_cost=tt_cost(ranks),
         params=p,
     )
 
@@ -160,7 +164,6 @@ def tucker_ranks_weighted(p: SchedulerParams) -> RankSchedule:
     return RankSchedule(
         regime=REGIME_TUCKER_WEIGHTED,
         ranks=ranks,
-        predicted_cost=tucker_cost(ranks),
         params=p,
     )
 
@@ -198,7 +201,6 @@ def tt_ranks_weighted(p: SchedulerParams) -> RankSchedule:
     return RankSchedule(
         regime=REGIME_TT_WEIGHTED,
         ranks=tuple(ranks),
-        predicted_cost=tt_cost([r for r in ranks if r > 0]),
         params=p,
         M=M,
         paper_M_value=printed,

@@ -249,16 +249,9 @@ def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
     )
 
 
-def tail_energy(spectrum: SingularSpectrum, r: int) -> float:
-    """sqrt(sum of squared singular values beyond rank r)."""
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    return float(np.sqrt(np.sum(spectrum.values[r:] ** 2)))
-
-
 def _tail_bound(spectra, ranks) -> float:
-    """sqrt(sum over steps of the squared tail energy beyond the kept rank)."""
-    return math.sqrt(sum(tail_energy(spectrum, r) ** 2 for spectrum, r in zip(spectra, ranks)))
+    """sqrt(sum over steps of tail^2), each tail the one `truncated_svd` reported for the rank kept."""
+    return math.sqrt(sum(float(_tails(spectrum.values)[r]) ** 2 for spectrum, r in zip(spectra, ranks)))
 
 
 def fit_decay_exponent(

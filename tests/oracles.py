@@ -1,4 +1,4 @@
-"""Independent test oracles for the SVD layer: the Gram spectrum and the projection trace identity."""
+"""Independent test oracles for the SVD layer: the Gram spectrum, a direct tail sum and the projection trace identity."""
 
 from typing import Tuple
 
@@ -16,6 +16,11 @@ def gram_spectrum(m: np.ndarray) -> SingularSpectrum:
     m = np.asarray(m, dtype=float)
     eig = np.linalg.eigvalsh(m.T @ m)[::-1]
     return SingularSpectrum(np.maximum(eig, 0.0))
+
+
+def tail_energy(spectrum: SingularSpectrum, r: int) -> float:
+    """sqrt(sum of squared singular values beyond rank r), summed directly."""
+    return float(np.sqrt(np.sum(spectrum.values[r:] ** 2)))
 
 
 def projection_trace_check(m: np.ndarray, r: int) -> Tuple[float, float]:

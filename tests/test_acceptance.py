@@ -49,7 +49,7 @@ def test_criterion_01_full_rank_exactness():
 def test_criterion_02_bivariate_truncation_law():
     start = time.perf_counter()
     fn = lt.make_function("brownian_bridge")
-    sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(512))
+    sf = lt.sample(fn, lt.GridSpec(512))
     s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
     worst_rel = 0.0
     for alpha in range(1, 9):
@@ -96,7 +96,7 @@ def _sampled_fixtures(grid_points=7):
         ("gauss_kernel", dict(n=1, c=4.0), (1, 1)),
     ):
         fn = lt.make_function(fn_id, **kwargs)
-        fixtures.append(lt.sample(fn, lt.DomainSpec(dims), lt.GridSpec(grid_points)))
+        fixtures.append(lt.sample(fn, lt.GridSpec(grid_points)))
     return fixtures
 
 
@@ -238,7 +238,7 @@ def test_criterion_08_dimension_robustness():
     fn = lt.make_function(
         "weighted_product", m=m, gamma=lt.default_gamma(m, k=1.0, delta_prime=2.0)
     )
-    sf = lt.sample(fn, lt.DomainSpec((1,) * m), lt.GridSpec(9))
+    sf = lt.sample(fn, lt.GridSpec(9))
     ranks = tuple(
         min(r, n)
         for r, n in zip(
@@ -267,7 +267,7 @@ def test_criterion_09_two_mode_collapse():
             t = random_tensor(rng, (9, 9), weighted=trial % 2 == 0)
         else:
             fn = lt.make_function("gauss_kernel", n=1, c=float(trial))
-            t = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(9))
+            t = lt.sample(fn, lt.GridSpec(9))
         r = int(rng.integers(1, 6))
         err_tt = lt.tt_error(t, lt.tt_svd(t, ranks=(r,)))
         err_tucker = lt.tucker_error(t, lt.hosvd(t, (r, r)))

@@ -33,6 +33,11 @@ class TestShape:
         with pytest.raises(lt.ElementCapError):
             lt.Shape((64, 65), cap=2**12)
 
+    @pytest.mark.parametrize("values_shape", [(6,), (3, 2), (2, 4)])
+    def test_tensor_values_must_have_the_shape(self, values_shape):
+        with pytest.raises(lt.ShapeMismatchError):
+            lt.DenseTensor(lt.Shape((2, 3)), np.zeros(values_shape))
+
 
 class TestUnfold:
     def test_index_ordering(self):

@@ -36,6 +36,10 @@ class TestRegistry:
         with pytest.raises(ValueError, match="integer n"):
             lt.make_function("gauss_kernel", n=1.5)
 
+    def test_subdomain_dims_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"subdomain dimensions must be >= 1, got \(0, 1\)"):
+            FunctionSpec("rank_one", dims=(0, 1), smoothness_k=lt.functions.ANALYTIC)
+
     def test_spec_is_hashable_and_deterministic(self):
         a = lt.make_function("gauss_kernel", n=2, c=1.5)
         b = lt.make_function("gauss_kernel", c=1.5, n=2)
@@ -99,7 +103,7 @@ class TestSampledSpectra:
         fn = lt.make_function(
             "weighted_product", m=4, gamma=default_gamma(4, k=1.0, delta_prime=2.0)
         )
-        sf = lt.sample(fn, lt.DomainSpec((1,) * 4), lt.GridSpec(17))
+        sf = lt.sample(fn, lt.GridSpec(17))
         for mode in range(4):
             s = np.linalg.svd(lt.mode_unfolding(sf, mode), compute_uv=False)
             assert s[0] == pytest.approx(1.857863178919e00, rel=1e-10)
@@ -107,7 +111,7 @@ class TestSampledSpectra:
 
     def test_brownian_bridge_decay_exponent(self):
         fn = lt.make_function("brownian_bridge")
-        sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(512))
+        sf = lt.sample(fn, lt.GridSpec(512))
         gram = gram_spectrum(lt.mode_unfolding(sf, 0))
         fit = fit_decay_exponent(SingularSpectrum(np.sqrt(gram.values)))
         assert fit.exponent == pytest.approx(-4.0, abs=0.3)

@@ -27,7 +27,7 @@ def discrete_mixed_seminorm(t: DenseTensor, mode: int) -> float:
     n = t.shape.extents[mode]
     if n < 3:
         raise ValueError("mode extent must be >= 3 for finite differences")
-    w_mode = t.weights_for(mode)
+    w_mode = None if t.mode_weights is None else t.mode_weights[mode]
     if w_mode is not None and not _is_uniform_trapezoid(np.asarray(w_mode)):
         raise ValueError("discrete seminorm requires a uniform grid in the mode")
     h = 1.0 / (n - 1)
@@ -60,50 +60,45 @@ class TestSample:
     def test_constant_function_norm(self):
         # f = 1 via weighted_exp with zero weights
         fn = lt.make_function("weighted_exp", m=2, gamma=(0.0, 0.0))
-        sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(9))
+        sf = lt.sample(fn, lt.GridSpec(9))
         assert np.allclose(sf.values, 1.0)
         assert lt.frobenius_norm(sf) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_function_is_rank_one(self):
         fn = lt.make_function("rank_one", m=2)
-        sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(33))
+        sf = lt.sample(fn, lt.GridSpec(33))
         s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
         assert s[1] <= 1e-12 * s[0]
 
     def test_brownian_bridge_leading_singular_value(self):
         fn = lt.make_function("brownian_bridge")
-        sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(512))
+        sf = lt.sample(fn, lt.GridSpec(512))
         s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
         assert s[0] == pytest.approx(np.pi**-2, rel=0.01)
 
     def test_deterministic(self):
         fn = lt.make_function("gauss_kernel", n=1, c=2.5)
-        a = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(17)).values
-        b = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(17)).values
+        a = lt.sample(fn, lt.GridSpec(17)).values
+        b = lt.sample(fn, lt.GridSpec(17)).values
         assert np.array_equal(a, b)
 
     def test_grouped_modes(self):
         fn = lt.make_function("gauss_kernel", n=2, c=1.0)
-        sf = lt.sample(fn, lt.DomainSpec((2, 2)), lt.GridSpec(5))
+        sf = lt.sample(fn, lt.GridSpec(5))
         assert sf.shape.extents == (25, 25)
 
     def test_mode_weights_and_cap(self):
         fn = lt.make_function("rank_one", dims=(1,))
-        weights = lt.sample(fn, lt.DomainSpec((1,)), lt.GridSpec(3)).weights_for(0)
+        weights = lt.sample(fn, lt.GridSpec(3)).mode_weights[0]
         assert np.allclose(weights, [0.25, 0.5, 0.25])
         fn = lt.make_function("rank_one", dims=(1, 2, 3))
-        t = lt.sample(fn, lt.DomainSpec((1, 2, 3)), lt.GridSpec(5))
+        t = lt.sample(fn, lt.GridSpec(5))
         for mode in range(3):
-            assert t.weights_for(mode).sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(t.weights_for(mode) > 0)
+            assert t.mode_weights[mode].sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(t.mode_weights[mode] > 0)
         fn = lt.make_function("rank_one", dims=(4,))
         with pytest.raises(lt.ElementCapError):
-            lt.sample(fn, lt.DomainSpec((4,)), lt.GridSpec(64), cap=2**20)
-
-    def test_dims_mismatch(self):
-        fn = lt.make_function("brownian_bridge")
-        with pytest.raises(ValueError):
-            lt.sample(fn, lt.DomainSpec((1, 1, 1)), lt.GridSpec(5))
+            lt.sample(fn, lt.GridSpec(64), cap=2**20)
 
 
 class TestDiscreteSeminorm:
@@ -114,7 +109,7 @@ class TestDiscreteSeminorm:
     def test_linear_function(self):
         n = 65
         fn = lt.make_function("weighted_exp", m=2, gamma=(0.0, 0.0))
-        sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(n))
+        sf = lt.sample(fn, lt.GridSpec(n))
         x = np.linspace(0, 1, n)
         t = lt.DenseTensor(
             sf.shape,
@@ -158,7 +153,7 @@ class TestEigenfunctionRegularityBound:
         """
         n = 257
         fn = lt.make_function("brownian_bridge")
-        sf = lt.sample(fn, lt.DomainSpec((1, 1)), lt.GridSpec(n))
+        sf = lt.sample(fn, lt.GridSpec(n))
         t = sf
         w = np.asarray(t.mode_weights[0])
         semi = discrete_mixed_seminorm(t, 0)

@@ -16,8 +16,8 @@ import lrtensor.core as core
 import lrtensor.harness as hz
 import lrtensor.svd as svd
 from lrtensor.cli import main as cli_main
-from lrtensor.svd import tail_energy
 from lrtensor.train import _forward_bonds
+from oracles import tail_energy
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -494,10 +494,19 @@ class TestInputContract:
          "ValueError: missing required key 'epsilon'"),
         ("decompose", {"function": {"id": "rank_one", "m": 3, "params": [1]}}, "function",
          "TypeError: expected a JSON object, got [1]"),
+        ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"n": 0}}}, "function",
+         "ValueError: subdomain dimensions must be >= 1, got (0, 0)"),
     ])
     def test_bad_nested_key_prints_what_is_wrong(self, tmp_path, capsys, name, change, field, message):
         assert _run_cli(tmp_path, {**SMALL_CONFIGS[name], **change}) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: config field '{field}': {message}"]
+
+    def test_config_nested_too_deep_names_the_root(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: config field '<root>': RecursionError: maximum recursion depth exceeded")
 
     def test_null_format_takes_tucker(self, tmp_path):
         assert _run_cli(tmp_path, {**SMALL_CONFIGS["decompose"], "format": None}) == 0

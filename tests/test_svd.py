@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _mode_factorization, full_svd
+import lrtensor.svd as svd
+import lrtensor.train as train
+import lrtensor.tucker as tucker
+from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _mode_factorization, _tails, full_svd
 from oracles import gram_spectrum, projection_trace_check
 
 
@@ -153,21 +158,47 @@ class TestGramSpectrum:
 
 class TestTailEnergy:
     def test_beyond_length(self):
-        assert lt.tail_energy(lt.SingularSpectrum(np.array([3.0, 2.0])), 5) == 0.0
+        tails = _tails(np.array([3.0, 2.0]))
+        assert len(tails) == 3 and tails[-1] == 0.0
 
     def test_simple(self):
-        sp = lt.SingularSpectrum(np.array([3.0, 2.0, 1.0]))
-        assert lt.tail_energy(sp, 1) == pytest.approx(np.sqrt(5.0))
+        assert _tails(np.array([3.0, 2.0, 1.0]))[1] == pytest.approx(np.sqrt(5.0))
 
     def test_brownian_bridge_tracks_analytic_tail(self):
         m = brownian_bridge_matrix(512)
-        s = np.linalg.svd(m, compute_uv=False)
-        sp = lt.SingularSpectrum(s)
+        tails = _tails(np.linalg.svd(m, compute_uv=False))
         alphas = np.arange(1, 200001)
         lam = (np.pi * alphas) ** -4.0
         for r in range(1, 9):
             analytic = np.sqrt(np.sum(lam[r:]))
-            assert lt.tail_energy(sp, r) == pytest.approx(analytic, rel=0.03)
+            assert tails[r] == pytest.approx(analytic, rel=0.03)
+
+
+@pytest.mark.parametrize("decompose", [lt.hosvd, lt.tt_svd, lt.tt_svd_bidirectional])
+def test_tail_bound_is_the_root_sum_of_the_step_tails(monkeypatch, decompose):
+    """A decomposition's bound is sqrt(sum of tail^2) over the tails its truncated_svd steps reported."""
+    steps = []
+
+    def recording(m, rule):
+        steps.append(svd.truncated_svd(m, rule))
+        return steps[-1]
+
+    monkeypatch.setattr(tucker, "truncated_svd", recording)
+    monkeypatch.setattr(train, "truncated_svd", recording)
+    rng = np.random.default_rng(8)
+    extents = (5, 4, 6, 3, 4)
+    values = sum(0.4 ** k * np.einsum("i,j,k,l,m->ijklm", *(rng.standard_normal(n) for n in extents))
+                 for k in range(6))
+    t = lt.DenseTensor.from_array(values, mode_weights=[rng.random(n) + 0.1 for n in extents])
+    step_count = t.ndim if decompose is lt.hosvd else t.ndim - 1
+    for ranks in [lt.TruncationRule.tail_energy(0.05 * lt.frobenius_norm(t)), (1, 2, 3, 4, 2)[:step_count]]:
+        steps.clear()
+        d = decompose(t, ranks)
+        by_spectrum = {id(step.full_spectrum): step for step in steps}
+        ordered = [by_spectrum[id(sp)] for sp in getattr(d, "mode_spectra", None) or d.spectra]
+        assert len(ordered) == len(steps) == len(d.ranks)
+        assert [step.rank for step in ordered] == list(d.ranks)
+        assert 0.0 < d.tail_bound() == math.sqrt(sum(step.tail ** 2 for step in ordered))
 
 
 class TestDecayFit:

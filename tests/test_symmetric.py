@@ -135,7 +135,7 @@ KERNELS = {
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_samples_stay_bitwise_symmetric(kernel, rule):
     fn, dims, n = KERNELS[kernel]
-    t = lt.sample(fn, lt.DomainSpec(dims), lt.GridSpec(n, rule))
+    t = lt.sample(fn, lt.GridSpec(n, rule))
     A = t.weighted_values()
     assert np.array_equal(t.values, t.values.T)
     assert np.array_equal(A, A.T)
@@ -148,7 +148,7 @@ def test_kernel_samples_stay_bitwise_symmetric(kernel, rule):
 
 def test_brownian_bridge_spectrum_tracks_its_eigenvalues():
     """The Brownian bridge covariance has eigenvalues (πα)^-2: the symmetric path resolves the first 20 and their decay."""
-    t = lt.sample(lt.make_function("brownian_bridge"), lt.DomainSpec((1, 1)), lt.GridSpec(512))
+    t = lt.sample(lt.make_function("brownian_bridge"), lt.GridSpec(512))
     A = lt.mode_unfolding(t, 0)
     assert np.array_equal(A, A.T)
     alpha = np.arange(1, 21)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.svd import factorize, tail_energy, truncated_svd
+from lrtensor.svd import factorize, truncated_svd
 from lrtensor.tucker import tucker_factor_storage
 from oracles import gram_spectrum
 
@@ -74,7 +74,7 @@ class TestErrorBound:
         ):
             fn = lt.make_function(fn_id, **kwargs)
             m = len(fn.dims)
-            sf = lt.sample(fn, lt.DomainSpec((1,) * m), lt.GridSpec(9))
+            sf = lt.sample(fn, lt.GridSpec(9))
             for ranks in [(1,) * m, (2,) * m]:
                 d = lt.hosvd(sf, ranks)
                 assert lt.tucker_error(sf, d) <= d.tail_bound() + 1e-12
