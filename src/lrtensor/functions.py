@@ -32,6 +32,8 @@ class FunctionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        if not self.dims:
+            raise ValueError("dims must list at least one subdomain")
         if any(n < 1 for n in self.dims):
             raise ValueError(f"subdomain dimensions must be >= 1, got {self.dims}")
         if self.gamma is not None:

@@ -49,6 +49,8 @@ class SchedulerParams:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.k <= 0:
             raise ValueError("smoothness order k must be positive")
+        if not self.dims:
+            raise ValueError("dims must list at least one subdomain")
         if any(n < 1 for n in self.dims):
             raise ValueError("subdomain dimensions must be >= 1")
         if self.gamma is not None:

@@ -12,7 +12,9 @@ from .core import DenseTensor, ShapeMismatchError, mode_unfolding
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
-WIDE_RATIO = 2  # a matrix with cols >= WIDE_RATIO * rows is reduced by QR first
+WIDE_RATIO = 2  # a matrix with cols >= WIDE_RATIO * rows is reduced by a blockwise QR first
+# Rows of m^T per block of that QR (at least 4 * rows of m): each block's QR works in cache.
+QR_BLOCK_ROWS = 1024
 
 
 class InsufficientSpectrumError(ValueError):
@@ -166,15 +168,32 @@ def _tails(s: np.ndarray) -> np.ndarray:
 Factorization = NamedTuple("Factorization", [("U", np.ndarray), ("s", np.ndarray)])
 
 
+def _r_factor(mt: np.ndarray) -> np.ndarray:
+    """R of the tall mt = QR, reduced blockwise (TSQR) when mt has two blocks of rows or more.
+
+    One stacked QR takes the R of each block of rows, a view of mt, and a
+    final QR takes R of those R factors stacked on the leftover rows:
+    in exact arithmetic the same R up to the signs of its rows, and as
+    backward stable as one QR.
+    """
+    k, n = mt.shape
+    rows = max(QR_BLOCK_ROWS, 4 * n)
+    b = k // rows
+    if b < 2:
+        return np.linalg.qr(mt, mode="r")
+    r = np.linalg.qr(mt[: b * rows].reshape(b, rows, n), mode="r")
+    return np.linalg.qr(np.concatenate([r.reshape(b * n, n), mt[b * rows :]]), mode="r")
+
+
 def factorize(m: np.ndarray) -> Factorization:
     """The Factorization of m; a wide m is replaced by R^T from m^T = QR first.
 
     R^T has the same left vectors and singular values, and no V the size
-    of m is formed.
+    of m is formed. R comes from a blockwise QR of m^T (`_r_factor`).
     """
     m = np.asarray(m, dtype=float)
     if m.shape[1] >= WIDE_RATIO * m.shape[0]:  # full_svd checks any other m
-        m = np.linalg.qr(_finite(m).T, mode="r").T
+        m = _r_factor(_finite(m).T).T
     U, s, _ = full_svd(m)
     U.setflags(write=False)
     return Factorization(U, s)

@@ -144,14 +144,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("fmt", hz.FORMATS)
     def test_tolerance_decompose_bytes_identical_on_wide_unfoldings(self, tmp_path, fmt):
-        # every mode unfolding (6 x 1296) and the first TT steps are wide
-        raw = decompose_config(function={"id": "weighted_exp", "m": 5}, grid={"points_per_axis": 6},
-                               format=fmt, ranks=None, tolerance=1e-12)
-        outputs = []
-        for name in ("a", "b"):
-            assert hz.run(hz.parse_config(raw), tmp_path / name).exit_code == 0
-            outputs.append((tmp_path / name / "decompose.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        # every mode unfolding and the first TT steps are wide: 6 x 1296 is reduced by one QR,
+        # 8 x 4096 by the blockwise QR
+        for points in (6, 8):
+            raw = decompose_config(function={"id": "weighted_exp", "m": 5}, grid={"points_per_axis": points},
+                                   format=fmt, ranks=None, tolerance=1e-12)
+            outputs = []
+            for name in ("a", "b"):
+                out = tmp_path / f"{points}{name}"
+                assert hz.run(hz.parse_config(raw), out).exit_code == 0
+                outputs.append((out / "decompose.csv").read_bytes())
+            assert outputs[0] == outputs[1]
 
     def test_schedule_matches_golden_bytes(self, tmp_path):
         cfg = hz.load_config(DATA / "schedule_tt_weighted.json")
@@ -496,6 +499,14 @@ class TestInputContract:
          "TypeError: expected a JSON object, got [1]"),
         ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"n": 0}}}, "function",
          "ValueError: subdomain dimensions must be >= 1, got (0, 0)"),
+        ("decompose", {"function": {"id": "rank_one", "dims": []}}, "function",
+         "ValueError: dims must list at least one subdomain"),
+        ("schedule", {"function": {"id": "rank_one", "dims": []}}, "function",
+         "ValueError: dims must list at least one subdomain"),
+        ("schedule", {"scheduler": dict(SCHEDULER, dims=[])}, "scheduler",
+         "ValueError: dims must list at least one subdomain"),
+        ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[])}, "scheduler",
+         "ValueError: dims must list at least one subdomain"),
     ])
     def test_bad_nested_key_prints_what_is_wrong(self, tmp_path, capsys, name, change, field, message):
         assert _run_cli(tmp_path, {**SMALL_CONFIGS[name], **change}) == 2
@@ -561,6 +572,27 @@ class TestSingularVectorsComputed:
         assert svd_calls
         for (rows, cols), compute_uv in svd_calls:
             assert not (compute_uv and cols >= svd.WIDE_RATIO * rows), (rows, cols)
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        return calls
+
+    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    def test_wide_unfoldings_reduce_blockwise(self, tmp_path, qr_calls, fmt):
+        # every mode unfolding and the first TT steps are 8 x 4096: no QR sees all 4096 rows of a transpose
+        raw = decompose_config(function={"id": "weighted_exp", "m": 5}, grid={"points_per_axis": 8},
+                               format=fmt, ranks=None, tolerance=1e-12)
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert any(len(shape) == 3 for shape in qr_calls), qr_calls  # one stacked QR over blocks of rows
+        assert all(shape[-2] < 8 ** 4 for shape in qr_calls), qr_calls
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrtensor as lt
 import lrtensor.svd as svd
@@ -100,25 +102,40 @@ class TestTruncatedSVD:
             assert np.array_equal(np.signbit(V), np.signbit(got.U))
             assert np.array_equal(s, got.s)
 
-    @pytest.mark.parametrize("rows, cols", [(5, 40), (11, 1331), (4, 8)])
-    def test_wide_matrix_matches_dense_svd(self, rows, cols):
+    @pytest.mark.parametrize("rows, cols, rank, zero_rows", [
+        pytest.param(5, 40, 5, 0, id="5-40"),
+        pytest.param(11, 1331, 11, 0, id="11-1331"),
+        pytest.param(4, 8, 4, 0, id="4-8"),
+        # from here on m^T has two blocks of rows or more: a leftover of 7 rows, the mode unfolding
+        # of an 11^5 grid, blocks of 4 * rows > QR_BLOCK_ROWS, a product u v^T, and rows of zeros
+        pytest.param(5, 2 * svd.QR_BLOCK_ROWS + 7, 5, 0, id="5-2B+7"),
+        pytest.param(11, 14641, 11, 0, id="11-14641"),
+        pytest.param(300, 3000, 300, 0, id="300-3000"),
+        pytest.param(7, 3 * svd.QR_BLOCK_ROWS, 1, 0, id="7-3B-rank-1"),
+        pytest.param(9, 2500, 6, 3, id="9-2500-zero-rows"),
+    ])
+    def test_wide_matrix_matches_dense_svd(self, rows, cols, rank, zero_rows):
         rng = np.random.default_rng(rows)
-        left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
-        right = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
-        s = np.linspace(3.0, 0.5, rows)  # well separated, so U is unique up to sign
+        left = np.zeros((rows, rank))
+        live = np.sort(rng.permutation(rows)[zero_rows:])
+        left[live] = np.linalg.qr(rng.standard_normal((rows - zero_rows, rank)))[0]
+        right = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+        s = np.linspace(3.0, 0.5, rank)  # well separated, so U's first `rank` columns are unique up to sign
         m = left @ np.diag(s) @ right.T
         res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(rows))
         sigma = np.linalg.svd(m, compute_uv=False)
         assert np.max(np.abs(res.full_spectrum.values - sigma)) <= 1e-14 * sigma[0]
-        assert np.max(np.abs(res.U - full_svd(m)[0])) <= 1e-10
+        assert np.max(np.abs(res.U[:, :rank] - full_svd(m)[0][:, :rank])) <= 1e-10
+        assert np.max(np.abs(res.U.T @ res.U - np.eye(rows))) <= 1e-12
         for c in range(rows):
             assert res.U[np.abs(res.U[:, c]) > SIGN_PIVOT_TOL, c][0] > 0
 
-    @pytest.mark.parametrize("shape", [(3, 10), (5, 5), (10, 3)])
+    # the last shape puts the entry in m^T's leftover rows, past every whole block of the blockwise QR
+    @pytest.mark.parametrize("shape", [(3, 10), (5, 5), (10, 3), (5, 2 * svd.QR_BLOCK_ROWS + 7)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, shape, bad):
         m = np.ones(shape)
-        m[1, 2] = bad
+        m[1, -2] = bad
         with pytest.raises(ValueError, match="finite"):
             lt.truncated_svd(m, lt.TruncationRule.fixed_rank(1))
 
@@ -135,6 +152,46 @@ class TestTruncatedSVD:
         assert res.floor_limited
         assert res.rank == 1
         assert res.tail == pytest.approx(1e-16)
+
+
+SPECTRA = ("separated", "graded", "clustered", "rank-deficient")
+
+
+@st.composite
+def tall_matrices(draw):
+    """A K x n matrix of a spectrum in SPECTRA, with two or more blocks of `_r_factor`'s rows and a leftover."""
+    n = draw(st.integers(1, 16))
+    rows = max(svd.QR_BLOCK_ROWS, 4 * n)
+    k = draw(st.integers(2, 3)) * rows + draw(st.integers(0, rows - 1))
+    kind = draw(st.sampled_from(SPECTRA))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if kind == "separated":
+        s = np.linspace(1.0, 0.1, n)
+    elif kind == "graded":
+        s = np.logspace(0, -14, n)
+    elif kind == "clustered":
+        s = rng.choice([1.0, 1.0 - 1e-9, 0.5], n)
+    else:
+        s = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.5)
+    left = np.linalg.qr(rng.standard_normal((k, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (left * s) @ right.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_matrices())
+def test_blocked_r_factor_matches_one_qr(a):
+    """The blockwise R and the R of one QR have equal singular values and right vectors at clear gaps."""
+    blocked, whole = svd._r_factor(a), np.linalg.qr(a, mode="r")
+    assert blocked.shape == whole.shape
+    assert np.array_equal(blocked, np.triu(blocked))
+    _, s, vt = np.linalg.svd(blocked)
+    _, s_whole, vt_whole = np.linalg.svd(whole)
+    assert np.abs(s - s_whole).max() <= 1e-13 * s_whole[0]
+    for r in range(1, len(s) + 1):
+        if r == len(s) or s_whole[r - 1] - s_whole[r] > 0.05 * s_whole[0]:  # a clear gap: one projector
+            P, P_whole = vt[:r].T @ vt[:r], vt_whole[:r].T @ vt_whole[:r]
+            assert np.abs(P - P_whole).max() <= 1e-10
 
 
 class TestGramSpectrum:
