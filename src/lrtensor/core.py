@@ -72,8 +72,8 @@ def _normalize_weights(shape: Shape, mode_weights):
                 f"weights for mode {ax} have length {w.shape}, "
                 f"extent is {shape.extents[ax]}"
             )
-        if np.any(w <= 0):
-            raise ValueError(f"weights for mode {ax} must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError(f"weights for mode {ax} must be positive and finite")
         w = w.copy()
         w.setflags(write=False)
         out.append(w)
@@ -111,56 +111,56 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
     return values.copy() if out is None else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DenseTensor:
     """Discrete sample of a multivariate function, one mode per subdomain.
 
+    It holds one read-only array, its samples scaled by the square roots of
+    all mode weights (`weighted_values`); `values` divides them back out.
     It remembers the factorizations of its unfoldings and TT steps (see
     `_factorization`), so its decompositions factorize each distinct one once.
     """
 
     shape: Shape
-    values: np.ndarray
-    mode_weights: Optional[tuple] = None
-    _weighted: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _factorizations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    mode_weights: Optional[tuple]
+    _weighted: np.ndarray = field(repr=False)
+    _factorizations: dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != self.shape.extents:
+    def __init__(self, shape: Shape, values, mode_weights=None):
+        """Weight a fresh copy of the raw samples `values` (the only place weights are multiplied in)."""
+        values = np.ascontiguousarray(values, dtype=float)
+        if values.shape != shape.extents:
             raise ShapeMismatchError(
-                f"values of shape {values.shape} do not match shape {self.shape.extents}"
+                f"values of shape {values.shape} do not match shape {shape.extents}"
             )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "mode_weights", _normalize_weights(self.shape, self.mode_weights)
-        )
-        if not np.isfinite(values).all():
+        mode_weights = _normalize_weights(shape, mode_weights)
+        with np.errstate(over="ignore"):  # a product past the float range is inf, rejected below
+            weighted = values.copy() if mode_weights is None else _scale_by_weights(values, mode_weights, 0.5)
+        if not np.isfinite(weighted).all():
             raise ValueError("tensor entries must be finite")
+        weighted.setflags(write=False)
+        self.__dict__.update(shape=shape, mode_weights=mode_weights, _weighted=weighted, _factorizations={})
 
     @classmethod
     def from_array(cls, values, mode_weights=None, cap: int = DEFAULT_ELEMENT_CAP):
         """Wrap a copy of `values`: the caller's array stays writable and independent."""
-        values = np.array(values, dtype=float, order="C")
-        return cls(Shape(values.shape, cap=cap), values, mode_weights)
+        return cls(Shape(np.shape(values), cap=cap), values, mode_weights)
 
     @property
     def ndim(self) -> int:
         return self.shape.ndim
 
-    def weighted_values(self) -> np.ndarray:
-        """Values scaled by the square roots of all mode weights.
+    @property
+    def values(self) -> np.ndarray:
+        """The raw samples, to rounding: the weights divided back out, or the held array if none."""
+        if self.mode_weights is None:
+            return self._weighted
+        values = _scale_by_weights(self._weighted, self.mode_weights, -0.5)
+        values.setflags(write=False)
+        return values
 
-        Computed once (the only place weights are multiplied in) and
-        read-only; `values` itself when there are no weights.
-        """
-        if self._weighted is None:
-            weighted = self.values
-            if self.mode_weights is not None:
-                weighted = _scale_by_weights(self.values, self.mode_weights, 0.5)
-                weighted.setflags(write=False)
-            object.__setattr__(self, "_weighted", weighted)
+    def weighted_values(self) -> np.ndarray:
+        """Values scaled by the square roots of all mode weights: the held read-only array."""
         return self._weighted
 
     def _factorization(self, slot: tuple, key: tuple, factorize):
@@ -183,7 +183,7 @@ class DenseTensor:
 
 
 def _from_weighted(shape: Shape, weighted: np.ndarray, mode_weights) -> DenseTensor:
-    """Divide the weights back out: the only place they are, for both reconstructs."""
+    """The tensor whose weighted samples are `weighted`: the reconstructs' way back."""
     return DenseTensor(shape, _scale_by_weights(weighted, mode_weights, -0.5), mode_weights)
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import lrtensor as lt
 from lrtensor.core import _scale_by_weights
+from lrtensor.functions import vectorized_evaluator
+from lrtensor.grids import axis_rule
 
 
 def rank_one_tensor(vectors, weights=None):
@@ -94,6 +98,17 @@ class TestFrobeniusNorm:
         with pytest.raises(ValueError):
             lt.DenseTensor.from_array(vals)
 
+    def test_rejects_a_weighted_product_past_the_float_range_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="tensor entries must be finite"):
+                lt.DenseTensor.from_array(np.full((2, 2), 1e300), mode_weights=[np.full(2, 1e20)] * 2)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_weight_that_is_not_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="weights for mode 1"):
+            lt.DenseTensor.from_array(np.ones((3, 3)), mode_weights=[None, [1.0, bad, 1.0]])
+
 
 class TestWeightedValues:
     def test_computed_once_and_read_only(self):
@@ -121,6 +136,35 @@ class TestWeightedValues:
         view[0, 0] = 7.0
         assert np.array_equal(t.values, np.ones((3, 4)))
         assert np.array_equal(t.weighted_values(), before)
+
+    def test_from_array_checks_the_cap_before_copying(self):
+        big = np.broadcast_to(0.0, (1000, 1000))  # 8 bytes held, 8 MB as a copy
+        tracemalloc.start()
+        try:
+            with pytest.raises(lt.ElementCapError):
+                lt.DenseTensor.from_array(big, cap=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_weighted_sample_holds_one_full_size_array(self):
+        fn, grid = lt.make_function("weighted_exp", m=6), lt.GridSpec(11)
+        lt.frobenius_norm(lt.sample(fn, lt.GridSpec(2)))  # the first calls' one-off allocations
+        tracemalloc.start()
+        try:
+            t = lt.sample(fn, grid)
+            lt.frobenius_norm(t)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = t.weighted_values().nbytes
+        assert current <= 1.1 * nbytes
+        assert peak <= 2.25 * nbytes  # the evaluated samples, their weighted copy and an isfinite mask
+        x, _ = axis_rule(grid)
+        raw = vectorized_evaluator(fn)(np.meshgrid(*[x] * 6, indexing="ij", sparse=True))
+        # 6 modes scaled in, then divided back out: 12 roundings of at most eps/2 each
+        assert np.all(np.abs(t.values - raw) <= 6 * np.finfo(float).eps * np.abs(raw))
 
     @pytest.mark.parametrize("power", [0.5, -0.5])
     def test_scaling_equals_one_product_per_mode(self, power):
