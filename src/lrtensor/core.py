@@ -182,11 +182,6 @@ class DenseTensor:
         return self._factorizations[slot][1]
 
 
-def _from_weighted(shape: Shape, weighted: np.ndarray, mode_weights) -> DenseTensor:
-    """The tensor whose weighted samples are `weighted`: the reconstructs' way back."""
-    return DenseTensor(shape, _scale_by_weights(weighted, mode_weights, -0.5), mode_weights)
-
-
 def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
     """Classical mode-`mode` unfolding, weights absorbed: that mode vs all the others."""
     if not 0 <= mode < t.ndim:

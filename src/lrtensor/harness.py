@@ -245,15 +245,17 @@ def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, 
 
     Given ranks (one per mode or bond) are upper limits: each step keeps
     at most the rank of its matrix, and the ranks returned are the kept
-    ones. Without ranks, every mode or bond keeps the minimal rank whose
-    discarded tail is at most tolerance * norm.
+    ones. Without ranks, each of the S modes or bonds keeps the minimal
+    rank whose discarded tail is at most tolerance * norm / sqrt(S), so
+    the tail bound, the total, is at most tolerance * norm.
     The bound is the tail bound plus a slack relative to `norm`; a failed
     check counts as a violation, and every check writes one PASS/FAIL line
     to the summary. Returns (ranks, error, bound, cost, storage, ok).
     """
     extents = t.shape.extents
     if ranks is None:
-        ranks = TruncationRule.tail_energy(tolerance * norm)
+        steps = max(1, _rank_count(fmt, len(extents)))  # TT on one mode has no bond
+        ranks = TruncationRule.tail_energy(tolerance * norm / math.sqrt(steps))
     elif len(ranks) != (expected := _rank_count(fmt, len(extents))):
         raise ConfigError("ranks", f"format {fmt!r} on {len(extents)} modes "
                           f"takes {expected} ranks, got {len(ranks)}")

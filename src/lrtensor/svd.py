@@ -61,12 +61,13 @@ class TruncationRule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown truncation rule {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("rule value must be nonnegative")
+        floor = 1 if self.kind == "fixed-rank" else 0  # a rank-0 step would leave nothing
+        if self.value < floor:
+            raise ValueError(f"a {self.kind} rule value must be >= {floor}, got {self.value}")
 
     @classmethod
     def fixed_rank(cls, r: int) -> "TruncationRule":
-        """Keep r singular values, or all of them when the matrix has fewer."""
+        """Keep r >= 1 singular values, or all of them when the matrix has fewer."""
         return cls("fixed-rank", int(r))
 
     @classmethod

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DenseTensor, Shape, _from_weighted, _weighted_error
+from .core import DenseTensor, _weighted_error
 from .svd import TruncationRule, _mode_factorization, _step_rules, _tail_bound, factorize, truncated_svd
 
 
@@ -30,8 +30,6 @@ class TTDecomposition:
 
     cores: tuple
     spectra: tuple
-    mode_weights: tuple
-    source_shape: Shape
     orthogonality: str = "left"
     step_stack_dims: tuple = ()
 
@@ -103,8 +101,6 @@ def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
     return TTDecomposition(
         cores=tuple(left + [meeting] + [core.T for core in right[::-1]]),
         spectra=tuple(spectrum for spectrum, _ in left_steps + right_steps[::-1]),
-        mode_weights=t.mode_weights,
-        source_shape=t.shape,
         orthogonality="left" if forward == m - 1 else "split",
         step_stack_dims=tuple(dims for _, dims in left_steps + right_steps),
     )
@@ -138,20 +134,15 @@ def tt_svd_bidirectional(
 
 
 def _weighted_chain(d: TTDecomposition) -> np.ndarray:
-    """Contract the core chain; a fresh array in weighted coordinates."""
+    """Contract the core chain, boundary bonds dropped; a fresh array in weighted coordinates."""
     chain = np.array(d.cores[0])  # a copy, so a one-core chain is fresh too
     for core in d.cores[1:]:
         chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
-    return chain.reshape(d.source_shape.extents)
-
-
-def tt_reconstruct(d: TTDecomposition) -> DenseTensor:
-    """Sequential contraction of the core chain, weights divided back out."""
-    return _from_weighted(d.source_shape, _weighted_chain(d), d.mode_weights)
+    return chain.reshape(chain.shape[1:-1])
 
 
 def tt_error(t: DenseTensor, d: TTDecomposition) -> float:
-    """Exact weighted Frobenius error of the full reconstruction."""
+    """Exact weighted Frobenius error of the contracted core chain."""
     return _weighted_error(t, _weighted_chain(d))
 
 

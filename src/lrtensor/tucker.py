@@ -1,4 +1,4 @@
-"""Higher-order SVD: Tucker construction, reconstruction, error, cost.
+"""Higher-order SVD: Tucker construction, exact error, cost.
 
 Factors are computed from the original tensor's unfoldings (classical
 HOSVD), stored in weighted coordinates so their columns are plainly
@@ -13,26 +13,17 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (
-    DenseTensor,
-    Shape,
-    ShapeMismatchError,
-    _from_weighted,
-    _mode_product,
-    _weighted_error,
-)
-from .svd import TruncationRule, _mode_factorization, _step_rules, _tail_bound, truncated_svd
+from .core import DenseTensor, _mode_product, _weighted_error
+from .svd import TruncationRule, _finite, _mode_factorization, _step_rules, _tail_bound, truncated_svd
 
 
 @dataclass(frozen=True)
 class TuckerDecomposition:
-    """Core tensor plus per-mode orthonormal factors and mode spectra."""
+    """Read-only core array (weighted samples projected on the factors), orthonormal factors, mode spectra."""
 
-    core: DenseTensor
+    core: np.ndarray
     factors: tuple
     mode_spectra: tuple
-    mode_weights: tuple
-    source_shape: Shape
 
     @property
     def ranks(self) -> tuple:
@@ -65,33 +56,17 @@ def hosvd(
     core = t.weighted_values()
     for j, factor in enumerate(factors):
         core = _mode_product(core, factor.T, j)
-    return TuckerDecomposition(
-        core=DenseTensor.from_array(core, cap=t.shape.cap),
-        factors=tuple(factors),
-        mode_spectra=tuple(spectra),
-        mode_weights=t.mode_weights,
-        source_shape=t.shape,
-    )
-
-
-def _weighted_reconstruction(d: TuckerDecomposition) -> np.ndarray:
-    """Contract the core with all factors; a fresh array in weighted coordinates."""
-    values = d.core.values
-    for j, factor in enumerate(d.factors):
-        values = _mode_product(values, factor, j)
-    if values.shape != d.source_shape.extents:
-        raise ShapeMismatchError("factor and core dimensions are inconsistent")
-    return values
-
-
-def tucker_reconstruct(d: TuckerDecomposition) -> DenseTensor:
-    """Contract the core with all factors and divide the weights back out."""
-    return _from_weighted(d.source_shape, _weighted_reconstruction(d), d.mode_weights)
+    core = _finite(core)
+    core.setflags(write=False)
+    return TuckerDecomposition(core=core, factors=tuple(factors), mode_spectra=tuple(spectra))
 
 
 def tucker_error(t: DenseTensor, d: TuckerDecomposition) -> float:
-    """Exact weighted Frobenius error of the full reconstruction."""
-    return _weighted_error(t, _weighted_reconstruction(d))
+    """Exact weighted Frobenius error of the core contracted with all factors."""
+    values = d.core
+    for j, factor in enumerate(d.factors):
+        values = _mode_product(values, factor, j)
+    return _weighted_error(t, values)
 
 
 def tucker_cost(ranks: Sequence[int]) -> int:

@@ -1,5 +1,7 @@
-"""Independent test oracles for the SVD layer: the Gram spectrum, a direct tail sum and the projection trace identity."""
+"""Independent test oracles: for the SVD layer, the Gram spectrum, a direct tail sum and the
+projection trace identity; for the errors, Tucker and TT reconstructions each by one einsum."""
 
+from string import ascii_lowercase, ascii_uppercase
 from typing import Tuple
 
 import numpy as np
@@ -39,3 +41,24 @@ def projection_trace_check(m: np.ndarray, r: int) -> Tuple[float, float]:
     lhs = float(np.linalg.norm(m - pm) ** 2)
     rhs = float(np.trace(m.T @ m) - np.trace(pm.T @ pm))
     return lhs, rhs
+
+
+def tucker_reconstruction(core: np.ndarray, factors) -> np.ndarray:
+    """The core with factor j applied to its mode j, for every j, in weighted coordinates.
+
+    One einsum: core index a_j and factor j's (n_j, a_j) give output index n_j.
+    """
+    ranks, extents = ascii_lowercase[: len(factors)], ascii_uppercase[: len(factors)]
+    spec = ",".join([ranks, *(n + a for n, a in zip(extents, ranks))]) + "->" + extents
+    return np.einsum(spec, core, *factors)
+
+
+def tt_reconstruction(cores) -> np.ndarray:
+    """The chain of order-3 TT cores summed over every bond, in weighted coordinates.
+
+    One einsum: core j is (b_j, n_j, b_{j+1}); the boundary bonds have extent 1, so
+    summing them out only drops them.
+    """
+    bonds, extents = ascii_lowercase[: len(cores) + 1], ascii_uppercase[: len(cores)]
+    spec = ",".join(bonds[j] + extents[j] + bonds[j + 1] for j in range(len(cores))) + "->" + extents
+    return np.einsum(spec, *cores)

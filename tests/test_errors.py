@@ -1,4 +1,4 @@
-"""Errors against an explicit oracle on the unweighted values."""
+"""Errors against an explicit oracle on the unweighted values, and their shape check."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.train import tt_reconstruct
-from lrtensor.tucker import tucker_reconstruct
+from oracles import tt_reconstruction, tucker_reconstruction
 
 
 def trapezoid_weighted(rng, extents):
@@ -25,20 +24,25 @@ def random_weighted(rng, extents):
     return lt.DenseTensor.from_array(rng.standard_normal(extents), mode_weights=weights)
 
 
-def weighted_error_oracle(t, reconstruction):
-    """sqrt(sum of w * (A - reconstruction)^2), w the product of the mode weights."""
+def weighted_error_oracle(t, weighted_reconstruction):
+    """sqrt(sum of w * (A - R)^2) on the unweighted values, w the product of the mode weights.
+
+    R is the reconstruction with the square roots of the weights divided out.
+    """
     w = np.ones(t.shape.extents)
     for ax, wj in enumerate(t.mode_weights):
         shape = [1] * t.ndim
         shape[ax] = -1
         w = w * wj.reshape(shape)
-    return math.sqrt(np.sum(w * (t.values - reconstruction.values) ** 2))
+    return math.sqrt(np.sum(w * (t.values - weighted_reconstruction / np.sqrt(w)) ** 2))
 
 
 FORMATS = {
-    "tucker": (lambda t: lt.hosvd(t, (3, 2, 4, 3)), tucker_reconstruct, lt.tucker_error),
-    "tt": (lambda t: lt.tt_svd(t, (3, 5, 2)), tt_reconstruct, lt.tt_error),
-    "tt-bidir": (lambda t: lt.tt_svd_bidirectional(t, (3, 5, 2)), tt_reconstruct, lt.tt_error),
+    "tucker": (lambda t: lt.hosvd(t, (3, 2, 4, 3)), lambda d: tucker_reconstruction(d.core, d.factors),
+               lt.tucker_error),
+    "tt": (lambda t: lt.tt_svd(t, (3, 5, 2)), lambda d: tt_reconstruction(d.cores), lt.tt_error),
+    "tt-bidir": (lambda t: lt.tt_svd_bidirectional(t, (3, 5, 2)), lambda d: tt_reconstruction(d.cores),
+                 lt.tt_error),
 }
 
 
@@ -51,3 +55,13 @@ def test_error_matches_weighted_oracle(make, fmt):
     oracle = weighted_error_oracle(t, reconstruct(d))
     assert oracle > 0
     assert error(t, d) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("other", [(5, 6, 4, 6), (6, 5, 4, 5), (5, 6, 4, 5, 2)])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_error_rejects_a_tensor_of_other_extents(fmt, other):
+    build, _, error = FORMATS[fmt]
+    rng = np.random.default_rng(23)
+    d = build(random_weighted(rng, (5, 6, 4, 5)))
+    with pytest.raises(lt.ShapeMismatchError):
+        error(random_weighted(rng, other), d)

@@ -139,7 +139,7 @@ class TestFactorizationCounts:
 def _arrays(fmt, d):
     """Every array a decomposition holds: factors and core, or cores; and the spectra."""
     if fmt == "tucker":
-        return [*d.factors, d.core.values, *(s.values for s in d.mode_spectra)]
+        return [*d.factors, d.core, *(s.values for s in d.mode_spectra)]
     return [*d.cores, *(s.values for s in d.spectra)]
 
 

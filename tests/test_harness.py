@@ -16,6 +16,7 @@ import lrtensor.core as core
 import lrtensor.harness as hz
 import lrtensor.svd as svd
 from lrtensor.cli import main as cli_main
+from lrtensor.grids import axis_rule
 from lrtensor.train import _forward_bonds
 from oracles import tail_energy
 
@@ -313,6 +314,27 @@ class TestTolerance:
             probe_ranks = [_probe_rank(sp, tol) for sp in sweep(t).spectra]
             assert all(r <= p for r, p in zip(d.ranks, probe_ranks))
             assert lt.tt_error(t, d) <= math.sqrt(t.ndim - 1) * tol * norm + 1e-10 * norm
+
+
+def _ridge(m: int, n: int) -> lt.DenseTensor:
+    """exp(-(x_1 + ... + x_m)^2) on the n-point trapezoid grid: rank >= 2 in every mode and bond."""
+    x, w = axis_rule(lt.GridSpec(n))
+    s = sum(np.meshgrid(*[x] * m, indexing="ij"))
+    return lt.DenseTensor.from_array(np.exp(-s ** 2), mode_weights=[w] * m)
+
+
+class TestTotalTolerance:
+    # Each case read a bound 1.01x to 1.88x tolerance * norm when each step could discard tolerance * norm.
+    @pytest.mark.parametrize("m, tolerance", [(3, 1e-3), (4, 1e-4), (4, 1.78e-7), (5, 3e-7)])
+    @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
+    def test_bound_is_within_the_tolerance(self, tmp_path, fmt, m, tolerance):
+        t = _ridge(m, 8)
+        norm = lt.frobenius_norm(t)
+        report = hz.ExperimentReport("decompose", tmp_path)
+        ranks, err, bound, *_, ok = hz._decompose(report, t, norm, fmt, None, tolerance)
+        assert ok and err <= bound
+        assert bound <= tolerance * norm + 1e-10 * norm
+        assert min(ranks) >= 2
 
 
 class TestRankVsEps:

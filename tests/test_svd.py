@@ -50,7 +50,7 @@ class TestTruncatedSVD:
         m = rng.standard_normal((6, 6))
         # independent dense-SVD oracle for the reconstruction error
         u_o, s_o, vt_o = np.linalg.svd(m)
-        for r in range(7):
+        for r in range(1, 7):
             res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(r))
             err = np.linalg.norm(m - res.U @ (res.U.T @ m))
             oracle = np.sqrt(np.sum(s_o[r:] ** 2))
@@ -138,6 +138,16 @@ class TestTruncatedSVD:
         m[1, -2] = bad
         with pytest.raises(ValueError, match="finite"):
             lt.truncated_svd(m, lt.TruncationRule.fixed_rank(1))
+
+    @pytest.mark.parametrize("use", [
+        lt.hosvd, lt.tt_svd, lt.tt_svd_bidirectional,
+        lambda t, rule: lt.truncated_svd(lt.mode_unfolding(t, 0), rule),
+    ])
+    def test_fixed_rank_zero_is_rejected_where_it_is_made(self, use):
+        t = lt.DenseTensor.from_array(np.random.default_rng(5).standard_normal((5, 4, 3)))
+        with pytest.raises(ValueError, match="fixed-rank rule value must be >= 1, got 0"):
+            use(t, lt.TruncationRule.fixed_rank(0))
+        assert use(t, lt.TruncationRule.tail_energy(0.0)) is not None  # a zero tail stays a valid target
 
     def test_tail_energy_rule_minimal_rank(self):
         m = np.diag([3.0, 2.0, 1.0])

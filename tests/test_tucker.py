@@ -5,6 +5,7 @@ import pytest
 
 import lrtensor as lt
 from lrtensor.svd import factorize, truncated_svd
+import lrtensor.tucker as tucker
 from lrtensor.tucker import tucker_factor_storage
 from oracles import gram_spectrum
 
@@ -103,9 +104,25 @@ class TestSpectra:
         rng = np.random.default_rng(17)
         t = random_tensor(rng, (4, 4, 4))
         d = lt.hosvd(t, (4, 4, 4))
-        assert lt.frobenius_norm(d.core) == pytest.approx(
+        assert np.linalg.norm(d.core) == pytest.approx(
             lt.frobenius_norm(t), rel=1e-12
         )
+
+    def test_core_is_a_read_only_array(self):
+        d = lt.hosvd(random_tensor(np.random.default_rng(19), (4, 5, 3), weighted=True), (2, 3, 2))
+        assert type(d.core) is np.ndarray and d.core.shape == (2, 3, 2)
+        assert not d.core.flags.writeable
+
+    def test_non_finite_core_is_rejected(self, monkeypatch):
+        projected = tucker._mode_product
+
+        def last_mode_nan(values, m, mode):
+            out = projected(values, m, mode)
+            return out if mode < out.ndim - 1 else out * np.nan
+
+        monkeypatch.setattr(tucker, "_mode_product", last_mode_nan)
+        with pytest.raises(ValueError, match="finite"):
+            lt.hosvd(random_tensor(np.random.default_rng(19), (4, 5, 3)), (2, 3, 2))
 
 
 def _two_mode_tensor(extents, weighted, rank):
