@@ -194,9 +194,19 @@ def _mode_product(values: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, values, axes=(1, mode)), 0, mode)
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm; only a sum of squares past the float range is taken again on a / max |a|."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == math.inf:
+        scale = float(np.abs(a).max())
+        norm = scale * float(np.linalg.norm(a / scale))
+    return norm
+
+
 def frobenius_norm(t: DenseTensor) -> float:
     """Discrete weighted L2 norm: sqrt(sum of weight * value^2)."""
-    return float(np.linalg.norm(t.weighted_values()))
+    return _norm(t.weighted_values())
 
 
 def _weighted_error(t: DenseTensor, reconstruction: np.ndarray) -> float:
@@ -206,4 +216,4 @@ def _weighted_error(t: DenseTensor, reconstruction: np.ndarray) -> float:
             f"shapes {t.shape.extents} and {reconstruction.shape} differ"
         )
     reconstruction -= t.weighted_values()
-    return float(np.linalg.norm(reconstruction))
+    return _norm(reconstruction)

@@ -240,17 +240,16 @@ def _rank_count(fmt: str, m: int) -> int:
     return m if fmt == "tucker" else m - 1
 
 
-def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
-    """Build, measure and check one decomposition of `t`, whose norm is `norm`.
+def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
+    """Build and measure one decomposition of `t`, whose norm is `norm`.
 
     Given ranks (one per mode or bond) are upper limits: each step keeps
     at most the rank of its matrix, and the ranks returned are the kept
     ones. Without ranks, each of the S modes or bonds keeps the minimal
     rank whose discarded tail is at most tolerance * norm / sqrt(S), so
     the tail bound, the total, is at most tolerance * norm.
-    The bound is the tail bound plus a slack relative to `norm`; a failed
-    check counts as a violation, and every check writes one PASS/FAIL line
-    to the summary. Returns (ranks, error, bound, cost, storage, ok).
+    The bound is the tail bound plus a slack relative to `norm`.
+    Returns (ranks, error, bound, cost, storage).
     """
     extents = t.shape.extents
     if ranks is None:
@@ -265,13 +264,17 @@ def _decompose(report: ExperimentReport, t: DenseTensor, norm: float, fmt: str, 
     else:
         d = (tt_svd if fmt == "tt" else tt_svd_bidirectional)(t, ranks)
         err, cost, storage = tt_error(t, d), tt_cost(d.ranks), tt_storage(extents, d.ranks)
-    bound = d.tail_bound() + 1e-10 * norm
+    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, storage
+
+
+def _check(report: ExperimentReport, fmt: str, ranks, err: float, bound: float, *_) -> bool:
+    """Check what `_decompose` measured: write one PASS/FAIL summary line, count a FAIL as a violation."""
     ok = err <= bound
     if not ok:
         report.violations += 1
-    report.summary_lines.append(f"- {fmt}, ranks {_ranks_str(d.ranks)}: error {err:.6e} "
+    report.summary_lines.append(f"- {fmt}, ranks {_ranks_str(ranks)}: error {err:.6e} "
                                 f"vs bound {bound:.6e} -> {'PASS' if ok else 'FAIL'}")
-    return d.ranks, err, bound, cost, storage, ok
+    return ok
 
 
 def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = None) -> RankSchedule:
@@ -304,8 +307,9 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
 def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
     report.summary_lines.append(f"- function: {config.function.id}")
-    ranks, *measured = _decompose(report, t, frobenius_norm(t), config.format, config.ranks, config.tolerance)
-    _emit(report, _DECOMPOSITION_HEADER, [[config.format, _ranks_str(ranks), *measured]])
+    ranks, *measured = _decompose(t, frobenius_norm(t), config.format, config.ranks, config.tolerance)
+    ok = _check(report, config.format, ranks, *measured)
+    _emit(report, _DECOMPOSITION_HEADER, [[config.format, _ranks_str(ranks), *measured, ok]])
 
 
 def _spectrum_fit(config: ExperimentConfig):
@@ -387,6 +391,8 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
     m = t.ndim
     count = _rank_count(config.format, m)
     rows = []
+    built = 0
+    asked = measured = None
     for eps in config.epsilons:
         schedule = _schedule_ranks_for(config, eps)
         if len(schedule.ranks) < count:
@@ -395,10 +401,18 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
         # Bonds the weighted TT schedule drops (rank 0) run at rank 1; a
         # schedule with more ranks than the format takes gives the leading ones.
         ranks = [max(r, 1) for r in schedule.ranks][:count]
-        ranks, err, bound, cost, _, ok = _decompose(report, t, norm, config.format, ranks, None)
-        rows.append([eps, _ranks_str(ranks), cost, err, bound, math.sqrt(m) * eps, ok])
+        # A step keeps min(rank asked, rank of its matrix), and its matrix depends only on the ranks kept
+        # before it. So if each step asks what it asked at the last epsilon, or was cut there (kept < asked)
+        # and asks for at least what it kept, then by induction in sweep order the decomposition is the same.
+        if measured is None or not all(r == q or k < q and k <= r for q, k, r in zip(asked, measured[0], ranks)):
+            measured = _decompose(t, norm, config.format, ranks, None)
+            built += 1
+        asked = ranks
+        kept, err, bound, cost, _ = measured
+        ok = _check(report, config.format, *measured)
+        rows.append([eps, _ranks_str(kept), cost, err, bound, math.sqrt(m) * eps, ok])
     _emit(report, ["epsilon", "ranks", "cost", "error", "bound", "sqrt_m_eps", "within_bound"], rows)
-    report.summary_lines.append(f"- {len(rows)} epsilon values, format {config.format}")
+    report.summary_lines.append(f"- {len(rows)} epsilon values, {built} decompositions, format {config.format}")
 
 
 def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> None:
@@ -423,7 +437,7 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
     _emit(report, ["m", "weighted_cost", "log_cost_weighted", "log_cost_unweighted"], rows)
     ms = np.array([r[0] for r in rows], dtype=float)
     log_unweighted = np.array([r[3] for r in rows])
-    slope = float(np.polyfit(ms, log_unweighted, 1)[0]) if len(rows) > 1 else float("nan")
+    slope = float(np.polyfit(ms, log_unweighted, 1)[0]) if len(set(config.m_values)) > 1 else float("nan")
     expected_slope = (n / base.k) * math.log(1.0 / base.epsilon)
     report.summary_lines += [
         f"- unweighted log-cost slope {slope:.6f} "
@@ -444,9 +458,9 @@ def _run_compare_formats(config: ExperimentConfig, report: ExperimentReport) -> 
         elif ranks is not None:
             ranks = ranks[: _rank_count(fmt, t.ndim)]  # each format takes the leading ranks
         begin = time.perf_counter()
-        used, *measured = _decompose(report, t, norm, fmt, ranks, config.tolerance)
+        used, *measured = _decompose(t, norm, fmt, ranks, config.tolerance)
         timings.append((fmt, time.perf_counter() - begin))
-        rows.append([fmt, _ranks_str(used), *measured])
+        rows.append([fmt, _ranks_str(used), *measured, _check(report, fmt, used, *measured)])
     _emit(report, _DECOMPOSITION_HEADER, rows)
     for fmt, dt in timings:
         report.summary_lines.append(f"- {fmt}: {dt:.3f} s")

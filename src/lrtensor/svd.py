@@ -160,9 +160,11 @@ def spectrum(mat: np.ndarray) -> SingularSpectrum:
 
 
 def _tails(s: np.ndarray) -> np.ndarray:
-    """tails[r] = sqrt(sum of s[r:]**2), length len(s)+1."""
-    sq = np.concatenate([(s ** 2)[::-1].cumsum()[::-1], [0.0]])
-    return np.sqrt(np.maximum(sq, 0.0))
+    """tails[r] = sqrt(sum of s[r:]**2), length len(s)+1; only squares past the float range are taken on s / s[0]."""
+    with np.errstate(over="ignore"):
+        scale = 1.0 if np.dot(s, s) < math.inf else float(s[0])
+    sq = np.concatenate([((s / scale) ** 2)[::-1].cumsum()[::-1], [0.0]])
+    return scale * np.sqrt(np.maximum(sq, 0.0))
 
 
 # All left vectors (read-only, so truncations share views of them) and singular values.
@@ -270,8 +272,14 @@ def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
 
 
 def _tail_bound(spectra, ranks) -> float:
-    """sqrt(sum over steps of tail^2), each tail the one `truncated_svd` reported for the rank kept."""
-    return math.sqrt(sum(float(_tails(spectrum.values)[r]) ** 2 for spectrum, r in zip(spectra, ranks)))
+    """sqrt(sum over steps of tail^2), each tail the one `truncated_svd` reported for the rank kept;
+    only a sum of squares past the float range is taken by `math.hypot`, which scales."""
+    tails = [float(_tails(spectrum.values)[r]) for spectrum, r in zip(spectra, ranks)]
+    try:
+        bound = math.sqrt(sum(tail ** 2 for tail in tails))
+    except OverflowError:  # a square past the float range
+        bound = math.inf
+    return bound if bound < math.inf else math.hypot(*tails)
 
 
 def fit_decay_exponent(

@@ -20,17 +20,10 @@ from .svd import TruncationRule, _mode_factorization, _step_rules, _tail_bound, 
 
 @dataclass(frozen=True)
 class TTDecomposition:
-    """Chain of order-3 cores (bond_in, extent, bond_out), boundary bonds 1.
-
-    `orthogonality` is "left" for the unidirectional sweep (all cores
-    but the last are left-orthonormal) and "split" for the bidirectional
-    sweep (left-orthonormal up to the meeting core, right-orthonormal
-    after it; the meeting core carries the norm).
-    """
+    """Chain of order-3 cores (bond_in, extent, bond_out), boundary bonds 1."""
 
     cores: tuple
     spectra: tuple
-    orthogonality: str = "left"
     step_stack_dims: tuple = ()
 
     @property
@@ -101,7 +94,6 @@ def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
     return TTDecomposition(
         cores=tuple(left + [meeting] + [core.T for core in right[::-1]]),
         spectra=tuple(spectrum for spectrum, _ in left_steps + right_steps[::-1]),
-        orthogonality="left" if forward == m - 1 else "split",
         step_stack_dims=tuple(dims for _, dims in left_steps + right_steps),
     )
 

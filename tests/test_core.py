@@ -104,6 +104,14 @@ class TestFrobeniusNorm:
             with pytest.raises(ValueError, match="tensor entries must be finite"):
                 lt.DenseTensor.from_array(np.full((2, 2), 1e300), mode_weights=[np.full(2, 1e20)] * 2)
 
+    def test_entries_whose_squares_overflow_keep_a_finite_norm_bound_and_error(self):
+        t = lt.DenseTensor.from_array(np.full((2, 2, 2), 1e300))
+        d = lt.hosvd(t, (1, 1, 1))
+        norm = lt.frobenius_norm(t)
+        assert norm == pytest.approx(math.sqrt(8) * 1e300, rel=1e-15)
+        assert math.isfinite(d.tail_bound())
+        assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_a_weight_that_is_not_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="weights for mode 1"):

@@ -10,6 +10,8 @@ that a decomposition read through a tensor's memo equals the same
 decomposition of a fresh copy, bit for bit, whatever came before it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,88 @@ class TestFactorizationCounts:
                "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
         assert full_svd_calls == [(6, 6)]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Names of the builder and exact-error calls the harness makes, in order."""
+    calls = []
+    for name in ("hosvd", "tt_svd", "tt_svd_bidirectional", "tucker_error", "tt_error"):
+        def counting(*args, _name=name, _original=getattr(hz, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(hz, name, counting)
+    return calls
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Every measurement the harness checks, one per row, reused or built."""
+    rows = []
+    original = hz._check
+
+    def recording(report, fmt, *measured):
+        rows.append(measured)
+        return original(report, fmt, *measured)
+
+    monkeypatch.setattr(hz, "_check", recording)
+    return rows
+
+
+def _assert_rows_equal_fresh_builds(raw, rows):
+    """Each row's ranks, error and bound, bit for bit, from a fresh build on a new tensor at its ranks."""
+    config = hz.parse_config(raw)
+    errors = {"tucker": lt.tucker_error, "tt": lt.tt_error, "tt-bidir": lt.tt_error}
+    for ranks, error, bound, *_ in rows:
+        t = hz._sample_tensor(config)
+        d = BUILDERS[config.format](t, list(ranks))
+        assert d.ranks == ranks
+        assert errors[config.format](t, d) == error
+        assert d.tail_bound() + 1e-10 * lt.frobenius_norm(t) == bound
+
+
+class TestRankVsEpsReuse:
+    """rank-vs-eps builds and measures a decomposition again only when its ranks can change it."""
+
+    @pytest.mark.parametrize("fmt", ["tucker", "tt"])
+    def test_saturated_epsilons_reuse_the_previous_row(self, tmp_path, builds, checked, fmt):
+        raw = _rank_vs_eps(fmt)
+        report = hz.run(hz.parse_config(raw), tmp_path)
+        # The third epsilon asks for 8 on the first mode or bond, which is all it has, and keeps it
+        # uncut; so the fourth, asking 16, builds once more to find it cut, and the last two reuse it.
+        assert builds == {"tucker": ["hosvd", "tucker_error"], "tt": ["tt_svd", "tt_error"]}[fmt] * 4
+        assert f"- 6 epsilon values, 4 decompositions, format {fmt}" in report.summary_lines
+        assert len(checked) == 6
+        _assert_rows_equal_fresh_builds(raw, checked)
+
+    def test_summary_counts_epsilons_and_decompositions(self, tmp_path):
+        raw = {**_rank_vs_eps("tt"), "epsilons": [0.5 * 0.5 ** i for i in range(7)]}
+        report = hz.run(hz.parse_config(raw), tmp_path)
+        assert "- 7 epsilon values, 4 decompositions, format tt" in report.summary_lines
+
+    @pytest.mark.parametrize("fmt, requested, kept, built", [
+        # rows 2 and 3 change an uncut mode's request; rows 4 and 5 ask a cut mode for at least
+        # what it kept, and row 6 for less
+        ("tucker", [(2, 2, 2, 2), (2, 2, 2, 3), (9, 2, 2, 3), (10, 2, 2, 3), (8, 2, 2, 3), (7, 2, 2, 3)],
+         [(2, 2, 2, 2), (2, 2, 2, 3), (8, 2, 2, 3), (8, 2, 2, 3), (8, 2, 2, 3), (7, 2, 2, 3)], 4),
+        # bond 2 is cut to 2 * 8 and then asked for less than it kept; then uncut bond 1 changes
+        ("tt", [(2, 100, 8), (2, 50, 8), (2, 16, 8), (2, 15, 8), (3, 15, 8)],
+         [(2, 16, 8), (2, 16, 8), (2, 16, 8), (2, 15, 8), (3, 15, 8)], 3),
+        # the backward bond 3 is cut to 8 and then asked for less; then forward bond 1 changes
+        ("tt-bidir", [(2, 100, 100), (2, 20, 9), (2, 20, 7), (1, 20, 7)],
+         [(2, 16, 8), (2, 16, 8), (2, 16, 7), (1, 8, 7)], 3),
+    ])
+    def test_a_changed_or_lowered_request_rebuilds(self, tmp_path, monkeypatch, builds, checked,
+                                                    fmt, requested, kept, built):
+        raw = {**_rank_vs_eps(fmt), "epsilons": [0.5 ** i for i in range(1, len(requested) + 1)]}
+        schedules = dict(zip(raw["epsilons"], requested))
+        monkeypatch.setattr(hz, "_schedule_ranks_for",
+                            lambda config, eps: SimpleNamespace(ranks=schedules[eps], regime="stub"))
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        assert len(builds) == 2 * built
+        assert [measured[0] for measured in checked] == kept
+        _assert_rows_equal_fresh_builds(raw, checked)
 
 
 def _arrays(fmt, d):

@@ -327,12 +327,11 @@ class TestTotalTolerance:
     # Each case read a bound 1.01x to 1.88x tolerance * norm when each step could discard tolerance * norm.
     @pytest.mark.parametrize("m, tolerance", [(3, 1e-3), (4, 1e-4), (4, 1.78e-7), (5, 3e-7)])
     @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
-    def test_bound_is_within_the_tolerance(self, tmp_path, fmt, m, tolerance):
+    def test_bound_is_within_the_tolerance(self, fmt, m, tolerance):
         t = _ridge(m, 8)
         norm = lt.frobenius_norm(t)
-        report = hz.ExperimentReport("decompose", tmp_path)
-        ranks, err, bound, *_, ok = hz._decompose(report, t, norm, fmt, None, tolerance)
-        assert ok and err <= bound
+        ranks, err, bound, *_ = hz._decompose(t, norm, fmt, None, tolerance)
+        assert err <= bound
         assert bound <= tolerance * norm + 1e-10 * norm
         assert min(ranks) >= 2
 
@@ -445,6 +444,11 @@ SMALL_CONFIGS = {
                         "grid": {"points_per_axis": 5}, "ranks": [1, 1]},
 }
 
+# Bond 2 is cut from the second epsilon on and bond 1 from the third, so the last two reuse the third's decomposition.
+SATURATING_RANK_VS_EPS = {"experiment": "rank-vs-eps", "function": {"id": "weighted_exp", "m": 3},
+                          "grid": {"points_per_axis": 4}, "format": "tt",
+                          "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1, 1, 1]},
+                          "epsilons": [0.5, 0.25, 0.125, 0.0625, 0.03125]}
 SCHEDULER = SMALL_CONFIGS["schedule"]["scheduler"]
 BAD_INPUT = [
     ("decompose", {"ranks": ["x"]}, "ranks"),
@@ -559,16 +563,26 @@ class TestInputContract:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: config field 'function'")
 
-    @pytest.mark.parametrize("name", ["decompose", "compare-formats", "rank-vs-eps"])
+    def test_entries_whose_squares_overflow_get_a_finite_error_and_bound(self, tmp_path):
+        raw = {"experiment": "decompose", "function": {"id": "weighted_exp", "m": 2, "gamma": [700, 0]},
+               "grid": {"points_per_axis": 4}}
+        assert _run_cli(tmp_path, raw) == 0
+        (row,) = _csv_rows(tmp_path / "o" / "decompose.csv")
+        assert float(row["error"]) <= float(row["bound"]) < math.inf
+
+    @pytest.mark.parametrize("name", ["decompose", "compare-formats", "rank-vs-eps", "rank-vs-eps-saturating"])
     def test_failed_bound_checks_report_themselves(self, tmp_path, monkeypatch, name):
         monkeypatch.setattr(lt.TuckerDecomposition, "tail_bound", lambda self: -1.0)
         monkeypatch.setattr(lt.TTDecomposition, "tail_bound", lambda self: -1.0)
-        report = hz.run(hz.parse_config(SMALL_CONFIGS[name], cap=4096), tmp_path)
+        raw = SATURATING_RANK_VS_EPS if name == "rank-vs-eps-saturating" else SMALL_CONFIGS[name]
+        report = hz.run(hz.parse_config(raw, cap=4096), tmp_path)
         rows = _csv_rows(report.csv_paths[0])
         assert report.exit_code == 1
         assert [row["within_bound"] for row in rows] == ["0"] * len(rows)
         assert report.violations == len(rows)
         assert report.summary_path.read_text().count("-> FAIL") == len(rows)
+        if name == "rank-vs-eps-saturating":
+            assert "- 5 epsilon values, 3 decompositions, format tt" in report.summary_lines
 
 
 class TestSingularVectorsComputed:
