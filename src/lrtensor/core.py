@@ -10,6 +10,7 @@ pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_ELEMENT_CAP = 2 ** 27
+_BLOCK = 2 ** 16  # entries per block of rows when weighting samples or measuring an error
 
 
 class ElementCapError(ValueError):
@@ -82,33 +84,32 @@ def _normalize_weights(shape: Shape, mode_weights):
     return tuple(out)
 
 
-def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndarray:
-    """Multiply each mode by its weights raised to `power` (0.5 or -0.5).
+def _row_blocks(rows: int, cols: int):
+    """Slices of consecutive rows of a (rows, cols) matrix, about `_BLOCK` entries each."""
+    step = max(1, _BLOCK // cols)
+    return (slice(start, start + step) for start in range(0, rows, step))
 
-    A negative power divides by the positive one, so unscaling applies
-    exactly the factors that scaling multiplied in. A two-mode tensor
-    weighted on both modes is scaled by the one outer product s0_i * s1_j,
-    so a symmetric sample on equal grids stays bitwise symmetric. The
-    result is a new array (normalized weights hold at least one vector):
-    the first factor allocates it and the later ones scale it in place.
+
+def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndarray:
+    """A new array: `values` times the weights raised to `power` (0.5 or -0.5), in one pass.
+
+    Over the unfolding that splits the leading ceil(m/2) modes off, entry
+    (i, j) is scaled by l_i * r_j, the flattened square-root weights of each
+    side, formed a block of rows at a time; a negative power divides by it.
+    A two-mode tensor gets s0_i * s1_j, so a symmetric sample stays symmetric.
     """
-    factors = []
-    for ax, w in enumerate(mode_weights or ()):
-        if w is not None:
-            reshape = [1] * values.ndim
-            reshape[ax] = -1
-            factors.append((w ** abs(power)).reshape(reshape))
-    if len(factors) == 2 == values.ndim:
-        factors = [factors[0] * factors[1]]
-    out = None
-    for factor in factors:
-        if out is None:
-            out = values * factor if power > 0 else values / factor
-        elif power > 0:
-            out *= factor
-        else:
-            out /= factor
-    return values.copy() if out is None else out
+    if mode_weights is None:
+        return values.copy()
+    roots = [np.ones(n) if w is None else w ** 0.5 for n, w in zip(values.shape, mode_weights)]
+    half = math.ceil(values.ndim / 2)
+    left, right = (functools.reduce(np.multiply.outer, side, np.ones(1)).ravel()
+                   for side in (roots[:half], roots[half:]))
+    flat = values.reshape(left.size, right.size)
+    out = np.empty_like(flat)
+    apply = np.multiply if power > 0 else np.divide
+    for rows in _row_blocks(*flat.shape):
+        apply(flat[rows], np.multiply.outer(left[rows], right), out=out[rows])
+    return out.reshape(values.shape)
 
 
 @dataclass(frozen=True, init=False)
@@ -135,7 +136,7 @@ class DenseTensor:
             )
         mode_weights = _normalize_weights(shape, mode_weights)
         with np.errstate(over="ignore"):  # a product past the float range is inf, rejected below
-            weighted = values.copy() if mode_weights is None else _scale_by_weights(values, mode_weights, 0.5)
+            weighted = _scale_by_weights(values, mode_weights, 0.5)
         if not np.isfinite(weighted).all():
             raise ValueError("tensor entries must be finite")
         weighted.setflags(write=False)
@@ -190,7 +191,13 @@ def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
 
 
 def _mode_product(values: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply axis `mode` of `values` by the matrix `m` from the left."""
+    """Multiply axis `mode` of `values` by the matrix `m` from the left.
+
+    The last mode is one matrix product with no transposed copy and a C-ordered
+    result, as `tensordot` already gives on the first mode of a C-ordered `values`.
+    """
+    if mode == values.ndim - 1:
+        return (values.reshape(-1, values.shape[-1]) @ m.T).reshape(values.shape[:-1] + (m.shape[0],))
     return np.moveaxis(np.tensordot(m, values, axes=(1, mode)), 0, mode)
 
 
@@ -209,11 +216,16 @@ def frobenius_norm(t: DenseTensor) -> float:
     return _norm(t.weighted_values())
 
 
-def _weighted_error(t: DenseTensor, reconstruction: np.ndarray) -> float:
-    """Exact ||A_w - reconstruction||, subtracting in place: pass a fresh weighted array."""
-    if reconstruction.shape != t.shape.extents:
-        raise ShapeMismatchError(
-            f"shapes {t.shape.extents} and {reconstruction.shape} differ"
-        )
-    reconstruction -= t.weighted_values()
-    return _norm(reconstruction)
+def _weighted_error(t: DenseTensor, left: np.ndarray, right: np.ndarray) -> float:
+    """Exact ||A_w - left @ right||, `right` (r, n_1, ..., n_{m-1}): the norm of its row blocks' norms."""
+    extents = (left.shape[0],) + right.shape[1:]
+    if extents != t.shape.extents:
+        raise ShapeMismatchError(f"shapes {t.shape.extents} and {extents} differ")
+    a = t.weighted_values().reshape(extents[0], -1)
+    right = right.reshape(right.shape[0], -1)
+    norms = []
+    for rows in _row_blocks(*a.shape):
+        block = left[rows] @ right
+        block -= a[rows]
+        norms.append(_norm(block))
+    return _norm(np.array(norms))

@@ -125,17 +125,12 @@ def tt_svd_bidirectional(
     return _tt_svd(t, ranks, _forward_bonds(t.ndim))
 
 
-def _weighted_chain(d: TTDecomposition) -> np.ndarray:
-    """Contract the core chain, boundary bonds dropped; a fresh array in weighted coordinates."""
-    chain = np.array(d.cores[0])  # a copy, so a one-core chain is fresh too
-    for core in d.cores[1:]:
-        chain = np.tensordot(chain, core, axes=(chain.ndim - 1, 0))
-    return chain.reshape(chain.shape[1:-1])
-
-
 def tt_error(t: DenseTensor, d: TTDecomposition) -> float:
-    """Exact weighted Frobenius error of the contracted core chain."""
-    return _weighted_error(t, _weighted_chain(d))
+    """Exact weighted Frobenius error: the first core against the later ones contracted right to left."""
+    right = np.ones(1)  # the closing boundary bond
+    for core in d.cores[:0:-1]:
+        right = np.tensordot(core, right, axes=1)
+    return _weighted_error(t, d.cores[0][0], right)
 
 
 def tt_cost(ranks: Sequence[int]) -> int:

@@ -62,11 +62,11 @@ def hosvd(
 
 
 def tucker_error(t: DenseTensor, d: TuckerDecomposition) -> float:
-    """Exact weighted Frobenius error of the core contracted with all factors."""
-    values = d.core
-    for j, factor in enumerate(d.factors):
-        values = _mode_product(values, factor, j)
-    return _weighted_error(t, values)
+    """Exact weighted Frobenius error: U_0 against the core contracted with the other factors."""
+    right = d.core
+    for j, factor in enumerate(d.factors[1:], start=1):
+        right = _mode_product(right, factor, j)
+    return _weighted_error(t, d.factors[0], right)
 
 
 def tucker_cost(ranks: Sequence[int]) -> int:

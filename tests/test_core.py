@@ -156,39 +156,59 @@ class TestWeightedValues:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_a_weighted_sample_holds_one_full_size_array(self):
+    def test_a_weighted_sample_holds_one_full_size_array(self, peak_bytes):
         fn, grid = lt.make_function("weighted_exp", m=6), lt.GridSpec(11)
         lt.frobenius_norm(lt.sample(fn, lt.GridSpec(2)))  # the first calls' one-off allocations
-        tracemalloc.start()
-        try:
+
+        def sample_and_measure():
             t = lt.sample(fn, grid)
             lt.frobenius_norm(t)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return t
+
+        t, peak, held = peak_bytes(sample_and_measure)
         nbytes = t.weighted_values().nbytes
-        assert current <= 1.1 * nbytes
+        assert held <= 1.1 * nbytes
         assert peak <= 2.25 * nbytes  # the evaluated samples, their weighted copy and an isfinite mask
         x, _ = axis_rule(grid)
         raw = vectorized_evaluator(fn)(np.meshgrid(*[x] * 6, indexing="ij", sparse=True))
-        # 6 modes scaled in, then divided back out: 12 roundings of at most eps/2 each
+        # one factor l_i * r_j multiplied in and the same factor divided back out: 2 roundings of at most eps/2
         assert np.all(np.abs(t.values - raw) <= 6 * np.finfo(float).eps * np.abs(raw))
+
+    def test_a_two_mode_sample_holds_no_weight_matrix(self, peak_bytes):
+        fn = lt.make_function("abs_diff")
+        lt.sample(fn, lt.GridSpec(8))  # the first call's one-off allocations
+        t, peak, _ = peak_bytes(lambda: lt.sample(fn, lt.GridSpec(1024)))
+        assert peak <= 2.2 * t.weighted_values().nbytes  # as above: no N x N product of the weights beside them
 
     @pytest.mark.parametrize("power", [0.5, -0.5])
     def test_scaling_equals_one_product_per_mode(self, power):
-        # reference: a fresh array per mode, the product or quotient taken out of place
+        # reference: the factor l_i * r_j over the unfolding that splits modes (0, 1) from (2, 3),
+        # l and r the flattened square-root weights of each side, applied out of place
         rng = np.random.default_rng(5)
         values = rng.standard_normal((3, 4, 5, 2))
         weights = (rng.random(3) + 0.1, None, rng.random(5) + 0.1, rng.random(2) + 0.1)
-        expected = values
-        for ax, w in enumerate(weights):
-            if w is not None:
-                factor = (w ** 0.5).reshape([-1 if i == ax else 1 for i in range(4)])
-                expected = expected * factor if power > 0 else expected / factor
+        roots = [np.ones(n) if w is None else w ** 0.5 for n, w in zip(values.shape, weights)]
+        left = np.multiply.outer(roots[0], roots[1]).ravel()
+        right = np.multiply.outer(roots[2], roots[3]).ravel()
+        factor = np.multiply.outer(left, right).reshape(values.shape)
+        expected = values * factor if power > 0 else values / factor
         got = _scale_by_weights(values, weights, power)
         assert np.array_equal(got, expected)
         assert not np.shares_memory(got, values)
         assert not np.shares_memory(_scale_by_weights(values, None, power), values)
+
+    @pytest.mark.parametrize("power", [0.5, -0.5])
+    @pytest.mark.parametrize("weighted", [(True, True), (True, False), (False, True)])
+    def test_two_modes_are_scaled_by_one_outer_product(self, power, weighted):
+        # a two-mode tensor keeps the factor s0_i * s1_j, or the one weighted mode's roots, bit for bit
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((6, 7))
+        weights = tuple(rng.random(n) + 0.1 if on else None for n, on in zip(values.shape, weighted))
+        factors = [(w ** 0.5).reshape([-1 if i == ax else 1 for i in range(2)])
+                   for ax, w in enumerate(weights) if w is not None]
+        factor = factors[0] * factors[1] if len(factors) == 2 else factors[0]
+        expected = values * factor if power > 0 else values / factor
+        assert np.array_equal(_scale_by_weights(values, weights, power), expected)
 
 
 @st.composite

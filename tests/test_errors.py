@@ -57,7 +57,7 @@ def test_error_matches_weighted_oracle(make, fmt):
     assert error(t, d) == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("other", [(5, 6, 4, 6), (6, 5, 4, 5), (5, 6, 4, 5, 2)])
+@pytest.mark.parametrize("other", [(5, 6, 4, 6), (6, 5, 4, 5), (5, 4, 6, 5), (5, 6, 4, 5, 2)])
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_error_rejects_a_tensor_of_other_extents(fmt, other):
     build, _, error = FORMATS[fmt]
@@ -65,3 +65,34 @@ def test_error_rejects_a_tensor_of_other_extents(fmt, other):
     d = build(random_weighted(rng, (5, 6, 4, 5)))
     with pytest.raises(lt.ShapeMismatchError):
         error(random_weighted(rng, other), d)
+
+
+def test_a_full_rank_tucker_error_holds_about_one_tensor_sized_array(peak_bytes):
+    fn = lt.make_function("abs_diff")
+    small = lt.sample(fn, lt.GridSpec(8))
+    lt.tucker_error(small, lt.hosvd(small, (8, 8)))  # the first calls' one-off allocations
+    t = lt.sample(fn, lt.GridSpec(1024))
+    d = lt.hosvd(t, (1024, 1024))
+    error, peak, _ = peak_bytes(lambda: lt.tucker_error(t, d))
+    assert error <= 1e-12 * lt.frobenius_norm(t)
+    assert peak <= 1.25 * t.weighted_values().nbytes  # the core times U_1, and one block of rows
+
+
+MEMORY_FORMATS = {"tucker": (lt.hosvd, lt.tucker_error), "tt": (lt.tt_svd, lt.tt_error),
+                  "tt-bidir": (lt.tt_svd_bidirectional, lt.tt_error)}
+
+
+@pytest.mark.parametrize("fmt", sorted(MEMORY_FORMATS))
+def test_a_low_rank_error_holds_no_tensor_sized_array(peak_bytes, fmt):
+    build, error = MEMORY_FORMATS[fmt]
+    fn = lt.make_function("weighted_exp", m=6)
+
+    def decompose(grid):
+        t = lt.sample(fn, grid)
+        return t, build(t, lt.TruncationRule.tail_energy(1e-6 * lt.frobenius_norm(t)))
+
+    error(*decompose(lt.GridSpec(3)))  # the first calls' one-off allocations
+    t, d = decompose(lt.GridSpec(11))
+    measured, peak, _ = peak_bytes(lambda: error(t, d))
+    assert measured <= 1e-6 * lt.frobenius_norm(t)
+    assert peak <= 0.5 * t.weighted_values().nbytes  # blocks of rows, never the whole reconstruction
