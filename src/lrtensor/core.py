@@ -170,16 +170,15 @@ class DenseTensor:
         An entry is reused only under an equal `key` (the ranks kept before
         a TT step). A miss first drops the slot and the later slots of its
         sweep, so the memo holds at most one entry per mode and step and no
-        stale one while `factorize()` runs. That returns a dict from slot to
-        Factorization, stored under `key`: `slot`, and any other slot its one
-        factorization fills (a two-mode tensor's mode 1, see `svd._mode_factorization`).
+        stale one while `factorize()` runs; the Factorization it returns is
+        stored under `key`.
         """
         cached = self._factorizations.get(slot)
         if cached is not None and cached[0] == key:
             return cached[1]
         for stale in [s for s in self._factorizations if s[0] == slot[0] and s[1] >= slot[1]]:
             del self._factorizations[stale]
-        self._factorizations.update((filled, (key, f)) for filled, f in factorize().items())
+        self._factorizations[slot] = (key, factorize())
         return self._factorizations[slot][1]
 
 

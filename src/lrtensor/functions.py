@@ -73,10 +73,11 @@ def _eval_weighted_product(spec, coords):
 def _eval_gauss_kernel(spec, coords):
     n = spec.dims[0]
     c = spec.params.get("c", 1.0)
-    sq = 0.0
-    for i in range(n):
-        sq = sq + (coords[i] - coords[n + i]) ** 2
-    return np.exp(-c * sq)
+    # Squared where computed; the sum (the one full-size array, 0-d for scalars) is then updated in place.
+    squares = [np.square(d, out=d) for d in (np.asarray(coords[i] - coords[n + i]) for i in range(n))]
+    sq = np.asarray(sum(squares[1:], squares[0]))
+    np.multiply(sq, -c, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def _eval_abs_diff(spec, coords):

@@ -137,15 +137,8 @@ def _sign_flips(U: np.ndarray) -> np.ndarray:
     return above[pivot, cols] & (U[pivot, cols] < 0)
 
 
-def full_svd(mat: np.ndarray):
-    """SVD with a deterministic sign convention on the left vectors."""
-    mat = _finite(mat)
-    U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-    # In-place flips under a mask keep U and Vt uncopied.
-    flip = _sign_flips(U)
-    np.negative(U, out=U, where=flip)
-    np.negative(Vt, out=Vt, where=flip[:, None])
-    return U, s, Vt
+def _symmetric(mat: np.ndarray) -> bool:
+    return np.array_equal(mat, mat.T)
 
 
 def spectrum(mat: np.ndarray) -> SingularSpectrum:
@@ -154,7 +147,7 @@ def spectrum(mat: np.ndarray) -> SingularSpectrum:
     Those of a mat equal to its transpose are its |eigenvalues|, from `eigvalsh`.
     """
     mat = _finite(mat)
-    if np.array_equal(mat, mat.T):
+    if _symmetric(mat):
         return SingularSpectrum(np.sort(np.abs(np.linalg.eigvalsh(mat)))[::-1])
     return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
 
@@ -189,15 +182,24 @@ def _r_factor(mt: np.ndarray) -> np.ndarray:
 
 
 def factorize(m: np.ndarray) -> Factorization:
-    """The Factorization of m; a wide m is replaced by R^T from m^T = QR first.
+    """The Factorization of m, from the one solver its form calls for.
 
-    R^T has the same left vectors and singular values, and no V the size
-    of m is formed. R comes from a blockwise QR of m^T (`_r_factor`).
+    An m equal to its transpose is QΛQ^T, from one `eigh`: U is Q ordered
+    by descending |λ| and s = |λ|. A wide m is replaced by R^T from
+    m^T = QR first (R from the blockwise `_r_factor`): R^T has the same
+    left vectors and singular values, and no V the size of m is formed.
+    Any other m gets one SVD. U then takes the one sign convention.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape[1] >= WIDE_RATIO * m.shape[0]:  # full_svd checks any other m
-        m = _r_factor(_finite(m).T).T
-    U, s, _ = full_svd(m)
+    m = _finite(m)
+    if _symmetric(m):
+        lam, Q = np.linalg.eigh(m)
+        order = np.argsort(-np.abs(lam), kind="stable")
+        U, s = Q[:, order], np.abs(lam[order])
+    else:
+        if m.shape[1] >= WIDE_RATIO * m.shape[0]:
+            m = _r_factor(m.T).T
+        U, s, _ = np.linalg.svd(m, full_matrices=False)
+    np.negative(U, out=U, where=_sign_flips(U))
     U.setflags(write=False)
     return Factorization(U, s)
 
@@ -205,35 +207,15 @@ def factorize(m: np.ndarray) -> Factorization:
 def _mode_factorization(t: DenseTensor, j: int) -> Factorization:
     """The Factorization of tensor t's mode-j unfolding, memoized on t at slot ("mode", j).
 
-    A two-mode tensor's mode-1 unfolding is the transpose of its mode-0
-    one, A, so one factorization of A fills both slots, whichever is asked
-    for first. An A equal to its transpose is QΛQ^T, from one `eigh`: U is
-    Q ordered by descending |λ|, s = |λ|, and V = U sign(Λ) takes U's sign
-    convention, so both slots hold (U, s). Any other A gets one SVD: mode 0
-    gets (U, s) and mode 1 gets (V, s), V's columns in the sign convention
-    of every left factor, so mode 1 holds what `factorize(A.T)` gives, up
-    to rounding.
+    A two-mode tensor whose weighted matrix equals its transpose has one
+    unfolding for both modes, so mode 1 reads mode 0's slot.
     """
-    if t.ndim != 2:
-        return t._factorization(("mode", j), (), lambda: {("mode", j): factorize(mode_unfolding(t, j))})
+    def fill():
+        if j == 1 and t.ndim == 2 and _symmetric(t.weighted_values()):
+            return _mode_factorization(t, 0)
+        return factorize(mode_unfolding(t, j))
 
-    def both_sides():
-        A = _finite(mode_unfolding(t, 0))
-        if np.array_equal(A, A.T):
-            lam, Q = np.linalg.eigh(A)
-            order = np.argsort(-np.abs(lam), kind="stable")
-            U = Q[:, order]
-            np.negative(U, out=U, where=_sign_flips(U))
-            U.setflags(write=False)
-            return dict.fromkeys([("mode", 0), ("mode", 1)], Factorization(U, np.abs(lam[order])))
-        U, s, Vt = full_svd(A)
-        V = Vt.T
-        np.negative(V, out=V, where=_sign_flips(V))
-        U.setflags(write=False)
-        V.setflags(write=False)
-        return {("mode", 0): Factorization(U, s), ("mode", 1): Factorization(V, s)}
-
-    return t._factorization(("mode", j), (), both_sides)
+    return t._factorization(("mode", j), (), fill)
 
 
 def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:

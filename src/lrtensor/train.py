@@ -64,7 +64,7 @@ def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, ke
         if (sweep, i) == ("forward", 0):
             factorization = _mode_factorization(t, 0)
         else:
-            factorization = t._factorization((sweep, i), key, lambda: {(sweep, i): factorize(mat)})
+            factorization = t._factorization((sweep, i), key, lambda: factorize(mat))
         step = truncated_svd(factorization, rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
         steps.append((step.full_spectrum, mat.shape[0]))

@@ -43,9 +43,9 @@ def hosvd(
     rank of every mode from that mode's spectrum. A given rank is an
     upper limit: each mode keeps at most the rank of its unfolding.
     A mode's factorization does not depend on the rank kept, so `t`
-    factorizes each unfolding once, on the first `hosvd` of it; a
-    two-mode tensor's two factors come from one `eigh` if its weighted
-    matrix equals its transpose, and from one SVD otherwise.
+    factorizes each distinct unfolding once, on the first `hosvd` of it:
+    a two-mode tensor whose weighted matrix equals its transpose has one,
+    factorized by one `eigh`, and any other tensor one per mode.
     """
     factors = []
     spectra = []

@@ -1,12 +1,28 @@
-"""Independent test oracles: for the SVD layer, the Gram spectrum, a direct tail sum and the
-projection trace identity; for the errors, Tucker and TT reconstructions each by one einsum."""
+"""Independent test oracles: for the SVD layer, a sign-fixed dense SVD, the Gram spectrum, a direct
+tail sum and the projection trace identity; for the errors, Tucker and TT reconstructions each by
+one einsum."""
 
 from string import ascii_lowercase, ascii_uppercase
 from typing import Tuple
 
 import numpy as np
 
-from lrtensor.svd import SingularSpectrum, full_svd
+from lrtensor.svd import SIGN_PIVOT_TOL, SingularSpectrum
+
+
+def full_svd(m: np.ndarray):
+    """U, s, V^T of one dense SVD of m, in the sign convention of every factor, by a column loop.
+
+    Each column of U whose first entry above SIGN_PIVOT_TOL is negative is
+    negated, and so is the matching row of V^T.
+    """
+    U, s, Vt = np.linalg.svd(np.asarray(m, dtype=float), full_matrices=False)
+    for c in range(U.shape[1]):
+        nz = np.flatnonzero(np.abs(U[:, c]) > SIGN_PIVOT_TOL)
+        if nz.size and U[nz[0], c] < 0:
+            U[:, c] = -U[:, c]
+            Vt[c, :] = -Vt[c, :]
+    return U, s, Vt
 
 
 def gram_spectrum(m: np.ndarray) -> SingularSpectrum:

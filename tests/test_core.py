@@ -175,10 +175,14 @@ class TestWeightedValues:
         assert np.all(np.abs(t.values - raw) <= 6 * np.finfo(float).eps * np.abs(raw))
 
     def test_a_two_mode_sample_holds_no_weight_matrix(self, peak_bytes):
-        fn = lt.make_function("abs_diff")
-        lt.sample(fn, lt.GridSpec(8))  # the first call's one-off allocations
-        t, peak, _ = peak_bytes(lambda: lt.sample(fn, lt.GridSpec(1024)))
-        assert peak <= 2.2 * t.weighted_values().nbytes  # as above: no N x N product of the weights beside them
+        # gauss_kernel squares, sums, scales and exponentiates in place: no full-size temporary beside the sum
+        cases = [("abs_diff", {}, 1024), ("gauss_kernel", {"n": 1}, 1024), ("gauss_kernel", {"n": 2}, 29)]
+        for fn_id, params, n in cases:
+            fn = lt.make_function(fn_id, **params)
+            lt.sample(fn, lt.GridSpec(8))  # the first call's one-off allocations
+            t, peak, _ = peak_bytes(lambda: lt.sample(fn, lt.GridSpec(n)))
+            # as above: no N x N product of the weights beside them
+            assert peak <= 2.2 * t.weighted_values().nbytes, (fn_id, params)
 
     @pytest.mark.parametrize("power", [0.5, -0.5])
     def test_scaling_equals_one_product_per_mode(self, power):

@@ -1,12 +1,14 @@
 """A tensor factorizes each distinct unfolding and TT-step matrix once.
 
-A two-mode tensor's two unfoldings are one matrix and its transpose, so
-one factorization serves both: an `eigh` if the matrix equals its
-transpose, an SVD otherwise. TT's first step is the mode-0 unfolding.
+`svd.factorize` takes one `eigh` of a matrix equal to its transpose and
+one SVD of any other. A two-mode tensor whose weighted matrix equals its
+transpose has one unfolding for both modes, so mode 1 reads mode 0's
+factorization; any other two-mode tensor factorizes its two unfoldings
+separately, as every tensor of three modes or more does. TT's first step
+is the mode-0 unfolding.
 
-Counts wrap `svd.full_svd`, the one SVD call, and the `numpy.linalg`
-solvers themselves. The property test checks
-that a decomposition read through a tensor's memo equals the same
+Counts wrap the `numpy.linalg` solvers themselves. The property test
+checks that a decomposition read through a tensor's memo equals the same
 decomposition of a fresh copy, bit for bit, whatever came before it.
 """
 
@@ -19,24 +21,10 @@ from hypothesis import strategies as st
 
 import lrtensor as lt
 import lrtensor.harness as hz
-import lrtensor.svd as svd
 from lrtensor.train import _forward_bonds
 
 
 BUILDERS = {"tucker": lt.hosvd, "tt": lt.tt_svd, "tt-bidir": lt.tt_svd_bidirectional}
-
-
-@pytest.fixture
-def full_svd_calls(monkeypatch):
-    calls = []
-    original = svd.full_svd
-
-    def counting(mat):
-        calls.append(mat.shape)
-        return original(mat)
-
-    monkeypatch.setattr(svd, "full_svd", counting)
-    return calls
 
 
 @pytest.fixture
@@ -50,6 +38,11 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     return calls
+
+
+def _svds(linalg_calls):
+    """Shapes of the SVDs among `linalg_calls`: one per factorization that is not an `eigh`."""
+    return [shape for name, shape in linalg_calls if name == "svd"]
 
 
 def _rank_vs_eps(fmt, m=4):
@@ -70,72 +63,72 @@ def _csv_column(path, name):
 
 
 class TestFactorizationCounts:
-    def test_rank_vs_eps_tucker_factorizes_each_mode_once(self, tmp_path, full_svd_calls):
+    def test_rank_vs_eps_tucker_factorizes_each_mode_once(self, tmp_path, linalg_calls):
         assert hz.run(hz.parse_config(_rank_vs_eps("tucker")), tmp_path).exit_code == 0
-        assert len(full_svd_calls) == 4  # six epsilons, four modes
+        assert len(_svds(linalg_calls)) == 4  # six epsilons, four modes
 
-    def test_rank_vs_eps_tt_refactorizes_only_after_a_changed_rank(self, tmp_path, full_svd_calls):
+    def test_rank_vs_eps_tt_refactorizes_only_after_a_changed_rank(self, tmp_path, linalg_calls):
         assert hz.run(hz.parse_config(_rank_vs_eps("tt")), tmp_path).exit_code == 0
         ranks = _csv_column(tmp_path / "rank_vs_eps.csv", "ranks")
         assert ranks == ["2x4x8", "4x16x8"] + ["8x64x8"] * 4
         # 3 steps at the first epsilon, then steps 2 and 3 after each new first or second rank
-        assert len(full_svd_calls) == 7
+        assert len(_svds(linalg_calls)) == 7
 
-    def test_compare_formats_shares_the_forward_tt_steps(self, tmp_path, full_svd_calls):
+    def test_compare_formats_shares_the_forward_tt_steps(self, tmp_path, linalg_calls):
         raw = {"experiment": "compare-formats", "function": {"id": "weighted_exp", "m": 5},
                "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
         # 5 Tucker modes, TT steps 2-4 (step 1 is Tucker's mode 0), the 2 backward steps of tt-bidir
-        assert len(full_svd_calls) == 10
+        assert len(_svds(linalg_calls)) == 10
 
     def test_a_miss_drops_the_stale_steps_before_it_factorizes(self, monkeypatch):
         t = lt.DenseTensor.from_array(np.random.default_rng(4).standard_normal((4, 4, 4, 4)))
         lt.tt_svd(t, [2, 2, 2])
         held = []
-        original = svd.full_svd
+        original = np.linalg.svd
 
-        def recording(mat):
+        def recording(a, *args, **kwargs):
             held.append(set(t._factorizations))
-            return original(mat)
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(svd, "full_svd", recording)
+        monkeypatch.setattr(np.linalg, "svd", recording)
         lt.tt_svd(t, [3, 2, 2])  # step 0 is a hit; steps 1 and 2 miss under the new first rank
         assert held == [{("mode", 0)}, {("mode", 0), ("forward", 1)}]
 
-    def test_two_mode_hosvd_factorizes_once(self, full_svd_calls):
+    def test_two_mode_hosvd_factorizes_once(self, linalg_calls):
         rng = np.random.default_rng(3)
         t = lt.DenseTensor.from_array(rng.standard_normal((7, 16)))
         for ranks in [(2, 3), (7, 7), lt.TruncationRule.tail_energy(0.5)]:
             lt.hosvd(t, ranks)
         lt.tt_svd(t, [2])
         lt.tt_svd_bidirectional(t, [5])
-        assert full_svd_calls == [(7, 16)]
+        # once per unfolding: the wide 7 x 16 one as R^T from a QR of its transpose, and the 16 x 7 one
+        assert _svds(linalg_calls) == [(7, 7), (16, 7)]
 
-    def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, full_svd_calls, linalg_calls):
+    def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, linalg_calls):
         raw = {"experiment": "decompose", "function": {"id": "brownian_bridge"},
                "grid": {"points_per_axis": 64}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
         # a symmetric kernel's weighted sample equals its transpose: one eigh, no SVD
         assert linalg_calls == [("eigh", (64, 64))]
-        assert full_svd_calls == []
 
-    def test_non_symmetric_two_mode_decompose_factorizes_once(self, tmp_path, full_svd_calls, linalg_calls):
+    def test_non_symmetric_two_mode_decompose_factorizes_once(self, tmp_path, linalg_calls):
         raw = {"experiment": "decompose", "function": {"id": "weighted_exp", "m": 2, "gamma": [1, 0.5]},
                "grid": {"points_per_axis": 64}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
-        assert linalg_calls == [("svd", (64, 64))]
-        assert full_svd_calls == [(64, 64)]
+        assert linalg_calls == [("svd", (64, 64))] * 2  # one SVD per unfolding
 
     @pytest.mark.parametrize("fmt", sorted(BUILDERS))
-    def test_two_mode_rank_vs_eps_factorizes_once(self, tmp_path, full_svd_calls, fmt):
+    def test_two_mode_rank_vs_eps_factorizes_once(self, tmp_path, linalg_calls, fmt):
         assert hz.run(hz.parse_config(_rank_vs_eps(fmt, m=2)), tmp_path).exit_code == 0
-        assert full_svd_calls == [(8, 8)]
+        # once per unfolding read: Tucker reads both, TT only the mode-0 one
+        assert _svds(linalg_calls) == [(8, 8)] * (2 if fmt == "tucker" else 1)
 
-    def test_two_mode_compare_formats_factorizes_once(self, tmp_path, full_svd_calls):
+    def test_two_mode_compare_formats_factorizes_once(self, tmp_path, linalg_calls):
         raw = {"experiment": "compare-formats", "function": {"id": "weighted_exp", "m": 2},
                "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
-        assert full_svd_calls == [(6, 6)]
+        assert _svds(linalg_calls) == [(6, 6)] * 2  # Tucker's two unfoldings; TT's first step is mode 0
 
 
 @pytest.fixture
@@ -239,23 +232,30 @@ def _slots(m):
 
 @st.composite
 def _tensor_and_runs(draw):
-    extents = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    symmetric = draw(st.booleans())  # a two-mode v + v^T with the same weights on both modes
+    if symmetric:
+        extents = [draw(st.integers(1, 4))] * 2
+    else:
+        extents = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     m = len(extents)
     weighted = draw(st.booleans())
     runs = draw(st.lists(st.tuples(
         st.sampled_from(sorted(BUILDERS)),
         st.one_of(st.lists(st.integers(1, 6), min_size=m, max_size=m), st.floats(0.0, 1.2)),
     ), min_size=1, max_size=6))
-    return extents, weighted, draw(st.integers(0, 2 ** 16)), runs
+    return extents, symmetric, weighted, draw(st.integers(0, 2 ** 16)), runs
 
 
 @settings(max_examples=60, deadline=None)
 @given(_tensor_and_runs())
 def test_memoized_decompositions_equal_fresh_ones(case):
-    extents, weighted, seed, runs = case
+    extents, symmetric, weighted, seed, runs = case
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(extents)
     weights = [rng.uniform(0.5, 2.0, size=n) for n in extents] if weighted else None
+    if symmetric:
+        values = values + values.T
+        weights = weights and [weights[0]] * 2
     t = lt.DenseTensor.from_array(values, weights)
     norm = lt.frobenius_norm(t)
     for fmt, ranks in runs:
@@ -269,3 +269,5 @@ def test_memoized_decompositions_equal_fresh_ones(case):
         for a, b in zip(_arrays(fmt, got), _arrays(fmt, fresh), strict=True):
             assert np.array_equal(a, b)
         assert set(t._factorizations) <= _slots(len(extents))
+        if symmetric and ("mode", 1) in t._factorizations:  # mode 1 read mode 0's entry
+            assert t._factorizations[("mode", 1)][1] is t._factorizations[("mode", 0)][1]

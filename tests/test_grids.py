@@ -6,7 +6,7 @@ import pytest
 import lrtensor as lt
 from lrtensor import DenseTensor, GridSpec, Shape, frobenius_norm
 from lrtensor.grids import axis_rule
-from lrtensor.svd import full_svd
+from oracles import full_svd
 
 
 # Discrete H1 norms: the oracle of the regularity tests below.

@@ -2,9 +2,10 @@
 
 For a symmetric A = QΛQ^T the singular values are |λ|, U is Q ordered by
 descending |λ|, and V = U sign(Λ), so after the sign convention both
-Tucker factors are one Factorization. These tests hold that path to
-`full_svd` on the same matrix, and check that weighting keeps every
-registered kernel's sample bitwise symmetric.
+Tucker factors are one Factorization: mode 1 reads mode 0's. These tests
+hold `svd.factorize`'s `eigh` path to a dense SVD of the same matrix (the
+`full_svd` oracle), and check that weighting keeps every registered
+kernel's sample bitwise symmetric.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import lrtensor as lt
 from lrtensor.core import _scale_by_weights
 from lrtensor.grids import RULE_GAUSS, RULE_TRAPEZOID
-from lrtensor.svd import SIGN_PIVOT_TOL, _mode_factorization, _tails, full_svd, spectrum
+from lrtensor.svd import SIGN_PIVOT_TOL, _mode_factorization, _tails, factorize, spectrum
+from oracles import full_svd
 
 KINDS = ("spd", "indefinite", "rank-deficient", "plus-minus-pairs", "repeated")
 
@@ -66,9 +68,12 @@ def _check_against_full_svd(A):
     assert np.abs(spectrum(A).values - s).max() <= 1e-13 * s1
 
     lam, Q = np.linalg.eigh(A)
-    expected = _sign_loop(Q[:, np.argsort(-np.abs(lam), kind="stable")])
-    assert np.array_equal(f.U, expected)
-    assert np.array_equal(np.signbit(f.U), np.signbit(expected))
+    order = np.argsort(-np.abs(lam), kind="stable")
+    expected = _sign_loop(Q[:, order])
+    for got in (f, factorize(A)):  # the memo's entry and the one factorization routine
+        assert np.array_equal(got.U, expected)
+        assert np.array_equal(np.signbit(got.U), np.signbit(expected))
+        assert np.array_equal(got.s, np.abs(lam[order]))
     assert np.allclose(f.U.T @ f.U, np.eye(len(s)), atol=1e-12)
 
     tails = _tails(s)
