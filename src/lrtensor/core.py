@@ -4,8 +4,9 @@ Weights are absorbed into unfoldings as square roots, so plain matrix
 algebra on an unfolding reproduces the discrete weighted L2 geometry.
 Layout is row-major with the last mode fastest, everywhere.
 
-All objects are immutable after construction; the operations here are
-pure functions.
+All objects are immutable after construction, and the operations here
+are pure functions, with one exception: a DenseTensor memoizes the
+factorizations of its unfoldings and TT steps (`_factorization`).
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def _row_blocks(rows: int, cols: int):
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
+def _outer_product(vectors) -> np.ndarray:
+    """The flattened outer product of `vectors`, row-major: entry (i, j, ...) is 1 * v_0[i] * v_1[j] * ..."""
+    return functools.reduce(np.multiply.outer, vectors, np.ones(1)).ravel()
+
+
 def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndarray:
     """A new array: `values` times the weights raised to `power` (0.5 or -0.5), in one pass.
 
@@ -102,8 +108,7 @@ def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndar
         return values.copy()
     roots = [np.ones(n) if w is None else w ** 0.5 for n, w in zip(values.shape, mode_weights)]
     half = math.ceil(values.ndim / 2)
-    left, right = (functools.reduce(np.multiply.outer, side, np.ones(1)).ravel()
-                   for side in (roots[:half], roots[half:]))
+    left, right = _outer_product(roots[:half]), _outer_product(roots[half:])
     flat = values.reshape(left.size, right.size)
     out = np.empty_like(flat)
     apply = np.multiply if power > 0 else np.divide
@@ -169,14 +174,16 @@ class DenseTensor:
 
         An entry is reused only under an equal `key` (the ranks kept before
         a TT step). A miss first drops the slot and the later slots of its
-        sweep, so the memo holds at most one entry per mode and step and no
-        stale one while `factorize()` runs; the Factorization it returns is
-        stored under `key`.
+        sweep whose key does not start with the new one (a mode's key is (),
+        so no other mode is dropped): the memo holds one entry per mode and
+        step at most, and no stale one while `factorize()` runs, whose result
+        is stored under `key`.
         """
         cached = self._factorizations.get(slot)
         if cached is not None and cached[0] == key:
             return cached[1]
-        for stale in [s for s in self._factorizations if s[0] == slot[0] and s[1] >= slot[1]]:
+        for stale in [s for s, (k, _) in self._factorizations.items()
+                      if s[0] == slot[0] and s[1] >= slot[1] and k[:len(key)] != key]:
             del self._factorizations[stale]
         self._factorizations[slot] = (key, factorize())
         return self._factorizations[slot][1]

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, _outer_product
 from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
@@ -48,14 +48,6 @@ def axis_rule(grid: GridSpec) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _product_weights(w: np.ndarray, n: int) -> np.ndarray:
-    """Weights (N^n,) of the tensor-product rule on n axes, row-major."""
-    weights = np.ones(1)
-    for _ in range(n):
-        weights = np.multiply.outer(weights, w).ravel()
-    return weights
-
-
 def sample(
     fn: FunctionSpec,
     grid: GridSpec,
@@ -73,6 +65,6 @@ def sample(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
         values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
     values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)
-    weights = [_product_weights(w, n) for n in fn.dims]
+    weights = [_outer_product([w] * n) for n in fn.dims]  # the tensor-product rule of each subdomain
     return DenseTensor(shape, values, weights)
 

@@ -30,8 +30,8 @@ from .schedules import (
     build_schedule,
 )
 from .svd import TruncationRule, fit_decay_exponent, spectrum
-from .train import tt_cost, tt_error, tt_storage, tt_svd, tt_svd_bidirectional
-from .tucker import hosvd, tucker_cost, tucker_error, tucker_factor_storage
+from .train import tt_cost, tt_error, tt_svd, tt_svd_bidirectional
+from .tucker import hosvd, tucker_cost, tucker_error
 
 CSV_SCHEMA = "lrtensor-csv v1"
 
@@ -249,7 +249,7 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
     rank whose discarded tail is at most tolerance * norm / sqrt(S), so
     the tail bound, the total, is at most tolerance * norm.
     The bound is the tail bound plus a slack relative to `norm`.
-    Returns (ranks, error, bound, cost, storage).
+    Returns (ranks, error, bound, cost, storage: the entries the factors or cores hold).
     """
     extents = t.shape.extents
     if ranks is None:
@@ -260,11 +260,11 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
                           f"takes {expected} ranks, got {len(ranks)}")
     if fmt == "tucker":
         d = hosvd(t, ranks)
-        err, cost, storage = tucker_error(t, d), tucker_cost(d.ranks), tucker_factor_storage(extents, d.ranks)
+        err, cost, arrays = tucker_error(t, d), tucker_cost(d.ranks), d.factors
     else:
         d = (tt_svd if fmt == "tt" else tt_svd_bidirectional)(t, ranks)
-        err, cost, storage = tt_error(t, d), tt_cost(d.ranks), tt_storage(extents, d.ranks)
-    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, storage
+        err, cost, arrays = tt_error(t, d), tt_cost(d.ranks), d.cores
+    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays)
 
 
 def _check(report: ExperimentReport, fmt: str, ranks, err: float, bound: float, *_) -> bool:

@@ -90,22 +90,22 @@ def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list
 
 @dataclass(frozen=True)
 class TruncatedSVD:
-    """Result of a rank-truncated SVD: kept left vectors and spectrum, no V.
+    """Result of a rank-truncated SVD: the kept left vectors U, no V, and the full spectrum.
 
-    `floor_limited` is set when a tail-energy target below the
-    achievable noise floor was requested; `tail` then reports the floor
-    actually achieved.
+    The kept values are `full_spectrum.values[:rank]`, and `tail` is the
+    Frobenius error of dropping the rest. `floor_limited` is set when a
+    tail-energy target below the achievable noise floor was requested;
+    `tail` then reports the floor actually achieved.
     """
 
     U: np.ndarray
-    spectrum: SingularSpectrum
     tail: float
     full_spectrum: SingularSpectrum
     floor_limited: bool = False
 
     @property
     def rank(self) -> int:
-        return len(self.spectrum)
+        return self.U.shape[1]
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,6 @@ def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
         rank = max(rank, 1)
     return TruncatedSVD(
         U=U[:, :rank],
-        spectrum=SingularSpectrum(s[:rank]),
         tail=float(tails[rank]),
         full_spectrum=full,
         floor_limited=floor_limited,

@@ -24,7 +24,6 @@ class TTDecomposition:
 
     cores: tuple
     spectra: tuple
-    step_stack_dims: tuple = ()
 
     @property
     def ranks(self) -> tuple:
@@ -53,11 +52,10 @@ def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, ke
     A step's A is fixed by `t` and the ranks kept before it (`key` starts
     with those of earlier sweeps), so `t` factorizes it once per such key;
     the forward sweep's first A is the mode-0 unfolding, shared with Tucker.
-    Returns the cores, one (spectrum, stack dim) per step, and the
-    final remainder.
+    Returns the cores, one full spectrum per step, and the final remainder.
     """
     cores = []
-    steps = []
+    spectra = []
     r_prev = 1
     for i, (n, rule) in enumerate(zip(extents, rules)):
         mat = remainder.reshape(r_prev * n, -1)
@@ -67,11 +65,11 @@ def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, ke
             factorization = t._factorization((sweep, i), key, lambda: factorize(mat))
         step = truncated_svd(factorization, rule)
         cores.append(step.U.reshape(r_prev, n, step.rank))
-        steps.append((step.full_spectrum, mat.shape[0]))
+        spectra.append(step.full_spectrum)
         remainder = step.U.T @ mat
         r_prev = step.rank
         key += (r_prev,)
-    return cores, steps, remainder
+    return cores, spectra, remainder
 
 
 def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
@@ -84,17 +82,16 @@ def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
     extents = t.shape.extents
     m = len(extents)
     rules = _step_rules(TruncationRule.fixed_rank(t.shape.size) if ranks is None else ranks, m - 1)
-    left, left_steps, remainder = _sweep(t, "forward", t.weighted_values(), extents[:forward], rules[:forward])
+    left, left_spectra, remainder = _sweep(t, "forward", t.weighted_values(), extents[:forward], rules[:forward])
     mirrored = remainder.reshape(-1, *extents[forward:]).T
     left_ranks = tuple(core.shape[2] for core in left)
-    right, right_steps, remainder = _sweep(t, "backward", mirrored, extents[forward + 1 :][::-1],
-                                           rules[forward:][::-1], left_ranks)
+    right, right_spectra, remainder = _sweep(t, "backward", mirrored, extents[forward + 1 :][::-1],
+                                             rules[forward:][::-1], left_ranks)
     r_left = left_ranks[-1] if left else 1
     meeting = remainder.reshape(-1, extents[forward], r_left).T
     return TTDecomposition(
         cores=tuple(left + [meeting] + [core.T for core in right[::-1]]),
-        spectra=tuple(spectrum for spectrum, _ in left_steps + right_steps[::-1]),
-        step_stack_dims=tuple(dims for _, dims in left_steps + right_steps),
+        spectra=tuple(left_spectra + right_spectra[::-1]),
     )
 
 
@@ -141,11 +138,3 @@ def tt_cost(ranks: Sequence[int]) -> int:
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
     return ranks[0] + sum(ranks[j - 1] * ranks[j] for j in range(1, len(ranks)))
-
-
-def tt_storage(extents: Sequence[int], ranks: Sequence[int]) -> int:
-    """Grid-inclusive storage: sum over cores of bond_in * extent * bond_out."""
-    bonds = [1] + [int(r) for r in ranks] + [1]
-    return int(
-        sum(bonds[j] * int(extents[j]) * bonds[j + 1] for j in range(len(extents)))
-    )

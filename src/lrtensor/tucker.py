@@ -75,8 +75,3 @@ def tucker_cost(ranks: Sequence[int]) -> int:
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
     return math.prod(ranks)
-
-
-def tucker_factor_storage(extents: Sequence[int], ranks: Sequence[int]) -> int:
-    """Entries held by the factor matrices: sum of extent * rank."""
-    return int(sum(int(n) * int(r) for n, r in zip(extents, ranks)))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import lrtensor as lt
 import lrtensor.harness as hz
+from lrtensor.svd import _mode_factorization
 from lrtensor.train import _forward_bonds
 
 
@@ -94,6 +95,14 @@ class TestFactorizationCounts:
         monkeypatch.setattr(np.linalg, "svd", recording)
         lt.tt_svd(t, [3, 2, 2])  # step 0 is a hit; steps 1 and 2 miss under the new first rank
         assert held == [{("mode", 0)}, {("mode", 0), ("forward", 1)}]
+
+    def test_a_miss_on_one_mode_keeps_the_others(self, linalg_calls):
+        t = lt.DenseTensor.from_array(np.random.default_rng(5).standard_normal((3, 4, 5)))
+        for j in (2, 0, 2):
+            _mode_factorization(t, j)
+        # one factorization per mode: the miss on mode 0 leaves mode 2's entry held
+        assert _svds(linalg_calls) == [(5, 5), (3, 3)]
+        assert set(t._factorizations) == {("mode", 0), ("mode", 2)}
 
     def test_two_mode_hosvd_factorizes_once(self, linalg_calls):
         rng = np.random.default_rng(3)

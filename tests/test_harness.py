@@ -121,6 +121,24 @@ class TestDecomposeRun:
         error = float(rows[0].split(",")[2])
         assert error <= 1e-10
 
+    @pytest.mark.parametrize("fmt, ranks", [
+        ("tucker", [2, 3, 2, 1, 2]), ("tt", [2, 3, 3, 2]), ("tt-bidir", [2, 3, 3, 2]), ("tt-bidir", [3, 2, 2, 3]),
+    ], ids=["tucker", "tt", "tt-bidir", "tt-bidir-uneven"])
+    def test_storage_is_the_entries_held(self, tmp_path, fmt, ranks):
+        """The CSV storage: the entries of the factors (Tucker) or cores (TT)."""
+        # extents (3, 9, 3, 3, 3); a bidirectional sweep meets at core 2, away from both ends
+        raw = decompose_config(function={"id": "rank_one", "dims": [1, 2, 1, 1, 1]},
+                               grid={"points_per_axis": 3}, format=fmt, ranks=ranks)
+        assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
+        (row,) = _csv_rows(tmp_path / "decompose.csv")
+        extents, kept = (3, 9, 3, 3, 3), [int(r) for r in row["ranks"].split("x")]
+        if fmt == "tucker":
+            expected = sum(n * r for n, r in zip(extents, kept))
+        else:
+            bonds = [1] + kept + [1]
+            expected = sum(bonds[j] * n * bonds[j + 1] for j, n in enumerate(extents))
+        assert int(row["storage"]) == expected
+
     def test_summary_written(self, tmp_path):
         cfg = hz.parse_config(decompose_config(format="tt", ranks=[1, 1]))
         report = hz.run(cfg, tmp_path)

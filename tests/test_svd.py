@@ -30,7 +30,7 @@ def brownian_bridge_matrix(n):
 class TestTruncatedSVD:
     def test_fixed_rank_diag(self):
         res = lt.truncated_svd(np.diag([3.0, 2.0, 1.0]), lt.TruncationRule.fixed_rank(2))
-        assert np.allclose(res.spectrum.values, [3.0, 2.0])
+        assert np.allclose(res.full_spectrum.values[: res.rank], [3.0, 2.0])
         assert res.tail == pytest.approx(1.0)
 
     def test_rank_one_outer_product(self):
@@ -40,10 +40,9 @@ class TestTruncatedSVD:
             np.outer(u, v), lt.TruncationRule.tail_energy(1e-12 * np.linalg.norm(np.outer(u, v)))
         )
         assert res.rank == 1
-        assert res.spectrum.values[0] == pytest.approx(
-            np.linalg.norm(u) * np.linalg.norm(v)
-        )
-        assert res.tail <= 1e-12 * res.spectrum.values[0]
+        kept = res.full_spectrum.values[: res.rank]
+        assert kept[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
+        assert res.tail <= 1e-12 * kept[0]
 
     def test_tail_equals_reconstruction_error_at_every_rank(self):
         rng = np.random.default_rng(11)
@@ -65,7 +64,7 @@ class TestTruncatedSVD:
         # the rows of U_r^T m (= s_r V_r^T) are orthogonal with norms s_r
         head = res.U.T @ m
         gram = head @ head.T
-        assert np.max(np.abs(gram - np.diag(res.spectrum.values ** 2))) <= 1e-12 * gram[0, 0]
+        assert np.max(np.abs(gram - np.diag(res.full_spectrum.values[: res.rank] ** 2))) <= 1e-12 * gram[0, 0]
 
     def test_sign_convention(self):
         rng = np.random.default_rng(13)
@@ -213,7 +212,7 @@ class TestGramSpectrum:
         m = rng.standard_normal((8, 5))
         eig = gram_spectrum(m).values
         res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(5))
-        sig = res.spectrum.values
+        sig = res.full_spectrum.values[: res.rank]
         keep = sig > res.full_spectrum.noise_floor
         assert np.max(np.abs(np.sqrt(eig[keep]) - sig[keep]) / sig[keep]) <= 1e-10
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.train import tt_storage
+from lrtensor.train import _forward_bonds
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -11,6 +11,18 @@ def random_tensor(rng, extents, weighted=False):
     if weighted:
         weights = [rng.random(n) + 0.1 for n in extents]
     return lt.DenseTensor.from_array(values, mode_weights=weights)
+
+
+def _stack_rows(d, meet):
+    """Rows of each step's stacked matrix, in execution order, read off the cores.
+
+    The forward cores before the meeting core `meet` stack their two leading
+    extents; the backward cores, stored transposed, their two trailing ones,
+    and the backward sweep separates the last core first.
+    """
+    forward = [core.shape[0] * core.shape[1] for core in d.cores[:meet]]
+    backward = [core.shape[1] * core.shape[2] for core in d.cores[:meet:-1]]
+    return tuple(forward + backward)
 
 
 class TestExactness:
@@ -105,11 +117,11 @@ class TestStructure:
         rng = np.random.default_rng(14)
         t = random_tensor(rng, (4,) * 6)
         ranks = (3,) * 5
-        uni = lt.tt_svd(t, ranks=ranks)
-        bid = lt.tt_svd_bidirectional(t, ranks=ranks)
-        assert uni.step_stack_dims == (4, 12, 12, 12, 12)
-        assert bid.step_stack_dims == (4, 12, 12, 4, 12)
-        for u, b in zip(uni.step_stack_dims, bid.step_stack_dims):
+        uni = _stack_rows(lt.tt_svd(t, ranks=ranks), 5)
+        bid = _stack_rows(lt.tt_svd_bidirectional(t, ranks=ranks), _forward_bonds(6))
+        assert uni == (4, 12, 12, 12, 12)
+        assert bid == (4, 12, 12, 4, 12)
+        for u, b in zip(uni, bid):
             assert b <= u
 
     def test_order_of_axes_changes_ranks(self):
@@ -170,6 +182,3 @@ class TestCost:
         assert lt.tt_cost((5,)) == 5
         assert lt.tt_cost(()) == 0
         assert lt.tt_cost((2, 3, 4)) == 2 + 6 + 12
-
-    def test_storage(self):
-        assert tt_storage((4, 4, 4), (2, 3)) == 1 * 4 * 2 + 2 * 4 * 3 + 3 * 4 * 1

@@ -6,7 +6,6 @@ import pytest
 import lrtensor as lt
 from lrtensor.svd import factorize, truncated_svd
 import lrtensor.tucker as tucker
-from lrtensor.tucker import tucker_factor_storage
 from oracles import gram_spectrum
 
 
@@ -201,6 +200,3 @@ class TestCost:
         assert lt.tucker_cost((10, 10, 10)) == 1000
         assert lt.tucker_cost((2, 3, 4, 5)) == 120
         assert lt.tucker_cost(()) == 1
-
-    def test_factor_storage(self):
-        assert tucker_factor_storage((8, 9), (2, 3)) == 8 * 2 + 9 * 3
