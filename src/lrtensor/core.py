@@ -6,7 +6,7 @@ Layout is row-major with the last mode fastest, everywhere.
 
 All objects are immutable after construction, and the operations here
 are pure functions, with one exception: a DenseTensor memoizes the
-factorizations of its unfoldings and TT steps (`_factorization`).
+factorizations of its Tucker and TT steps (`_factorization`).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class DenseTensor:
 
     It holds one read-only array, its samples scaled by the square roots of
     all mode weights (`weighted_values`); `values` divides them back out.
-    It remembers the factorizations of its unfoldings and TT steps (see
+    It remembers the factorizations of its Tucker and TT steps (see
     `_factorization`), so its decompositions factorize each distinct one once.
     """
 
@@ -170,14 +170,14 @@ class DenseTensor:
         return self._weighted
 
     def _factorization(self, slot: tuple, key: tuple, factorize):
-        """The Factorization at `slot`: ("mode", j), or (sweep, step) of a TT sweep.
+        """The Factorization at `slot`: (sweep, step), the Tucker sweep's being ("mode", j).
 
         An entry is reused only under an equal `key` (the ranks kept before
-        a TT step). A miss first drops the slot and the later slots of its
-        sweep whose key does not start with the new one (a mode's key is (),
-        so no other mode is dropped): the memo holds one entry per mode and
-        step at most, and no stale one while `factorize()` runs, whose result
-        is stored under `key`.
+        the step). A miss first drops the slot and the later slots of its
+        sweep whose key does not start with the new one (step 0's key is (),
+        so it drops no other): the memo holds one entry per step at most,
+        and no stale one while `factorize()` runs, whose result is stored
+        under `key`.
         """
         cached = self._factorizations.get(slot)
         if cached is not None and cached[0] == key:
@@ -194,17 +194,6 @@ def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
     if not 0 <= mode < t.ndim:
         raise ShapeMismatchError(f"mode {mode} out of range 0..{t.ndim - 1}")
     return np.moveaxis(t.weighted_values(), mode, 0).reshape(t.shape.extents[mode], -1)
-
-
-def _mode_product(values: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """Multiply axis `mode` of `values` by the matrix `m` from the left.
-
-    The last mode is one matrix product with no transposed copy and a C-ordered
-    result, as `tensordot` already gives on the first mode of a C-ordered `values`.
-    """
-    if mode == values.ndim - 1:
-        return (values.reshape(-1, values.shape[-1]) @ m.T).reshape(values.shape[:-1] + (m.shape[0],))
-    return np.moveaxis(np.tensordot(m, values, axes=(1, mode)), 0, mode)
 
 
 def _norm(a: np.ndarray) -> float:

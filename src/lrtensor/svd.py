@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,9 +23,10 @@ class InsufficientSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Descending nonnegative singular values of an unfolding."""
+    """Descending nonnegative singular values of a matrix, and their tails (see `_tails`), summed once."""
 
     values: np.ndarray
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
@@ -36,6 +37,9 @@ class SingularSpectrum:
         values = np.maximum(values, 0.0)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        tails = _tails(values)
+        tails.setflags(write=False)
+        object.__setattr__(self, "tails", tails)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -160,8 +164,8 @@ def _tails(s: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.maximum(sq, 0.0))
 
 
-# All left vectors (read-only, so truncations share views of them) and singular values.
-Factorization = NamedTuple("Factorization", [("U", np.ndarray), ("s", np.ndarray)])
+# All left vectors (read-only, so truncations share views of them) and the spectrum, its tails summed once.
+Factorization = NamedTuple("Factorization", [("U", np.ndarray), ("spectrum", SingularSpectrum)])
 
 
 def _r_factor(mt: np.ndarray) -> np.ndarray:
@@ -201,21 +205,31 @@ def factorize(m: np.ndarray) -> Factorization:
         U, s, _ = np.linalg.svd(m, full_matrices=False)
     np.negative(U, out=U, where=_sign_flips(U))
     U.setflags(write=False)
-    return Factorization(U, s)
+    return Factorization(U, SingularSpectrum(s))
 
 
-def _mode_factorization(t: DenseTensor, j: int) -> Factorization:
-    """The Factorization of tensor t's mode-j unfolding, memoized on t at slot ("mode", j).
+def _mode_factorization(t: DenseTensor) -> Factorization:
+    """The Factorization of t's mode-0 unfolding, the first step of the Tucker and forward TT sweeps."""
+    return t._factorization(("mode", 0), (), lambda: factorize(mode_unfolding(t, 0)))
 
-    A two-mode tensor whose weighted matrix equals its transpose has one
-    unfolding for both modes, so mode 1 reads mode 0's slot.
+
+def _step_factorization(t: DenseTensor, slot: tuple, key: tuple, mat: np.ndarray) -> Factorization:
+    """The Factorization of sweep step `slot`, whose matrix `mat` is fixed by `t` and `key` (the ranks
+    kept before it), memoized on t under `key`.
+
+    Step 1 of a two-mode tensor whose weighted matrix A = QΛQ^T equals its
+    transpose needs no solver: A^T U_r = U_r Λ_r, so it is mode 0's cut to r.
     """
-    def fill():
-        if j == 1 and t.ndim == 2 and _symmetric(t.weighted_values()):
-            return _mode_factorization(t, 0)
-        return factorize(mode_unfolding(t, j))
+    if slot in (("mode", 0), ("forward", 0)):
+        return _mode_factorization(t)
 
-    return t._factorization(("mode", j), (), fill)
+    def fill():
+        if slot == ("mode", 1) and t.ndim == 2 and _symmetric(t.weighted_values()):
+            U, first = _mode_factorization(t)
+            return Factorization(U[:, : key[0]], SingularSpectrum(first.values[: key[0]]))
+        return factorize(mat)
+
+    return t._factorization(slot, key, fill)
 
 
 def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
@@ -229,13 +243,12 @@ def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
     truncation. A given Factorization is only truncated, so one serves
     any number of rules; a matrix is factorized first.
     """
-    U, s = m if isinstance(m, Factorization) else factorize(m)
-    full = SingularSpectrum(s)
-    tails = _tails(s)
+    U, full = m if isinstance(m, Factorization) else factorize(m)
+    tails = full.tails
     usable = full.above_floor()
     floor_limited = False
     if rule.kind == "fixed-rank":
-        rank = min(int(rule.value), len(s))
+        rank = min(int(rule.value), len(full))
     else:
         candidates = np.flatnonzero(tails[: usable + 1] <= rule.value)
         if candidates.size:
@@ -255,7 +268,7 @@ def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
 def _tail_bound(spectra, ranks) -> float:
     """sqrt(sum over steps of tail^2), each tail the one `truncated_svd` reported for the rank kept;
     only a sum of squares past the float range is taken by `math.hypot`, which scales."""
-    tails = [float(_tails(spectrum.values)[r]) for spectrum, r in zip(spectra, ranks)]
+    tails = [float(spectrum.tails[r]) for spectrum, r in zip(spectra, ranks)]
     try:
         bound = math.sqrt(sum(tail ** 2 for tail in tails))
     except OverflowError:  # a square past the float range

@@ -3,7 +3,8 @@
 Each separation applies a truncated SVD to the current remainder, with
 the previous bond index stacked onto the active mode. The orthonormal
 left vectors become a core; the singular values travel onward in the
-remainder, so error accounting stays in one place.
+remainder, so error accounting stays in one place. The same step loop
+runs Tucker's sequentially truncated HOSVD (`tucker.hosvd`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import DenseTensor, _weighted_error
-from .svd import TruncationRule, _mode_factorization, _step_rules, _tail_bound, factorize, truncated_svd
+from .svd import TruncationRule, _step_factorization, _step_rules, _tail_bound, truncated_svd
 
 
 @dataclass(frozen=True)
@@ -40,36 +41,34 @@ def _forward_bonds(m: int) -> int:
     return math.ceil((m - 1) / 2)
 
 
-def _sweep(t: DenseTensor, sweep: str, remainder: np.ndarray, extents, rules, key=()):
-    """Separate `extents`, in order, off the front of `remainder`, a reshape of `t`.
+def _sweep(t: DenseTensor, sweep: str, x: np.ndarray, extents, rules, key=()):
+    """Truncate `extents`, in order, off the front of `x`, a reshape of `t`: the one step loop.
 
-    Each step stacks the previous bond onto the active mode, truncates
-    that matrix A, keeps U_r as a left-orthonormal core and passes
-    U_r^T A (= s_r V_r^T) on, so the singular values travel in the
-    remainder and no right vectors are formed. `truncated_svd` decides
-    each kept rank, so a fixed rank keeps at most min(rows, cols) values,
-    and the rank kept sets the rows of the next step's A.
-    A step's A is fixed by `t` and the ranks kept before it (`key` starts
-    with those of earlier sweeps), so `t` factorizes it once per such key;
-    the forward sweep's first A is the mode-0 unfolding, shared with Tucker.
-    Returns the cores, one full spectrum per step, and the final remainder.
+    Step i truncates A = `x.reshape(r * n_i, -1)`, a view (r is the rank
+    stacked onto mode i, 1 in the Tucker sweep "mode") to U_r, at a rank
+    `truncated_svd` decides. The TT sweeps pass U_r^T A (= s_r V_r^T) on,
+    which stacks the kept rank onto the next mode; the Tucker sweep passes
+    A^T U_r on, which puts the next mode in front and the kept rank at the
+    back, so its last `x` is the core, axes in order. No right vectors are
+    formed. A step's A is fixed by `t` and the ranks kept before it (`key`
+    starts with those of earlier sweeps), so `t` factorizes it once per key.
+    Returns each step's kept U and full spectrum, and the last `x`.
     """
-    cores = []
+    factors = []
     spectra = []
-    r_prev = 1
+    r = 1
     for i, (n, rule) in enumerate(zip(extents, rules)):
-        mat = remainder.reshape(r_prev * n, -1)
-        if (sweep, i) == ("forward", 0):
-            factorization = _mode_factorization(t, 0)
-        else:
-            factorization = t._factorization((sweep, i), key, lambda: factorize(mat))
-        step = truncated_svd(factorization, rule)
-        cores.append(step.U.reshape(r_prev, n, step.rank))
+        mat = x.reshape(r * n, -1)
+        step = truncated_svd(_step_factorization(t, (sweep, i), key, mat), rule)
+        factors.append(step.U)
         spectra.append(step.full_spectrum)
-        remainder = step.U.T @ mat
-        r_prev = step.rank
-        key += (r_prev,)
-    return cores, spectra, remainder
+        if sweep == "mode":
+            x = mat.T @ step.U
+        else:
+            x = step.U.T @ mat
+            r = step.rank
+        key += (step.rank,)
+    return factors, spectra, x
 
 
 def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
@@ -84,13 +83,15 @@ def _tt_svd(t: DenseTensor, ranks, forward: int) -> TTDecomposition:
     rules = _step_rules(TruncationRule.fixed_rank(t.shape.size) if ranks is None else ranks, m - 1)
     left, left_spectra, remainder = _sweep(t, "forward", t.weighted_values(), extents[:forward], rules[:forward])
     mirrored = remainder.reshape(-1, *extents[forward:]).T
-    left_ranks = tuple(core.shape[2] for core in left)
+    left_ranks = tuple(u.shape[1] for u in left)
     right, right_spectra, remainder = _sweep(t, "backward", mirrored, extents[forward + 1 :][::-1],
                                              rules[forward:][::-1], left_ranks)
     r_left = left_ranks[-1] if left else 1
     meeting = remainder.reshape(-1, extents[forward], r_left).T
+    left = [u.reshape(-1, n, u.shape[1]) for u, n in zip(left, extents)]
+    right = [u.reshape(-1, n, u.shape[1]).T for u, n in zip(right, extents[::-1])]
     return TTDecomposition(
-        cores=tuple(left + [meeting] + [core.T for core in right[::-1]]),
+        cores=tuple(left + [meeting] + right[::-1]),
         spectra=tuple(left_spectra + right_spectra[::-1]),
     )
 

@@ -1,8 +1,9 @@
 """Higher-order SVD: Tucker construction, exact error, cost.
 
-Factors are computed from the original tensor's unfoldings (classical
-HOSVD), stored in weighted coordinates so their columns are plainly
-orthonormal. The core is obtained by a single projection pass.
+Factors come from sequentially truncated HOSVD, run by TT-SVD's step
+loop: each mode is factorized after the modes before it were projected
+onto their factors, and the last step leaves the core. Factors are stored
+in weighted coordinates so their columns are plainly orthonormal.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DenseTensor, _mode_product, _weighted_error
-from .svd import TruncationRule, _finite, _mode_factorization, _step_rules, _tail_bound, truncated_svd
+from .core import DenseTensor, _weighted_error
+from .svd import TruncationRule, _finite, _step_rules, _tail_bound
+from .train import _sweep
 
 
 @dataclass(frozen=True)
@@ -37,36 +39,29 @@ class TuckerDecomposition:
 def hosvd(
     t: DenseTensor, ranks: Union[Sequence[int], TruncationRule]
 ) -> TuckerDecomposition:
-    """Truncated higher-order SVD.
+    """Sequentially truncated HOSVD (Vannieuwenhoven, Vandebril and Meerbergen, SIAM J. Sci. Comput. 2012).
 
     `ranks` is one rank per mode, or one TruncationRule that picks the
-    rank of every mode from that mode's spectrum. A given rank is an
-    upper limit: each mode keeps at most the rank of its unfolding.
-    A mode's factorization does not depend on the rank kept, so `t`
-    factorizes each distinct unfolding once, on the first `hosvd` of it:
-    a two-mode tensor whose weighted matrix equals its transpose has one,
-    factorized by one `eigh`, and any other tensor one per mode.
+    rank of every mode from that step's spectrum. Mode j's matrix is `t`
+    projected onto the factors of modes 0..j-1 (see `train._sweep`); a
+    given rank is an upper limit, the rank of that matrix. The error equals
+    `tail_bound()`, and each step's tail is at most classical HOSVD's at the
+    same rank. `t` factorizes a step once per ranks kept before it.
     """
-    factors = []
-    spectra = []
-    for j, rule in enumerate(_step_rules(ranks, t.ndim)):
-        step = truncated_svd(_mode_factorization(t, j), rule)
-        factors.append(step.U)
-        spectra.append(step.full_spectrum)
-    core = t.weighted_values()
-    for j, factor in enumerate(factors):
-        core = _mode_product(core, factor.T, j)
-    core = _finite(core)
+    factors, spectra, core = _sweep(t, "mode", t.weighted_values(), t.shape.extents, _step_rules(ranks, t.ndim))
+    core = _finite(core.reshape([f.shape[1] for f in factors]))
     core.setflags(write=False)
     return TuckerDecomposition(core=core, factors=tuple(factors), mode_spectra=tuple(spectra))
 
 
 def tucker_error(t: DenseTensor, d: TuckerDecomposition) -> float:
-    """Exact weighted Frobenius error: U_0 against the core contracted with the other factors."""
-    right = d.core
-    for j, factor in enumerate(d.factors[1:], start=1):
-        right = _mode_product(right, factor, j)
-    return _weighted_error(t, d.factors[0], right)
+    """Exact weighted Frobenius error: U_0 against the core contracted with the other factors,
+    each of which multiplies the mode in front and moves it to the back, as in the sweep."""
+    right = np.moveaxis(d.core, 0, -1)
+    for factor in d.factors[1:]:
+        right = right.reshape(factor.shape[1], -1).T @ factor.T
+    extents = [f.shape[0] for f in d.factors]
+    return _weighted_error(t, d.factors[0], right.reshape([d.ranks[0]] + extents[1:]))
 
 
 def tucker_cost(ranks: Sequence[int]) -> int:

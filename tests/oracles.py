@@ -1,6 +1,7 @@
 """Independent test oracles: for the SVD layer, a sign-fixed dense SVD, the Gram spectrum, a direct
-tail sum and the projection trace identity; for the errors, Tucker and TT reconstructions each by
-one einsum."""
+tail sum and the projection trace identity; for Tucker, classical HOSVD and the matrices of the
+sequentially truncated one, by einsum and dense SVDs; for the errors, Tucker and TT
+reconstructions each by one einsum."""
 
 from string import ascii_lowercase, ascii_uppercase
 from typing import Tuple
@@ -78,3 +79,45 @@ def tt_reconstruction(cores) -> np.ndarray:
     bonds, extents = ascii_lowercase[: len(cores) + 1], ascii_uppercase[: len(cores)]
     spec = ",".join(bonds[j] + extents[j] + bonds[j + 1] for j in range(len(cores))) + "->" + extents
     return np.einsum(spec, *cores)
+
+
+def project(a: np.ndarray, factors) -> np.ndarray:
+    """`a` with each mode i < len(factors) multiplied by factors[i]^T, by one einsum.
+
+    Factor i is (n_i, r_i), so mode i of the result has extent r_i; the other modes are kept.
+    """
+    m, k = a.ndim, len(factors)
+    extents, ranks = ascii_uppercase[:m], ascii_lowercase[:k]
+    spec = ",".join([extents, *(n + r for n, r in zip(extents, ranks))]) + "->" + ranks + extents[k:]
+    return np.einsum(spec, a, *factors)
+
+
+def unfolding(a: np.ndarray, j: int) -> np.ndarray:
+    """The mode-j unfolding of `a`: mode j against all the others, in their order."""
+    return np.moveaxis(a, j, 0).reshape(a.shape[j], -1)
+
+
+def classical_hosvd(a: np.ndarray, ranks):
+    """Classical truncated HOSVD of the (weighted) array `a`, as (core, factors, spectra).
+
+    Factor j holds the leading left singular vectors of the full mode-j
+    unfolding of `a`, at most r_j of them, from one dense SVD each; spectrum j
+    is all of that unfolding's singular values. The core is `a` projected onto
+    every factor.
+    """
+    factors, spectra = [], []
+    for j, r in enumerate(ranks):
+        U, s, _ = full_svd(unfolding(a, j))
+        factors.append(U[:, :r])
+        spectra.append(s)
+    return project(a, factors), factors, spectra
+
+
+def sequential_matrix(a: np.ndarray, factors, j: int) -> np.ndarray:
+    """The matrix that sequentially truncated HOSVD factorizes at mode j, given its factors of modes 0..j-1.
+
+    It is the mode-j unfolding of `a` projected onto those factors; its
+    columns are in another order than the program's, which leaves its left
+    singular vectors and values unchanged.
+    """
+    return unfolding(project(a, factors[:j]), j)

@@ -1,11 +1,11 @@
-"""A tensor factorizes each distinct unfolding and TT-step matrix once.
+"""A tensor factorizes each distinct Tucker-step and TT-step matrix once.
 
 `svd.factorize` takes one `eigh` of a matrix equal to its transpose and
-one SVD of any other. A two-mode tensor whose weighted matrix equals its
-transpose has one unfolding for both modes, so mode 1 reads mode 0's
-factorization; any other two-mode tensor factorizes its two unfoldings
-separately, as every tensor of three modes or more does. TT's first step
-is the mode-0 unfolding.
+one SVD of any other. A step's matrix is fixed by the ranks kept before
+it, so Tucker's mode 0 and TT's first step, both the mode-0 unfolding,
+are factorized once, and a later step once per such ranks. Mode 1 of a
+two-mode tensor whose weighted matrix equals its transpose needs no
+solver: it is mode 0's factorization cut to the rank kept.
 
 Counts wrap the `numpy.linalg` solvers themselves. The property test
 checks that a decomposition read through a tensor's memo equals the same
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import lrtensor as lt
 import lrtensor.harness as hz
-from lrtensor.svd import _mode_factorization
 from lrtensor.train import _forward_bonds
 
 
@@ -30,9 +29,9 @@ BUILDERS = {"tucker": lt.hosvd, "tt": lt.tt_svd, "tt-bidir": lt.tt_svd_bidirecti
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """(name, shape) of each np.linalg svd, eigh and eigvalsh call."""
+    """(name, shape) of each np.linalg svd, eigh, eigvalsh and qr call."""
     calls = []
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
         def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _original(a, *args, **kwargs)
@@ -64,9 +63,12 @@ def _csv_column(path, name):
 
 
 class TestFactorizationCounts:
-    def test_rank_vs_eps_tucker_factorizes_each_mode_once(self, tmp_path, linalg_calls):
+    def test_rank_vs_eps_tucker_refactorizes_only_after_a_changed_rank(self, tmp_path, linalg_calls):
         assert hz.run(hz.parse_config(_rank_vs_eps("tucker")), tmp_path).exit_code == 0
-        assert len(_svds(linalg_calls)) == 4  # six epsilons, four modes
+        ranks = _csv_column(tmp_path / "rank_vs_eps.csv", "ranks")
+        assert ranks == ["2x2x2x2", "4x4x4x4"] + ["8x8x8x8"] * 4
+        # 4 modes at the first epsilon, then modes 1-3 after each new first rank; mode 0 once
+        assert len(_svds(linalg_calls)) == 10
 
     def test_rank_vs_eps_tt_refactorizes_only_after_a_changed_rank(self, tmp_path, linalg_calls):
         assert hz.run(hz.parse_config(_rank_vs_eps("tt")), tmp_path).exit_code == 0
@@ -98,11 +100,13 @@ class TestFactorizationCounts:
 
     def test_a_miss_on_one_mode_keeps_the_others(self, linalg_calls):
         t = lt.DenseTensor.from_array(np.random.default_rng(5).standard_normal((3, 4, 5)))
-        for j in (2, 0, 2):
-            _mode_factorization(t, j)
-        # one factorization per mode: the miss on mode 0 leaves mode 2's entry held
-        assert _svds(linalg_calls) == [(5, 5), (3, 3)]
-        assert set(t._factorizations) == {("mode", 0), ("mode", 2)}
+        for ranks in [(2, 2, 2), (2, 3, 2), (2, 3, 1)]:
+            lt.hosvd(t, ranks)
+        # the new rank of mode 1 changes only mode 2's matrix: the miss there keeps modes 0 and 1,
+        # and a new rank of the last mode changes no matrix
+        assert _svds(linalg_calls) == [(3, 3), (4, 4), (5, 4), (5, 6)]
+        assert {slot: key for slot, (key, _) in t._factorizations.items()} == {
+            ("mode", 0): (), ("mode", 1): (2,), ("mode", 2): (2, 3)}
 
     def test_two_mode_hosvd_factorizes_once(self, linalg_calls):
         rng = np.random.default_rng(3)
@@ -111,8 +115,9 @@ class TestFactorizationCounts:
             lt.hosvd(t, ranks)
         lt.tt_svd(t, [2])
         lt.tt_svd_bidirectional(t, [5])
-        # once per unfolding: the wide 7 x 16 one as R^T from a QR of its transpose, and the 16 x 7 one
-        assert _svds(linalg_calls) == [(7, 7), (16, 7)]
+        # mode 0 once, the wide 7 x 16 unfolding as R^T from a QR of its transpose, which the TT sweeps
+        # read too; mode 1's 16 x r_0 matrix once per r_0 kept, 2 then 7 (the tolerance keeps 7 too)
+        assert _svds(linalg_calls) == [(7, 7), (16, 2), (16, 7)]
 
     def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, linalg_calls):
         raw = {"experiment": "decompose", "function": {"id": "brownian_bridge"},
@@ -121,23 +126,35 @@ class TestFactorizationCounts:
         # a symmetric kernel's weighted sample equals its transpose: one eigh, no SVD
         assert linalg_calls == [("eigh", (64, 64))]
 
+    def test_symmetric_two_mode_hosvd_makes_one_eigh(self, linalg_calls):
+        t = lt.sample(lt.make_function("abs_diff"), lt.GridSpec(33, "gauss-legendre"))
+        norm = lt.frobenius_norm(t)
+        linalg_calls.clear()  # the Gauss-Legendre nodes' eigvalsh
+        for ranks in [(5, 9), (9, 5), (33, 33), lt.TruncationRule.tail_energy(1e-3 * norm)]:
+            d = lt.hosvd(t, ranks)
+            assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
+        # mode 1's matrix A^T U_r = U_r Λ_r is factorized by cutting mode 0's to r: no solver call
+        assert linalg_calls == [("eigh", (33, 33))]
+
     def test_non_symmetric_two_mode_decompose_factorizes_once(self, tmp_path, linalg_calls):
         raw = {"experiment": "decompose", "function": {"id": "weighted_exp", "m": 2, "gamma": [1, 0.5]},
                "grid": {"points_per_axis": 64}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
-        assert linalg_calls == [("svd", (64, 64))] * 2  # one SVD per unfolding
+        # one SVD per step: the mode-0 unfolding, then mode 1's 64 x r_0 matrix, r_0 = 1
+        assert linalg_calls == [("svd", (64, 64)), ("svd", (64, 1))]
 
     @pytest.mark.parametrize("fmt", sorted(BUILDERS))
     def test_two_mode_rank_vs_eps_factorizes_once(self, tmp_path, linalg_calls, fmt):
         assert hz.run(hz.parse_config(_rank_vs_eps(fmt, m=2)), tmp_path).exit_code == 0
-        # once per unfolding read: Tucker reads both, TT only the mode-0 one
-        assert _svds(linalg_calls) == [(8, 8)] * (2 if fmt == "tucker" else 1)
+        # TT reads only the mode-0 unfolding; Tucker also mode 1's 8 x r_0 matrix once per r_0 kept (2, 4, 8)
+        assert _svds(linalg_calls) == [(8, 8)] + ([(8, 2), (8, 4), (8, 8)] if fmt == "tucker" else [])
 
     def test_two_mode_compare_formats_factorizes_once(self, tmp_path, linalg_calls):
         raw = {"experiment": "compare-formats", "function": {"id": "weighted_exp", "m": 2},
                "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
-        assert _svds(linalg_calls) == [(6, 6)] * 2  # Tucker's two unfoldings; TT's first step is mode 0
+        # Tucker's two steps, mode 1's matrix 6 x r_0 with r_0 = 1; TT's first step is mode 0
+        assert _svds(linalg_calls) == [(6, 6), (6, 1)]
 
 
 @pytest.fixture
@@ -230,9 +247,9 @@ def _arrays(fmt, d):
 
 
 def _slots(m):
-    """Every slot a tensor of m modes can memoize: one per Tucker mode and TT step.
+    """Every slot a tensor of m modes can memoize: one per Tucker and TT step.
 
-    TT's forward step 0 factorizes the mode-0 unfolding, so it reads ("mode", 0).
+    TT's forward step 0 factorizes the mode-0 unfolding, so it reads Tucker's ("mode", 0).
     """
     forward = _forward_bonds(m)
     return ({("mode", j) for j in range(m)} | {("forward", i) for i in range(1, m - 1)}
@@ -278,5 +295,7 @@ def test_memoized_decompositions_equal_fresh_ones(case):
         for a, b in zip(_arrays(fmt, got), _arrays(fmt, fresh), strict=True):
             assert np.array_equal(a, b)
         assert set(t._factorizations) <= _slots(len(extents))
-        if symmetric and ("mode", 1) in t._factorizations:  # mode 1 read mode 0's entry
-            assert t._factorizations[("mode", 1)][1] is t._factorizations[("mode", 0)][1]
+        if symmetric and ("mode", 1) in t._factorizations:  # mode 1 is mode 0's entry cut to the rank kept
+            ((r,), step), (_, first) = t._factorizations[("mode", 1)], t._factorizations[("mode", 0)]
+            assert np.array_equal(step.U, first.U[:, :r])
+            assert np.array_equal(step.spectrum.values, first.spectrum.values[:r])

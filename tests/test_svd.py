@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import lrtensor as lt
 import lrtensor.svd as svd
 import lrtensor.train as train
-import lrtensor.tucker as tucker
 from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _mode_factorization, _tails, factorize
 from oracles import full_svd, gram_spectrum, projection_trace_check
 
@@ -81,20 +80,21 @@ class TestTruncatedSVD:
         cases = [rng.standard_normal((6, 9)), rng.standard_normal((9, 6)),
                  zero_led, np.zeros((5, 3)), np.ones((1, 4))]
         for m in cases:
-            t = lt.DenseTensor.from_array(m)
-            for j, a in enumerate((m, m.T)):
-                # a two-mode tensor's mode j is factorize() of its own unfolding, whatever the other mode holds
-                got = _mode_factorization(t, j)
-                for expected, value in zip(factorize(a), got, strict=True):
-                    assert np.array_equal(expected, value)
-                    assert np.array_equal(np.signbit(expected), np.signbit(value))
+            for a in (m, m.T):
+                # a tensor's memoized mode 0 is factorize() of its unfolding
+                got = _mode_factorization(lt.DenseTensor.from_array(a))
+                expected = factorize(a)
+                for e, value in ((expected.U, got.U), (expected.spectrum.values, got.spectrum.values)):
+                    assert np.array_equal(e, value)
+                    assert np.array_equal(np.signbit(e), np.signbit(value))
                 U, s, _ = full_svd(a)  # the column loop on one dense SVD of a
+                got_s = got.spectrum.values
                 if a.shape[1] >= svd.WIDE_RATIO * a.shape[0]:  # reduced by a QR first: equal up to rounding
-                    assert np.abs(U - got.U).max() <= 1e-12 and np.abs(s - got.s).max() <= 1e-12 * s[0]
+                    assert np.abs(U - got.U).max() <= 1e-12 and np.abs(s - got_s).max() <= 1e-12 * s[0]
                     continue
                 assert np.array_equal(U, got.U)
                 assert np.array_equal(np.signbit(U), np.signbit(got.U))
-                assert np.array_equal(s, got.s)
+                assert np.array_equal(s, got_s)
 
     @pytest.mark.parametrize("rows, cols, rank, zero_rows", [
         pytest.param(5, 40, 5, 0, id="5-40"),
@@ -244,8 +244,7 @@ def test_tail_bound_is_the_root_sum_of_the_step_tails(monkeypatch, decompose):
         steps.append(svd.truncated_svd(m, rule))
         return steps[-1]
 
-    monkeypatch.setattr(tucker, "truncated_svd", recording)
-    monkeypatch.setattr(train, "truncated_svd", recording)
+    monkeypatch.setattr(train, "truncated_svd", recording)  # the one step loop, Tucker's too
     rng = np.random.default_rng(8)
     extents = (5, 4, 6, 3, 4)
     values = sum(0.4 ** k * np.einsum("i,j,k,l,m->ijklm", *(rng.standard_normal(n) for n in extents))

@@ -1,11 +1,11 @@
 """A two-mode tensor whose weighted matrix equals its transpose is factorized by `eigh`.
 
 For a symmetric A = QΛQ^T the singular values are |λ|, U is Q ordered by
-descending |λ|, and V = U sign(Λ), so after the sign convention both
-Tucker factors are one Factorization: mode 1 reads mode 0's. These tests
-hold `svd.factorize`'s `eigh` path to a dense SVD of the same matrix (the
-`full_svd` oracle), and check that weighting keeps every registered
-kernel's sample bitwise symmetric.
+descending |λ|, and V = U sign(Λ). So the matrix of Tucker's second step,
+A^T U_r = U_r Λ_r, needs no solver: its Factorization is mode 0's cut to
+r. These tests hold `svd.factorize`'s `eigh` path and that cut to dense
+SVDs of the same matrices (the `full_svd` oracle), and check that
+weighting keeps every registered kernel's sample bitwise symmetric.
 """
 
 import numpy as np
@@ -60,11 +60,10 @@ def _sign_loop(U):
 def _check_against_full_svd(A):
     assert np.array_equal(A, A.T)
     t = lt.DenseTensor.from_array(A)
-    f = _mode_factorization(t, 0)
-    assert _mode_factorization(t, 1) is f
+    f = _mode_factorization(t)
     U_svd, s, _ = full_svd(A)
     s1 = s[0]
-    assert np.abs(f.s - s).max() <= 1e-13 * s1
+    assert np.abs(f.spectrum.values - s).max() <= 1e-13 * s1
     assert np.abs(spectrum(A).values - s).max() <= 1e-13 * s1
 
     lam, Q = np.linalg.eigh(A)
@@ -73,9 +72,10 @@ def _check_against_full_svd(A):
     for got in (f, factorize(A)):  # the memo's entry and the one factorization routine
         assert np.array_equal(got.U, expected)
         assert np.array_equal(np.signbit(got.U), np.signbit(expected))
-        assert np.array_equal(got.s, np.abs(lam[order]))
+        assert np.array_equal(got.spectrum.values, np.abs(lam[order]))
     assert np.allclose(f.U.T @ f.U, np.eye(len(s)), atol=1e-12)
 
+    s_f = f.spectrum.values
     tails = _tails(s)
     tolerances = [0.0, 2.0 * tails[0]] + [
         (tails[r] + tails[r + 1]) / 2 for r in range(len(s)) if tails[r] - tails[r + 1] > 1e-6 * s1
@@ -92,6 +92,15 @@ def _check_against_full_svd(A):
             assert np.abs(P_eigh - P_svd).max() <= 1e-10
         d = lt.hosvd(t, rule)
         assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
+        # mode 1 is mode 0 cut to the rank kept: the spectrum and left vectors of A^T U_r, to rounding
+        (r0,), step = t._factorizations[("mode", 1)]
+        assert r0 == d.ranks[0]
+        assert np.array_equal(step.U, f.U[:, :r0]) and np.array_equal(step.spectrum.values, s_f[:r0])
+        U_r, s_r, _ = full_svd(A.T @ f.U[:, :r0])
+        assert np.abs(s_r - s_f[:r0]).max() <= 1e-13 * s1
+        r1, cut = d.ranks[1], np.append(s_f[:r0], 0.0)
+        if cut[r1 - 1] - cut[r1] > 0.05 * s1:  # a clear gap: one projector
+            assert np.abs(U_r[:, :r1] @ U_r[:, :r1].T - d.factors[1] @ d.factors[1].T).max() <= 1e-10
         d = lt.tt_svd(t, rule)
         assert lt.tt_error(t, d) <= d.tail_bound() + 1e-10 * norm
 
@@ -123,8 +132,8 @@ def test_fixed_symmetric_matrices_match_full_svd(name):
 
 
 def test_ties_keep_eigh_order():
-    f = _mode_factorization(lt.DenseTensor.from_array(np.diag([-2.0, 2.0, 1.0])), 0)
-    assert np.array_equal(f.s, [2.0, 2.0, 1.0])
+    f = _mode_factorization(lt.DenseTensor.from_array(np.diag([-2.0, 2.0, 1.0])))
+    assert np.array_equal(f.spectrum.values, [2.0, 2.0, 1.0])
     assert np.array_equal(f.U, np.eye(3))
 
 

@@ -6,7 +6,7 @@ import pytest
 import lrtensor as lt
 from lrtensor.svd import factorize, truncated_svd
 import lrtensor.tucker as tucker
-from oracles import gram_spectrum
+from oracles import classical_hosvd, gram_spectrum, sequential_matrix, tail_energy
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -46,17 +46,33 @@ class TestErrorBound:
             assert err <= d.tail_bound() + 1e-12
 
     def test_bound_matches_dense_svd_tails(self):
-        # independent oracle: recompute each mode's tail from a direct
-        # numpy SVD of the weighted unfolding
+        # independent oracle: recompute each step's tail from a direct numpy SVD of
+        # its matrix, the weighted unfolding projected onto the factors kept before it
         rng = np.random.default_rng(3)
         t = random_tensor(rng, (6, 4, 5), weighted=True)
         ranks = (3, 2, 4)
         d = lt.hosvd(t, ranks)
         total = 0.0
         for mode, r in enumerate(ranks):
-            s = np.linalg.svd(lt.mode_unfolding(t, mode), compute_uv=False)
+            s = np.linalg.svd(sequential_matrix(t.weighted_values(), d.factors, mode), compute_uv=False)
             total += float(np.sum(s[r:] ** 2))
         assert d.tail_bound() == pytest.approx(math.sqrt(total), rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_error_equals_the_bound_and_tails_never_exceed_classical_ones(self, weighted):
+        # Sequential truncation: the error is the root sum of the steps' squared tails,
+        # and each step's tail is at most that of classical HOSVD's mode at the same rank.
+        rng = np.random.default_rng(29)
+        t = random_tensor(rng, (6, 5, 4), weighted=weighted)
+        norm = lt.frobenius_norm(t)
+        ranks = (3, 3, 2)
+        d = lt.hosvd(t, ranks)
+        err, bound = lt.tucker_error(t, d), d.tail_bound()
+        assert bound > 1e-8 * norm
+        assert (1 - 1e-8) * bound <= err <= bound + 1e-10 * norm
+        _, _, classical = classical_hosvd(t.weighted_values(), ranks)
+        for spectrum, s, r in zip(d.mode_spectra, classical, ranks):
+            assert spectrum.tails[r] <= tail_energy(lt.SingularSpectrum(s), r) * (1 + 1e-12)
 
     def test_error_monotone_in_ranks(self):
         rng = np.random.default_rng(5)
@@ -86,7 +102,7 @@ class TestSpectra:
         t = random_tensor(rng, (5, 6, 4), weighted=True)
         d = lt.hosvd(t, (2, 2, 2))
         for mode in range(3):
-            gram = gram_spectrum(lt.mode_unfolding(t, mode))
+            gram = gram_spectrum(sequential_matrix(t.weighted_values(), d.factors, mode))
             sigma_sq = d.mode_spectra[mode].values ** 2
             np.testing.assert_allclose(
                 sigma_sq, gram.values[: len(sigma_sq)], atol=1e-10
@@ -113,15 +129,31 @@ class TestSpectra:
         assert not d.core.flags.writeable
 
     def test_non_finite_core_is_rejected(self, monkeypatch):
-        projected = tucker._mode_product
+        sweep = tucker._sweep
 
-        def last_mode_nan(values, m, mode):
-            out = projected(values, m, mode)
-            return out if mode < out.ndim - 1 else out * np.nan
+        def nan_core(*args):
+            factors, spectra, core = sweep(*args)
+            return factors, spectra, core * np.nan
 
-        monkeypatch.setattr(tucker, "_mode_product", last_mode_nan)
+        monkeypatch.setattr(tucker, "_sweep", nan_core)
         with pytest.raises(ValueError, match="finite"):
             lt.hosvd(random_tensor(np.random.default_rng(19), (4, 5, 3)), (2, 3, 2))
+
+
+def test_hosvd_holds_about_one_tensor_sized_array(peak_bytes):
+    # each step's matrix is a view of the projected tensor, and no mode is moved to the front by a copy
+    fn = lt.make_function("weighted_exp", m=6)
+
+    def rule(t):
+        return lt.TruncationRule.tail_energy(1e-6 * lt.frobenius_norm(t) / math.sqrt(t.ndim))
+
+    small = lt.sample(fn, lt.GridSpec(3))
+    lt.hosvd(small, rule(small))  # the first calls' one-off allocations
+    t = lt.sample(fn, lt.GridSpec(11))
+    tol = rule(t)
+    d, peak, _ = peak_bytes(lambda: lt.hosvd(t, tol))
+    assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * lt.frobenius_norm(t)
+    assert peak <= 1.1 * t.weighted_values().nbytes  # the QR of the wide mode-0 unfolding
 
 
 def _two_mode_tensor(extents, weighted, rank):
@@ -135,8 +167,12 @@ def _two_mode_tensor(extents, weighted, rank):
 
 
 def _per_mode(t, rules):
-    """The per-mode path: each mode's unfolding factorized on its own."""
-    return [truncated_svd(factorize(lt.mode_unfolding(t, j)), rule) for j, rule in enumerate(rules)]
+    """The per-mode path: each mode's sequential matrix formed by einsum and factorized on its own."""
+    steps = []
+    for j, rule in enumerate(rules):
+        mat = sequential_matrix(t.weighted_values(), [step.U for step in steps], j)
+        steps.append(truncated_svd(factorize(mat), rule))
+    return steps
 
 
 def _clear_gaps(s):
@@ -149,7 +185,10 @@ def _clear_gaps(s):
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("extents", [(12, 12), (6, 15), (15, 6)], ids=["square", "wide", "tall"])
 class TestTwoModeOneSVD:
-    """hosvd's one SVD of a two-mode tensor agrees with factorizing each unfolding on its own."""
+    """hosvd's sweep over a two-mode tensor agrees with factorizing each step's matrix on its own.
+
+    Step 1's matrix is A^T U_r, whose spectrum is mode 0's cut to r: mode 1 keeps at most r_0.
+    """
 
     def test_fixed_ranks_match_the_per_mode_path(self, extents, weighted, rank):
         t = _two_mode_tensor(extents, weighted, rank)
