@@ -48,7 +48,6 @@ from .train import (
     tt_cost,
     tt_error,
     tt_svd,
-    tt_svd_bidirectional,
 )
 from .tucker import (
     TuckerDecomposition,

@@ -170,7 +170,7 @@ class DenseTensor:
         return self._weighted
 
     def _factorization(self, slot: tuple, key: tuple, factorize):
-        """The Factorization at `slot`: (sweep, step), the Tucker sweep's being ("mode", j).
+        """The Factorization at `slot`: ("mode", j) of the Tucker sweep or ("forward", i) of the TT one.
 
         An entry is reused only under an equal `key` (the ranks kept before
         the step). A miss first drops the slot and the later slots of its

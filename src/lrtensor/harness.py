@@ -30,12 +30,13 @@ from .schedules import (
     build_schedule,
 )
 from .svd import TruncationRule, fit_decay_exponent, spectrum
-from .train import tt_cost, tt_error, tt_svd, tt_svd_bidirectional
+from .train import tt_cost, tt_error, tt_svd
 from .tucker import hosvd, tucker_cost, tucker_error
 
 CSV_SCHEMA = "lrtensor-csv v1"
 
-FORMATS = ("tucker", "tt", "tt-bidir")
+FORMATS = ("tucker", "tt")
+_FORMAT_NAMES = FORMATS + ("tt-bidir",)  # "tt-bidir", a legacy name, runs tt's sweep and keeps its name in the rows
 
 
 class ConfigError(ValueError):
@@ -112,8 +113,8 @@ def _function(fn) -> fnreg.FunctionSpec:
 
 
 def _format(value) -> str:
-    if value not in FORMATS:
-        raise ValueError(f"must be one of {FORMATS}, got {value!r}")
+    if value not in _FORMAT_NAMES:
+        raise ValueError(f"must be one of {_FORMAT_NAMES}, got {value!r}")
     return value
 
 
@@ -262,7 +263,7 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
         d = hosvd(t, ranks)
         err, cost, arrays = tucker_error(t, d), tucker_cost(d.ranks), d.factors
     else:
-        d = (tt_svd if fmt == "tt" else tt_svd_bidirectional)(t, ranks)
+        d = tt_svd(t, ranks)
         err, cost, arrays = tt_error(t, d), tt_cost(d.ranks), d.cores
     return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays)
 

@@ -209,7 +209,7 @@ def factorize(m: np.ndarray) -> Factorization:
 
 
 def _mode_factorization(t: DenseTensor) -> Factorization:
-    """The Factorization of t's mode-0 unfolding, the first step of the Tucker and forward TT sweeps."""
+    """The Factorization of t's mode-0 unfolding, the first step of the Tucker and TT sweeps."""
     return t._factorization(("mode", 0), (), lambda: factorize(mode_unfolding(t, 0)))
 
 

@@ -41,8 +41,6 @@ FORMATS = {
     "tucker": (lambda t: lt.hosvd(t, (3, 2, 4, 3)), lambda d: tucker_reconstruction(d.core, d.factors),
                lt.tucker_error),
     "tt": (lambda t: lt.tt_svd(t, (3, 5, 2)), lambda d: tt_reconstruction(d.cores), lt.tt_error),
-    "tt-bidir": (lambda t: lt.tt_svd_bidirectional(t, (3, 5, 2)), lambda d: tt_reconstruction(d.cores),
-                 lt.tt_error),
 }
 
 
@@ -78,8 +76,7 @@ def test_a_full_rank_tucker_error_holds_about_one_tensor_sized_array(peak_bytes)
     assert peak <= 1.25 * t.weighted_values().nbytes  # the core times U_1, and one block of rows
 
 
-MEMORY_FORMATS = {"tucker": (lt.hosvd, lt.tucker_error), "tt": (lt.tt_svd, lt.tt_error),
-                  "tt-bidir": (lt.tt_svd_bidirectional, lt.tt_error)}
+MEMORY_FORMATS = {"tucker": (lt.hosvd, lt.tucker_error), "tt": (lt.tt_svd, lt.tt_error)}
 
 
 @pytest.mark.parametrize("fmt", sorted(MEMORY_FORMATS))

@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 
 import lrtensor as lt
 import lrtensor.harness as hz
-from lrtensor.train import _forward_bonds
 
 
-BUILDERS = {"tucker": lt.hosvd, "tt": lt.tt_svd, "tt-bidir": lt.tt_svd_bidirectional}
+BUILDERS = {"tucker": lt.hosvd, "tt": lt.tt_svd}
 
 
 @pytest.fixture
@@ -81,8 +80,8 @@ class TestFactorizationCounts:
         raw = {"experiment": "compare-formats", "function": {"id": "weighted_exp", "m": 5},
                "grid": {"points_per_axis": 6}, "tolerance": 1e-6}
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
-        # 5 Tucker modes, TT steps 2-4 (step 1 is Tucker's mode 0), the 2 backward steps of tt-bidir
-        assert len(_svds(linalg_calls)) == 10
+        # 5 Tucker modes and TT steps 2-4 (step 1 is Tucker's mode 0)
+        assert len(_svds(linalg_calls)) == 8
 
     def test_a_miss_drops_the_stale_steps_before_it_factorizes(self, monkeypatch):
         t = lt.DenseTensor.from_array(np.random.default_rng(4).standard_normal((4, 4, 4, 4)))
@@ -114,9 +113,9 @@ class TestFactorizationCounts:
         for ranks in [(2, 3), (7, 7), lt.TruncationRule.tail_energy(0.5)]:
             lt.hosvd(t, ranks)
         lt.tt_svd(t, [2])
-        lt.tt_svd_bidirectional(t, [5])
-        # mode 0 once, the wide 7 x 16 unfolding as R^T from a QR of its transpose, which the TT sweeps
-        # read too; mode 1's 16 x r_0 matrix once per r_0 kept, 2 then 7 (the tolerance keeps 7 too)
+        lt.tt_svd(t, [5])
+        # mode 0 once, the wide 7 x 16 unfolding as R^T from a QR of its transpose, which TT's one step
+        # reads too; mode 1's 16 x r_0 matrix once per r_0 kept, 2 then 7 (the tolerance keeps 7 too)
         assert _svds(linalg_calls) == [(7, 7), (16, 2), (16, 7)]
 
     def test_brownian_bridge_decompose_factorizes_once(self, tmp_path, linalg_calls):
@@ -143,7 +142,7 @@ class TestFactorizationCounts:
         # one SVD per step: the mode-0 unfolding, then mode 1's 64 x r_0 matrix, r_0 = 1
         assert linalg_calls == [("svd", (64, 64)), ("svd", (64, 1))]
 
-    @pytest.mark.parametrize("fmt", sorted(BUILDERS))
+    @pytest.mark.parametrize("fmt", sorted(hz._FORMAT_NAMES))
     def test_two_mode_rank_vs_eps_factorizes_once(self, tmp_path, linalg_calls, fmt):
         assert hz.run(hz.parse_config(_rank_vs_eps(fmt, m=2)), tmp_path).exit_code == 0
         # TT reads only the mode-0 unfolding; Tucker also mode 1's 8 x r_0 matrix once per r_0 kept (2, 4, 8)
@@ -161,7 +160,7 @@ class TestFactorizationCounts:
 def builds(monkeypatch):
     """Names of the builder and exact-error calls the harness makes, in order."""
     calls = []
-    for name in ("hosvd", "tt_svd", "tt_svd_bidirectional", "tucker_error", "tt_error"):
+    for name in ("hosvd", "tt_svd", "tucker_error", "tt_error"):
         def counting(*args, _name=name, _original=getattr(hz, name)):
             calls.append(_name)
             return _original(*args)
@@ -187,12 +186,13 @@ def checked(monkeypatch):
 def _assert_rows_equal_fresh_builds(raw, rows):
     """Each row's ranks, error and bound, bit for bit, from a fresh build on a new tensor at its ranks."""
     config = hz.parse_config(raw)
-    errors = {"tucker": lt.tucker_error, "tt": lt.tt_error, "tt-bidir": lt.tt_error}
+    fmt = "tt" if config.format == "tt-bidir" else config.format  # the legacy name runs tt's sweep
+    errors = {"tucker": lt.tucker_error, "tt": lt.tt_error}
     for ranks, error, bound, *_ in rows:
         t = hz._sample_tensor(config)
-        d = BUILDERS[config.format](t, list(ranks))
+        d = BUILDERS[fmt](t, list(ranks))
         assert d.ranks == ranks
-        assert errors[config.format](t, d) == error
+        assert errors[fmt](t, d) == error
         assert d.tail_bound() + 1e-10 * lt.frobenius_norm(t) == bound
 
 
@@ -223,8 +223,10 @@ class TestRankVsEpsReuse:
         # bond 2 is cut to 2 * 8 and then asked for less than it kept; then uncut bond 1 changes
         ("tt", [(2, 100, 8), (2, 50, 8), (2, 16, 8), (2, 15, 8), (3, 15, 8)],
          [(2, 16, 8), (2, 16, 8), (2, 16, 8), (2, 15, 8), (3, 15, 8)], 3),
-        # the backward bond 3 is cut to 8 and then asked for less; then forward bond 1 changes
+        # the last bond is cut to 8 and then asked for less; then bond 1 changes, under either name
         ("tt-bidir", [(2, 100, 100), (2, 20, 9), (2, 20, 7), (1, 20, 7)],
+         [(2, 16, 8), (2, 16, 8), (2, 16, 7), (1, 8, 7)], 3),
+        ("tt", [(2, 100, 100), (2, 20, 9), (2, 20, 7), (1, 20, 7)],
          [(2, 16, 8), (2, 16, 8), (2, 16, 7), (1, 8, 7)], 3),
     ])
     def test_a_changed_or_lowered_request_rebuilds(self, tmp_path, monkeypatch, builds, checked,
@@ -251,9 +253,7 @@ def _slots(m):
 
     TT's forward step 0 factorizes the mode-0 unfolding, so it reads Tucker's ("mode", 0).
     """
-    forward = _forward_bonds(m)
-    return ({("mode", j) for j in range(m)} | {("forward", i) for i in range(1, m - 1)}
-            | {("backward", i) for i in range(m - 1 - forward)})
+    return {("mode", j) for j in range(m)} | {("forward", i) for i in range(1, m - 1)}
 
 
 @st.composite

@@ -17,7 +17,6 @@ import lrtensor.harness as hz
 import lrtensor.svd as svd
 from lrtensor.cli import main as cli_main
 from lrtensor.grids import axis_rule
-from lrtensor.train import _forward_bonds
 from oracles import tail_energy
 
 DATA = Path(__file__).parent / "data"
@@ -29,23 +28,17 @@ def _step_limit(r_prev: int, n: int, rest: int) -> int:
     return min(r_prev * n, rest)
 
 
-def feasible_ranks(extents, ranks, bidirectional: bool = False) -> list:
-    """Clamp bond ranks to what `tt_svd` (or `tt_svd_bidirectional`) keeps.
+def feasible_ranks(extents, ranks) -> list:
+    """Clamp bond ranks to what `tt_svd` keeps.
 
-    Bonds are clamped to each step's `_step_limit` in the order and
-    direction the sweeps separate them, since a step's limit depends on
-    the rank kept at the step before.
+    Bonds are clamped to each step's `_step_limit` in the order the sweep
+    separates them, since a step's limit depends on the rank kept at the
+    step before.
     """
-    m = len(extents)
-    forward = _forward_bonds(m) if bidirectional else m - 1
     clamped = [int(r) for r in ranks]
     r_prev = 1
-    for j in range(forward):
+    for j in range(len(extents) - 1):
         limit = _step_limit(r_prev, extents[j], math.prod(extents[j + 1 :]))
-        r_prev = clamped[j] = min(clamped[j], limit)
-    r_left, r_prev = r_prev, 1
-    for j in range(m - 2, forward - 1, -1):
-        limit = _step_limit(r_prev, extents[j + 1], r_left * math.prod(extents[forward : j + 1]))
         r_prev = clamped[j] = min(clamped[j], limit)
     return clamped
 
@@ -122,11 +115,12 @@ class TestDecomposeRun:
         assert error <= 1e-10
 
     @pytest.mark.parametrize("fmt, ranks", [
-        ("tucker", [2, 3, 2, 1, 2]), ("tt", [2, 3, 3, 2]), ("tt-bidir", [2, 3, 3, 2]), ("tt-bidir", [3, 2, 2, 3]),
-    ], ids=["tucker", "tt", "tt-bidir", "tt-bidir-uneven"])
+        ("tucker", [2, 3, 2, 1, 2]), ("tt", [2, 3, 3, 2]), ("tt", [3, 2, 2, 3]),
+        ("tt-bidir", [2, 3, 3, 2]), ("tt-bidir", [3, 2, 2, 3]),
+    ], ids=["tucker", "tt", "tt-uneven", "tt-bidir", "tt-bidir-uneven"])
     def test_storage_is_the_entries_held(self, tmp_path, fmt, ranks):
         """The CSV storage: the entries of the factors (Tucker) or cores (TT)."""
-        # extents (3, 9, 3, 3, 3); a bidirectional sweep meets at core 2, away from both ends
+        # extents (3, 9, 3, 3, 3)
         raw = decompose_config(function={"id": "rank_one", "dims": [1, 2, 1, 1, 1]},
                                grid={"points_per_axis": 3}, format=fmt, ranks=ranks)
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
@@ -161,7 +155,7 @@ class TestDeterminism:
             outputs.append((out / "compare_formats.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_tolerance_decompose_bytes_identical_on_wide_unfoldings(self, tmp_path, fmt):
         # every mode unfolding and the first TT steps are wide: 6 x 1296 is reduced by one QR,
         # 8 x 4096 by the blockwise QR
@@ -205,8 +199,50 @@ class TestCompareFormats:
             if not line.startswith("#") and "," in line and "format" not in line
         ]
         errors = {r[0]: float(r[2]) for r in rows}
+        assert list(errors) == ["tucker", "tt"]
         assert abs(errors["tucker"] - errors["tt"]) <= 1e-12
-        assert abs(errors["tt"] - errors["tt-bidir"]) <= 1e-12
+
+
+class TestLegacyFormatName:
+    """`tt-bidir`, a legacy format name, runs `tt`'s sweep and keeps its own name in the rows."""
+
+    @pytest.mark.parametrize("function, grid, ranks", [
+        ({"id": "gauss_kernel", "params": {"n": 2}}, 7, None),
+        ({"id": "rank_one", "dims": [1, 2, 1, 1, 1]}, 3, [3, 2, 2, 3]),
+        ({"id": "weighted_exp", "m": 2}, 6, None),  # one bond: the first step is the whole sweep
+        ({"id": "rank_one", "dims": [2]}, 3, []),  # no bond: the weighted values are the one core
+    ], ids=["tolerance", "ranks", "two-mode", "one-mode"])
+    def test_tt_bidir_writes_tt_cells_under_its_own_name(self, tmp_path, function, grid, ranks):
+        rows, summaries = {}, {}
+        for fmt in ("tt", "tt-bidir"):
+            cfg = tmp_path / f"{fmt}.json"
+            cfg.write_text(json.dumps(decompose_config(function=function, grid={"points_per_axis": grid},
+                                                       format=fmt, ranks=ranks, tolerance=1e-6)))
+            assert cli_main(["decompose", "--config", str(cfg), "--out", str(tmp_path / fmt)]) == 0
+            (rows[fmt],) = _csv_rows(tmp_path / fmt / "decompose.csv")
+            summaries[fmt] = (tmp_path / fmt / "summary.md").read_text()
+        assert rows["tt-bidir"]["format"] == "tt-bidir"
+        for column in ("ranks", "error", "bound", "cost", "storage", "within_bound"):
+            assert rows["tt-bidir"][column] == rows["tt"][column]
+        assert f"- tt-bidir, ranks {rows['tt']['ranks']}: " in summaries["tt-bidir"]
+        assert not hasattr(lt, "tt_svd_bidirectional")
+
+    def test_rank_vs_eps_tt_bidir_writes_tt_cells_under_its_own_name(self, tmp_path):
+        rows, summaries = {}, {}
+        for fmt in ("tt", "tt-bidir"):
+            raw = {"experiment": "rank-vs-eps", "function": {"id": "weighted_exp", "m": 4},
+                   "grid": {"points_per_axis": 6}, "format": fmt,
+                   "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1] * 4},
+                   "epsilons": [0.5 ** i for i in range(1, 5)]}
+            report = hz.run(hz.parse_config(raw), tmp_path / fmt)
+            assert report.exit_code == 0
+            rows[fmt] = _csv_rows(tmp_path / fmt / "rank_vs_eps.csv")
+            summaries[fmt] = report.summary_lines
+        assert len(rows["tt"]) == 4
+        assert rows["tt-bidir"] == rows["tt"]  # the CSV has no format column
+        assert "- 4 epsilon values, 3 decompositions, format tt-bidir" in summaries["tt-bidir"]
+        assert [line.replace("tt-bidir", "tt") for line in summaries["tt-bidir"] if "wall time" not in line] \
+            == [line for line in summaries["tt"] if "wall time" not in line]
 
 
 class TestCLI:
@@ -292,7 +328,7 @@ class TestTolerance:
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
         assert len(calls) == factorizations
 
-    @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
+    @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_tolerance_above_one_keeps_rank_one(self, tmp_path, fmt):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(decompose_config(
@@ -327,11 +363,10 @@ class TestTolerance:
         assert d.ranks == tuple(_probe_rank(sp, tol) for sp in probe.mode_spectra)
         assert lt.tucker_error(t, d) <= math.sqrt(t.ndim) * tol * norm + 1e-10 * norm
 
-        for sweep in (lt.tt_svd, lt.tt_svd_bidirectional):
-            d = sweep(t, rule)
-            probe_ranks = [_probe_rank(sp, tol) for sp in sweep(t).spectra]
-            assert all(r <= p for r, p in zip(d.ranks, probe_ranks))
-            assert lt.tt_error(t, d) <= math.sqrt(t.ndim - 1) * tol * norm + 1e-10 * norm
+        d = lt.tt_svd(t, rule)
+        probe_ranks = [_probe_rank(sp, tol) for sp in lt.tt_svd(t).spectra]
+        assert all(r <= p for r, p in zip(d.ranks, probe_ranks))
+        assert lt.tt_error(t, d) <= math.sqrt(t.ndim - 1) * tol * norm + 1e-10 * norm
 
 
 def _ridge(m: int, n: int) -> lt.DenseTensor:
@@ -344,7 +379,7 @@ def _ridge(m: int, n: int) -> lt.DenseTensor:
 class TestTotalTolerance:
     # Each case read a bound 1.01x to 1.88x tolerance * norm when each step could discard tolerance * norm.
     @pytest.mark.parametrize("m, tolerance", [(3, 1e-3), (4, 1e-4), (4, 1.78e-7), (5, 3e-7)])
-    @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
+    @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_bound_is_within_the_tolerance(self, fmt, m, tolerance):
         t = _ridge(m, 8)
         norm = lt.frobenius_norm(t)
@@ -375,7 +410,7 @@ class TestRankVsEps:
 
 
 class TestWeightOnce:
-    @pytest.mark.parametrize("fmt", ["tucker", "tt", "tt-bidir"])
+    @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_tolerance_decompose_weights_once(self, tmp_path, monkeypatch, fmt):
         multiplies = []
         original = core._scale_by_weights
@@ -417,7 +452,7 @@ class TestRanksContract:
                "grid": {"points_per_axis": 3}, "ranks": [1, 9]}
         assert self._run(tmp_path, raw) == 0
         ranks = {row["format"]: row["ranks"] for row in _csv_rows(tmp_path / "o" / "compare_formats.csv")}
-        assert ranks == {"tucker": "1x1x1", "tt": "1x3", "tt-bidir": "1x3"}
+        assert ranks == {"tucker": "1x1x1", "tt": "1x3"}
 
     def test_tt_too_few_ranks_exit_two(self, tmp_path, capsys):
         raw = decompose_config(format="tt", ranks=[2])
@@ -429,15 +464,13 @@ class TestRanksContract:
         assert self._run(tmp_path, raw) == 2
         assert "'ranks'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bidirectional", [False, True])
-    def test_clamped_ranks_are_what_the_sweep_keeps(self, bidirectional):
+    def test_clamped_ranks_are_what_the_sweep_keeps(self):
         rng = np.random.default_rng(7)
-        sweep = lt.tt_svd_bidirectional if bidirectional else lt.tt_svd
         for _ in range(20):
             extents = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 6))))
             t = lt.DenseTensor.from_array(rng.standard_normal(extents))
             wanted = [int(r) for r in rng.integers(1, 30, size=len(extents) - 1)]
-            assert sweep(t, wanted).ranks == tuple(feasible_ranks(extents, wanted, bidirectional))
+            assert lt.tt_svd(t, wanted).ranks == tuple(feasible_ranks(extents, wanted))
 
 
 # One small valid config per experiment (decompose both by ranks and by
@@ -618,7 +651,7 @@ class TestSingularVectorsComputed:
         monkeypatch.setattr(np.linalg, "svd", recording)
         return calls
 
-    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_tolerance_decompose(self, tmp_path, svd_calls, fmt):
         raw = decompose_config(function={"id": "weighted_exp", "m": 4}, grid={"points_per_axis": 5},
                                format=fmt, ranks=None, tolerance=1e-6)
@@ -639,7 +672,7 @@ class TestSingularVectorsComputed:
         monkeypatch.setattr(np.linalg, "qr", recording)
         return calls
 
-    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_wide_unfoldings_reduce_blockwise(self, tmp_path, qr_calls, fmt):
         # every mode unfolding and the first TT steps are 8 x 4096: no QR sees all 4096 rows of a transpose
         raw = decompose_config(function={"id": "weighted_exp", "m": 5}, grid={"points_per_axis": 8},

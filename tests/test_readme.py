@@ -1,5 +1,5 @@
-"""The README's examples run as written, its config table matches the reader,
-and every export follows the rule in `lrtensor`'s docstring."""
+"""The README's examples run as written, its config table and format names match
+the reader, and every export follows the rule in `lrtensor`'s docstring."""
 
 import dataclasses
 import inspect
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import lrtensor as lt
 from lrtensor.cli import main as cli_main
-from lrtensor.harness import ExperimentConfig
+from lrtensor.harness import _FORMAT_NAMES, ExperimentConfig, _format
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 ACCEPTANCE = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
@@ -43,6 +43,16 @@ def test_config_table_states_every_field_and_its_default():
     rows = re.findall(r"^\| `(\w+)` \| (required|`[^`]+`) \|", README, flags=re.MULTILINE)
     table = [(name, _default(cell)) for name, cell in rows]
     assert table == [(f.name, f.default) for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_format_names_are_the_ones_the_reader_accepts():
+    for name in _FORMAT_NAMES:
+        assert _format(name) == name
+    (row,) = re.findall(r"^\| `format` \| `[^`]+` \| (.*) \|$", README, flags=re.MULTILINE)
+    (line,) = re.findall(r"^Formats: (.*?)\.", README, flags=re.MULTILINE)
+    for listed in (row, line):
+        assert re.findall(r"`([\w-]+)`", listed) == list(_FORMAT_NAMES)
+    assert re.search(r"`tt-bidir` is a legacy name that\s+runs `tt`'s sweep", README)
 
 
 def _annotations(obj) -> str:

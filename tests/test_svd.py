@@ -134,7 +134,7 @@ class TestTruncatedSVD:
             lt.truncated_svd(m, lt.TruncationRule.fixed_rank(1))
 
     @pytest.mark.parametrize("use", [
-        lt.hosvd, lt.tt_svd, lt.tt_svd_bidirectional,
+        lt.hosvd, lt.tt_svd,
         lambda t, rule: lt.truncated_svd(lt.mode_unfolding(t, 0), rule),
     ])
     def test_fixed_rank_zero_is_rejected_where_it_is_made(self, use):
@@ -235,7 +235,7 @@ class TestTailEnergy:
             assert tails[r] == pytest.approx(analytic, rel=0.03)
 
 
-@pytest.mark.parametrize("decompose", [lt.hosvd, lt.tt_svd, lt.tt_svd_bidirectional])
+@pytest.mark.parametrize("decompose", [lt.hosvd, lt.tt_svd])
 def test_tail_bound_is_the_root_sum_of_the_step_tails(monkeypatch, decompose):
     """A decomposition's bound is sqrt(sum of tail^2) over the tails its truncated_svd steps reported."""
     steps = []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
-from lrtensor.train import _forward_bonds
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -13,25 +12,12 @@ def random_tensor(rng, extents, weighted=False):
     return lt.DenseTensor.from_array(values, mode_weights=weights)
 
 
-def _stack_rows(d, meet):
-    """Rows of each step's stacked matrix, in execution order, read off the cores.
-
-    The forward cores before the meeting core `meet` stack their two leading
-    extents; the backward cores, stored transposed, their two trailing ones,
-    and the backward sweep separates the last core first.
-    """
-    forward = [core.shape[0] * core.shape[1] for core in d.cores[:meet]]
-    backward = [core.shape[1] * core.shape[2] for core in d.cores[:meet:-1]]
-    return tuple(forward + backward)
-
-
 class TestExactness:
-    @pytest.mark.parametrize("sweep", [lt.tt_svd, lt.tt_svd_bidirectional])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_full_rank_reconstruction(self, sweep, weighted):
+    def test_full_rank_reconstruction(self, weighted):
         rng = np.random.default_rng(2)
         t = random_tensor(rng, (3, 4, 2, 3), weighted=weighted)
-        d = sweep(t)
+        d = lt.tt_svd(t)
         assert lt.tt_error(t, d) <= 1e-12 * lt.frobenius_norm(t)
 
     def test_rank_one_tensor_all_bonds_one(self):
@@ -53,13 +39,12 @@ class TestExactness:
 
 
 class TestErrorBound:
-    @pytest.mark.parametrize("sweep", [lt.tt_svd, lt.tt_svd_bidirectional])
-    def test_error_within_root_sum_of_step_tails(self, sweep):
+    def test_error_within_root_sum_of_step_tails(self):
         rng = np.random.default_rng(21)
         for trial in range(20):
             t = random_tensor(rng, (4, 4, 4, 4), weighted=trial % 2 == 1)
             ranks = tuple(rng.integers(1, 5, size=3))
-            d = sweep(t, ranks=ranks)
+            d = lt.tt_svd(t, ranks=ranks)
             assert lt.tt_error(t, d) <= d.tail_bound() + 1e-12
 
     def test_step_spectra_telescope(self):
@@ -95,34 +80,23 @@ class TestStructure:
                 mat.T @ mat, np.eye(core.shape[2]), atol=1e-12
             )
 
-    def test_bidirectional_split_orthogonality(self):
-        rng = np.random.default_rng(12)
-        t = random_tensor(rng, (3, 3, 3, 3, 3))
-        d = lt.tt_svd_bidirectional(t, ranks=(2, 2, 2, 2))
-        meet = -(-(len(t.shape.extents) - 1) // 2)
-        for core in d.cores[:meet]:
-            mat = core.reshape(-1, core.shape[2])
-            np.testing.assert_allclose(
-                mat.T @ mat, np.eye(core.shape[2]), atol=1e-12
-            )
-        for core in d.cores[meet + 1 :]:
-            mat = core.reshape(core.shape[0], -1)
-            np.testing.assert_allclose(
-                mat @ mat.T, np.eye(core.shape[0]), atol=1e-12
-            )
-
-    def test_bidirectional_stacked_dims_never_larger(self):
-        # at matched bond ranks the backward half of the sweep works on
-        # ansatz stacks no taller than the one-directional sweep's
-        rng = np.random.default_rng(14)
-        t = random_tensor(rng, (4,) * 6)
-        ranks = (3,) * 5
-        uni = _stack_rows(lt.tt_svd(t, ranks=ranks), 5)
-        bid = _stack_rows(lt.tt_svd_bidirectional(t, ranks=ranks), _forward_bonds(6))
-        assert uni == (4, 12, 12, 12, 12)
-        assert bid == (4, 12, 12, 4, 12)
-        for u, b in zip(uni, bid):
-            assert b <= u
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("extents, ranks", [
+        ((6,), ()), ((5, 4), (2,)), ((3, 4, 2, 3), (2, 3, 2)), ((2, 3, 4, 3, 2), (2, 2, 3, 2)),
+    ], ids=["one-mode", "two-mode", "four-mode", "five-mode"])
+    def test_last_core_is_the_last_remainder(self, extents, ranks, weighted):
+        # the left-orthonormal cores before it, contracted to a matrix L, project the weighted
+        # values: the last core is L^T A, with A the values as (n_0 ... n_{m-2}) x n_{m-1}
+        rng = np.random.default_rng(sum(extents))
+        t = random_tensor(rng, extents, weighted=weighted)
+        d = lt.tt_svd(t, ranks=ranks)
+        left = np.ones((1, 1))
+        for core in d.cores[:-1]:
+            left = np.tensordot(left, core, axes=1).reshape(-1, core.shape[2])
+        a = t.weighted_values().reshape(-1, extents[-1])
+        last = d.cores[-1]
+        assert last.shape == (left.shape[1], extents[-1], 1)
+        np.testing.assert_allclose(last[:, :, 0], left.T @ a, atol=1e-12 * np.linalg.norm(a))
 
     def test_order_of_axes_changes_ranks(self):
         rng = np.random.default_rng(16)
@@ -152,8 +126,7 @@ class TestRankValidation:
         for ranks in ((9, 2), (10, 2)):
             assert lt.hosvd(t, ranks).ranks == (2, 2)
         t = random_tensor(rng, (3, 3, 3))
-        for sweep in (lt.tt_svd, lt.tt_svd_bidirectional):
-            assert sweep(t, ranks=(50, 2)).ranks == (3, 2)
+        assert lt.tt_svd(t, ranks=(50, 2)).ranks == (3, 2)
 
     def test_wrong_rank_count(self):
         rng = np.random.default_rng(20)
