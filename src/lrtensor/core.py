@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -96,25 +96,56 @@ def _outer_product(vectors) -> np.ndarray:
     return functools.reduce(np.multiply.outer, vectors, np.ones(1)).ravel()
 
 
-def _scale_by_weights(values: np.ndarray, mode_weights, power: float) -> np.ndarray:
-    """A new array: `values` times the weights raised to `power` (0.5 or -0.5), in one pass.
+class _Samples(NamedTuple):
+    """The raw samples of a tensor of `extents`, read one run of leading points at a time.
+
+    They are indexed row-major by `axes` (the extents themselves, or a
+    grid's scalar axes), whose first axis divides extents[0]; `at(part)`
+    returns those at a slice `part` of that axis, broadcastable to
+    (len, *axes[1:]).
+    """
+
+    extents: tuple
+    axes: tuple
+    at: Callable
+
+
+def _samples(values) -> _Samples:
+    """`values` itself if it is a _Samples, else the _Samples of an array's entries."""
+    if isinstance(values, _Samples):
+        return values
+    values = np.asarray(values, dtype=float)
+    return _Samples(values.shape, values.shape, values.__getitem__)
+
+
+def _scale_by_weights(values, mode_weights, power: float) -> np.ndarray:
+    """A new array: the samples `values` (an array or a _Samples) times the weights raised to `power`
+    (0.5 or -0.5), in one pass.
 
     Over the unfolding that splits the leading ceil(m/2) modes off, entry
     (i, j) is scaled by l_i * r_j, the flattened square-root weights of each
-    side, formed a block of rows at a time; a negative power divides by it.
-    A two-mode tensor gets s0_i * s1_j, so a symmetric sample stays symmetric.
+    side; a negative power divides by it. A two-mode tensor gets s0_i * s1_j,
+    so a symmetric sample stays symmetric. The samples are read and scaled
+    one block of rows at a time (whole runs of leading points, about `_BLOCK`
+    entries), in place in the one new array; weighting in (a positive power)
+    also checks each block to be finite.
     """
-    if mode_weights is None:
-        return values.copy()
-    roots = [np.ones(n) if w is None else w ** 0.5 for n, w in zip(values.shape, mode_weights)]
-    half = math.ceil(values.ndim / 2)
+    extents, axes, at = _samples(values)
+    roots = [np.ones(n) if w is None else w ** 0.5 for n, w in zip(extents, mode_weights or [None] * len(extents))]
+    half = math.ceil(len(extents) / 2)
     left, right = _outer_product(roots[:half]), _outer_product(roots[half:])
-    flat = values.reshape(left.size, right.size)
-    out = np.empty_like(flat)
+    out = np.empty((left.size, right.size))
+    per_point = left.size // axes[0]  # rows of the unfolding per leading point
     apply = np.multiply if power > 0 else np.divide
-    for rows in _row_blocks(*flat.shape):
-        apply(flat[rows], np.multiply.outer(left[rows], right), out=out[rows])
-    return out.reshape(values.shape)
+    with np.errstate(over="ignore"):  # a product past the float range is inf, rejected below when weighting in
+        for part in _row_blocks(axes[0], per_point * right.size):
+            rows = slice(part.start * per_point, part.stop * per_point)
+            block = out[rows]
+            np.copyto(block.reshape((-1,) + axes[1:]), at(part))
+            apply(block, np.multiply.outer(left[rows], right), out=block)
+            if power > 0 and not np.isfinite(block).all():
+                raise ValueError("tensor entries must be finite")
+    return out.reshape(extents)
 
 
 @dataclass(frozen=True, init=False)
@@ -133,17 +164,20 @@ class DenseTensor:
     _factorizations: dict = field(repr=False, compare=False)
 
     def __init__(self, shape: Shape, values, mode_weights=None):
-        """Weight a fresh copy of the raw samples `values` (the only place weights are multiplied in)."""
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != shape.extents:
+        """Weight the raw samples `values` into a new array (the only place weights are multiplied in).
+
+        `values` is an array of the shape's extents, or a `_Samples` that
+        evaluates them a run of leading points at a time (`grids.sample`):
+        either is read, weighted and checked one block of rows at a time, so
+        the one array held is the only full-size one made.
+        """
+        samples = _samples(values)
+        if samples.extents != shape.extents:
             raise ShapeMismatchError(
-                f"values of shape {values.shape} do not match shape {shape.extents}"
+                f"values of shape {samples.extents} do not match shape {shape.extents}"
             )
         mode_weights = _normalize_weights(shape, mode_weights)
-        with np.errstate(over="ignore"):  # a product past the float range is inf, rejected below
-            weighted = _scale_by_weights(values, mode_weights, 0.5)
-        if not np.isfinite(weighted).all():
-            raise ValueError("tensor entries must be finite")
+        weighted = _scale_by_weights(samples, mode_weights, 0.5)
         weighted.setflags(write=False)
         self.__dict__.update(shape=shape, mode_weights=mode_weights, _weighted=weighted, _factorizations={})
 

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, _outer_product
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, _outer_product, _Samples
 from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
@@ -53,7 +53,12 @@ def sample(
     grid: GridSpec,
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> DenseTensor:
-    """Evaluate `fn` on the product grid; one tensor mode per subdomain of `fn.dims`."""
+    """Evaluate `fn` on the product grid; one tensor mode per subdomain of `fn.dims`.
+
+    `fn` is evaluated on one run of points of the first scalar axis at a
+    time, and each run is weighted straight into the tensor's one array
+    (see `DenseTensor`): no full-size array of raw samples is made.
+    """
     if any(n > int(cap).bit_length() for n in fn.dims):  # then N**n >= 2**n > cap
         raise ElementCapError(f"subdomain dims {fn.dims} exceed the cap of {cap} on any grid")
     n_axis = grid.points_per_axis
@@ -61,10 +66,9 @@ def sample(
     extents = tuple(n_axis ** n for n in fn.dims)
     shape = Shape(extents, cap=cap)  # before any grid array is built
     x, w = axis_rule(grid)
-    coords = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
-        values = np.asarray(vectorized_evaluator(fn)(coords), dtype=float)
-    values = np.broadcast_to(values, (n_axis,) * total_axes).reshape(extents)
+    first, *rest = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
+    evaluate = vectorized_evaluator(fn)
+    samples = _Samples(extents, (n_axis,) * total_axes, lambda part: evaluate([first[part], *rest]))
     weights = [_outer_product([w] * n) for n in fn.dims]  # the tensor-product rule of each subdomain
-    return DenseTensor(shape, values, weights)
-
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
+        return DenseTensor(shape, samples, weights)

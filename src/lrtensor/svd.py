@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import DenseTensor, ShapeMismatchError, mode_unfolding
+from .core import _BLOCK, DenseTensor, ShapeMismatchError, mode_unfolding
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
@@ -171,7 +171,8 @@ Factorization = NamedTuple("Factorization", [("U", np.ndarray), ("spectrum", Sin
 def _r_factor(mt: np.ndarray) -> np.ndarray:
     """R of the tall mt = QR, reduced blockwise (TSQR) when mt has two blocks of rows or more.
 
-    One stacked QR takes the R of each block of rows, a view of mt, and a
+    Stacked QRs take the R of each block of rows, a view of mt, one group
+    of about `_BLOCK` entries at a time (only that group is copied), and a
     final QR takes R of those R factors stacked on the leftover rows:
     in exact arithmetic the same R up to the signs of its rows, and as
     backward stable as one QR.
@@ -181,8 +182,10 @@ def _r_factor(mt: np.ndarray) -> np.ndarray:
     b = k // rows
     if b < 2:
         return np.linalg.qr(mt, mode="r")
-    r = np.linalg.qr(mt[: b * rows].reshape(b, rows, n), mode="r")
-    return np.linalg.qr(np.concatenate([r.reshape(b * n, n), mt[b * rows :]]), mode="r")
+    blocks = mt[: b * rows].reshape(b, rows, n)
+    group = max(1, _BLOCK // (rows * n))
+    r = [np.linalg.qr(blocks[g : g + group], mode="r").reshape(-1, n) for g in range(0, b, group)]
+    return np.linalg.qr(np.concatenate(r + [mt[b * rows :]]), mode="r")
 
 
 def factorize(m: np.ndarray) -> Factorization:

@@ -1,10 +1,16 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import lrtensor as lt
+import lrtensor.grids as grids
 from lrtensor import DenseTensor, GridSpec, Shape, frobenius_norm
+from lrtensor.cli import main as cli_main
+from lrtensor.core import _BLOCK, _scale_by_weights
+from lrtensor.functions import _REGISTRY, vectorized_evaluator
 from lrtensor.grids import axis_rule
 from oracles import full_svd
 
@@ -99,6 +105,112 @@ class TestSample:
         fn = lt.make_function("rank_one", dims=(4,))
         with pytest.raises(lt.ElementCapError):
             lt.sample(fn, lt.GridSpec(64), cap=2**20)
+
+
+def _whole_grid(fn, grid):
+    """The raw samples of `fn` from one evaluation on the whole grid, as the tensor's extents."""
+    x, _ = axis_rule(grid)
+    n, axes = grid.points_per_axis, sum(fn.dims)
+    with np.errstate(over="ignore"):
+        raw = vectorized_evaluator(fn)(np.meshgrid(*[x] * axes, indexing="ij", sparse=True))
+    return np.broadcast_to(raw, (n,) * axes).reshape(tuple(n ** d for d in fn.dims))
+
+
+def _runs(fn, n):
+    """How `sample` splits the first scalar axis into runs: their count, and whether the last is partial."""
+    step = max(1, _BLOCK // (n ** (sum(fn.dims) - 1)))
+    count = -(-n // step)
+    return count, count > 1 and n % step != 0
+
+
+@pytest.fixture
+def evaluated_runs(monkeypatch):
+    """The extent along the first scalar axis of every evaluation `sample` makes."""
+    runs = []
+
+    def recording(fn):
+        evaluate = vectorized_evaluator(fn)
+
+        def call(coords):
+            runs.append(np.shape(coords[0])[0])
+            return evaluate(coords)
+
+        return call
+
+    monkeypatch.setattr(grids, "vectorized_evaluator", recording)
+    return runs
+
+
+@pytest.fixture
+def constant_along_axis_0(monkeypatch):
+    """A function that ignores its first coordinate (an evaluator broadcast along it), and a constant (0-d)."""
+    monkeypatch.setitem(_REGISTRY, "skip_first", {
+        "evaluator": lambda spec, coords: np.exp(-sum(coords[1:])), "smoothness_k": math.inf, "gamma": False})
+    monkeypatch.setitem(_REGISTRY, "constant", {
+        "evaluator": lambda spec, coords: 2.5, "smoothness_k": math.inf, "gamma": False})
+
+
+BLOCKED_CASES = {
+    # id: (function id, make_function arguments, points per axis); an id says whether the last run is partial
+    "m1-one-run": ("weighted_exp", {"m": 1}, 33),
+    "m1-partial": ("weighted_exp", {"m": 1}, 70001),
+    "m2-partial": ("weighted_exp", {"m": 2}, 300),
+    "m5-partial": ("weighted_exp", {"m": 5}, 11),
+    "m6-one-point-each": ("weighted_product", {"m": 6}, 11),
+    "gauss_kernel-n2-partial": ("gauss_kernel", {"n": 2, "c": 2.0}, 29),
+    "rank_one-dims-2-1-partial": ("rank_one", {"dims": (2, 1)}, 70),
+    "broadcast-m3-partial": ("skip_first", {"m": 3}, 60),
+    "constant-m2-partial": ("constant", {"m": 2}, 300),
+}
+# Gauss-Legendre nodes come from an N x N eigenproblem: too large a grid for 70001 points
+BLOCKED_RULES = [(case, rule) for case in sorted(BLOCKED_CASES) for rule in (grids.RULE_TRAPEZOID, grids.RULE_GAUSS)
+                 if BLOCKED_CASES[case][2] <= 1024 or rule == grids.RULE_TRAPEZOID]
+
+
+class TestBlockedSample:
+    @pytest.mark.parametrize("case, rule", BLOCKED_RULES)
+    def test_equals_weighting_the_whole_grid_evaluation(self, constant_along_axis_0, evaluated_runs, case, rule):
+        fn_id, params, n = BLOCKED_CASES[case]
+        fn, grid = lt.make_function(fn_id, **params), lt.GridSpec(n, rule)
+        t = lt.sample(fn, grid)
+        expected = _scale_by_weights(_whole_grid(fn, grid), t.mode_weights, 0.5)
+        assert np.array_equal(t.weighted_values(), expected)
+        # consecutive runs of the first axis, each evaluated once, none of them the whole grid unless it is one run
+        count, partial = _runs(fn, n)
+        assert len(evaluated_runs) == count and sum(evaluated_runs) == n
+        assert len(set(evaluated_runs[:-1])) <= 1 and (evaluated_runs[-1] < evaluated_runs[0]) == partial
+        assert (count == 1) == case.endswith("one-run")
+        assert partial == ("partial" in case)
+
+    def test_a_non_finite_value_in_the_last_run_only_is_rejected(self, evaluated_runs):
+        # exp(750 x_0) overflows at x_0 = 1 alone: the last point of the first axis
+        fn, grid = lt.make_function("weighted_exp", m=5, gamma=(750.0, 0.0, 0.0, 0.0, 0.0)), lt.GridSpec(11)
+        raw = _whole_grid(fn, grid)
+        assert not np.isfinite(raw[-1]).any() and np.isfinite(raw[:-1]).all()
+        with pytest.raises(ValueError, match="tensor entries must be finite"):
+            lt.sample(fn, grid)
+        assert len(evaluated_runs) == _runs(fn, 11)[0] > 1
+
+    def test_the_cli_names_the_function_of_a_non_finite_last_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "decompose", "grid": {"points_per_axis": 11},
+                                   "function": {"id": "weighted_exp", "m": 5, "gamma": [750, 0, 0, 0, 0]}}))
+        assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: config field 'function': ValueError: tensor entries must be finite"
+
+    @pytest.mark.parametrize("dims, n", [((1,) * 6, 11), ((7,), 11), ((2, 2), 1024)])
+    def test_an_over_cap_sample_evaluates_nothing(self, evaluated_runs, dims, n):
+        fn = lt.make_function("rank_one", dims=dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(lt.ElementCapError):
+                lt.sample(fn, lt.GridSpec(n), cap=10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert evaluated_runs == []
 
 
 class TestDiscreteSeminorm:

@@ -415,9 +415,9 @@ class TestWeightOnce:
         multiplies = []
         original = core._scale_by_weights
 
-        def counting(values, mode_weights, power):
+        def counting(values, mode_weights, power):  # an array, or the samples `grids.sample` evaluates block by block
             if power > 0:
-                multiplies.append(values.shape)
+                multiplies.append(core._samples(values).extents)
             return original(values, mode_weights, power)
 
         monkeypatch.setattr(core, "_scale_by_weights", counting)

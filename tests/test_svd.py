@@ -182,6 +182,24 @@ def tall_matrices(draw):
     return (left * s) @ right.T
 
 
+def test_blocked_r_factor_copies_one_group_of_blocks_at_a_time(peak_bytes):
+    # the transpose of the mode-0 unfolding of an 11^6 grid: 157 blocks of 1024 rows, a view of m
+    m = np.random.default_rng(11).standard_normal((11, 11 ** 5))
+    svd._r_factor(m[:, : 8 * svd.QR_BLOCK_ROWS].T)  # the first call's one-off allocations
+    r, peak, _ = peak_bytes(lambda: svd._r_factor(m.T))
+    assert r.shape == (11, 11)
+    assert peak <= 0.1 * m.nbytes
+
+
+@pytest.mark.parametrize("n, b", [(1, 70), (5, 30), (11, 157), (16, 9), (40, 3), (300, 2)])
+def test_grouped_r_factor_equals_one_stacked_qr(n, b):
+    # the R of each block of rows is computed as by one stacked QR over all blocks: R is bitwise the same
+    rows = max(svd.QR_BLOCK_ROWS, 4 * n)
+    mt = np.random.default_rng(n).standard_normal((n, b * rows + 3)).T
+    r = np.linalg.qr(mt[: b * rows].reshape(b, rows, n), mode="r").reshape(b * n, n)
+    assert np.array_equal(svd._r_factor(mt), np.linalg.qr(np.concatenate([r, mt[b * rows :]]), mode="r"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(tall_matrices())
 def test_blocked_r_factor_matches_one_qr(a):

@@ -142,6 +142,11 @@ KERNELS = {
     "abs_diff": (lt.make_function("abs_diff"), (1, 1), 17),
     "gauss_kernel-n1": (lt.make_function("gauss_kernel", n=1, c=2.0), (1, 1), 17),
     "gauss_kernel-n2": (lt.make_function("gauss_kernel", n=2, c=2.0), (2, 2), 5),
+    # grids sampled in several runs of the first axis, the last one partial (see `grids.sample`)
+    "brownian_bridge-runs": (lt.make_function("brownian_bridge"), (1, 1), 700),
+    "abs_diff-runs": (lt.make_function("abs_diff"), (1, 1), 1000),
+    "gauss_kernel-n1-runs": (lt.make_function("gauss_kernel", n=1, c=2.0), (1, 1), 600),
+    "gauss_kernel-n2-runs": (lt.make_function("gauss_kernel", n=2, c=2.0), (2, 2), 29),
 }
 
 

@@ -140,20 +140,23 @@ class TestSpectra:
             lt.hosvd(random_tensor(np.random.default_rng(19), (4, 5, 3)), (2, 3, 2))
 
 
-def test_hosvd_holds_about_one_tensor_sized_array(peak_bytes):
-    # each step's matrix is a view of the projected tensor, and no mode is moved to the front by a copy
+@pytest.mark.parametrize("decompose", [lt.hosvd, lt.tt_svd])
+def test_a_tolerance_decomposition_holds_no_tensor_sized_array(peak_bytes, decompose):
+    # each step's matrix is a view of the projected tensor, no mode is moved to the front by a copy,
+    # and the QR of the wide mode-0 unfolding copies one group of blocks of rows at a time
     fn = lt.make_function("weighted_exp", m=6)
 
     def rule(t):
         return lt.TruncationRule.tail_energy(1e-6 * lt.frobenius_norm(t) / math.sqrt(t.ndim))
 
     small = lt.sample(fn, lt.GridSpec(3))
-    lt.hosvd(small, rule(small))  # the first calls' one-off allocations
+    decompose(small, rule(small))  # the first calls' one-off allocations
     t = lt.sample(fn, lt.GridSpec(11))
     tol = rule(t)
-    d, peak, _ = peak_bytes(lambda: lt.hosvd(t, tol))
-    assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * lt.frobenius_norm(t)
-    assert peak <= 1.1 * t.weighted_values().nbytes  # the QR of the wide mode-0 unfolding
+    d, peak, _ = peak_bytes(lambda: decompose(t, tol))
+    error = lt.tucker_error if decompose is lt.hosvd else lt.tt_error
+    assert error(t, d) <= d.tail_bound() + 1e-10 * lt.frobenius_norm(t)
+    assert peak <= 0.25 * t.weighted_values().nbytes
 
 
 def _two_mode_tensor(extents, weighted, rank):
