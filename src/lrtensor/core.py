@@ -5,8 +5,8 @@ algebra on an unfolding reproduces the discrete weighted L2 geometry.
 Layout is row-major with the last mode fastest, everywhere.
 
 All objects are immutable after construction, and the operations here
-are pure functions, with one exception: a DenseTensor memoizes the
-factorizations of its Tucker and TT steps (`_factorization`).
+are pure functions, with one exception: `train` memoizes the Tucker and
+TT step factorizations of a DenseTensor in its `_factorizations` dict.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ class _Samples(NamedTuple):
     """The raw samples of a tensor of `extents`, read one run of leading points at a time.
 
     They are indexed row-major by `axes` (the extents themselves, or a
-    grid's scalar axes), whose first axis divides extents[0]; `at(part)`
-    returns those at a slice `part` of that axis, broadcastable to
-    (len, *axes[1:]).
+    grid's scalar axes with the leading ones merged into one), whose first
+    axis divides the rows of the balanced unfolding (see `_scale_by_weights`);
+    `at(part)` returns those at a slice `part` of that axis, broadcastable
+    to (len, *axes[1:]).
     """
 
     extents: tuple
@@ -154,8 +155,8 @@ class DenseTensor:
 
     It holds one read-only array, its samples scaled by the square roots of
     all mode weights (`weighted_values`); `values` divides them back out.
-    It remembers the factorizations of its Tucker and TT steps (see
-    `_factorization`), so its decompositions factorize each distinct one once.
+    Its `_factorizations` dict holds one factorization per Tucker and TT
+    step, read and filled by `train._step_factorization` alone.
     """
 
     shape: Shape
@@ -202,25 +203,6 @@ class DenseTensor:
     def weighted_values(self) -> np.ndarray:
         """Values scaled by the square roots of all mode weights: the held read-only array."""
         return self._weighted
-
-    def _factorization(self, slot: tuple, key: tuple, factorize):
-        """The Factorization at `slot`: ("mode", j) of the Tucker sweep or ("forward", i) of the TT one.
-
-        An entry is reused only under an equal `key` (the ranks kept before
-        the step). A miss first drops the slot and the later slots of its
-        sweep whose key does not start with the new one (step 0's key is (),
-        so it drops no other): the memo holds one entry per step at most,
-        and no stale one while `factorize()` runs, whose result is stored
-        under `key`.
-        """
-        cached = self._factorizations.get(slot)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        for stale in [s for s, (k, _) in self._factorizations.items()
-                      if s[0] == slot[0] and s[1] >= slot[1] and k[:len(key)] != key]:
-            del self._factorizations[stale]
-        self._factorizations[slot] = (key, factorize())
-        return self._factorizations[slot][1]
 
 
 def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:

@@ -7,12 +7,13 @@ subdomains, not individual axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, _outer_product, _Samples
+from .core import _BLOCK, DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, _outer_product, _Samples
 from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
@@ -55,9 +56,12 @@ def sample(
 ) -> DenseTensor:
     """Evaluate `fn` on the product grid; one tensor mode per subdomain of `fn.dims`.
 
-    `fn` is evaluated on one run of points of the first scalar axis at a
-    time, and each run is weighted straight into the tensor's one array
-    (see `DenseTensor`): no full-size array of raw samples is made.
+    `fn` is evaluated one run of points at a time, and each run is weighted
+    straight into the tensor's one array (see `DenseTensor`): no full-size
+    array of raw samples is made. A run is along the leading k scalar axes
+    taken as one: k is the fewest that leave at most `_BLOCK` points per run
+    point, and at most those of the balanced unfolding's left half (see
+    `_scale_by_weights`), so each run point is whole rows of it.
     """
     if any(n > int(cap).bit_length() for n in fn.dims):  # then N**n >= 2**n > cap
         raise ElementCapError(f"subdomain dims {fn.dims} exceed the cap of {cap} on any grid")
@@ -66,9 +70,13 @@ def sample(
     extents = tuple(n_axis ** n for n in fn.dims)
     shape = Shape(extents, cap=cap)  # before any grid array is built
     x, w = axis_rule(grid)
-    first, *rest = np.meshgrid(*([x] * total_axes), indexing="ij", sparse=True)
+    left_axes = sum(fn.dims[: math.ceil(len(fn.dims) / 2)])
+    k = min(left_axes, next(j for j in range(1, total_axes + 1) if n_axis ** (total_axes - j) <= _BLOCK))
+    run, *rest = np.meshgrid(np.arange(n_axis ** k), *([x] * (total_axes - k)), indexing="ij", sparse=True)
+    merged = [x[i] for i in np.unravel_index(run, (n_axis,) * k)]  # the merged axes' coordinates, built once
     evaluate = vectorized_evaluator(fn)
-    samples = _Samples(extents, (n_axis,) * total_axes, lambda part: evaluate([first[part], *rest]))
+    samples = _Samples(extents, (run.size,) + (n_axis,) * (total_axes - k),
+                       lambda part: evaluate([*(c[part] for c in merged), *rest]))
     weights = [_outer_product([w] * n) for n in fn.dims]  # the tensor-product rule of each subdomain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
         return DenseTensor(shape, samples, weights)

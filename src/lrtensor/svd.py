@@ -1,4 +1,4 @@
-"""Truncated SVD, tail energies, and decay fits."""
+"""Truncated SVD, tail energies, and decay fits; every solver reads its matrix through one dispatch (`_solver_input`)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import _BLOCK, DenseTensor, ShapeMismatchError, mode_unfolding
+from .core import _BLOCK, ShapeMismatchError
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
@@ -145,17 +145,6 @@ def _symmetric(mat: np.ndarray) -> bool:
     return np.array_equal(mat, mat.T)
 
 
-def spectrum(mat: np.ndarray) -> SingularSpectrum:
-    """The singular values of mat, with no singular vectors computed.
-
-    Those of a mat equal to its transpose are its |eigenvalues|, from `eigvalsh`.
-    """
-    mat = _finite(mat)
-    if _symmetric(mat):
-        return SingularSpectrum(np.sort(np.abs(np.linalg.eigvalsh(mat)))[::-1])
-    return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
-
-
 def _tails(s: np.ndarray) -> np.ndarray:
     """tails[r] = sqrt(sum of s[r:]**2), length len(s)+1; only squares past the float range are taken on s / s[0]."""
     with np.errstate(over="ignore"):
@@ -188,51 +177,43 @@ def _r_factor(mt: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate(r + [mt[b * rows :]]), mode="r")
 
 
+def _solver_input(m: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """m checked finite, and whether it equals its transpose; a wide m that does not is replaced by R^T from
+    m^T = QR (R from the blockwise `_r_factor`): the same left vectors and singular values, and no V the size of m."""
+    m = _finite(m)
+    if _symmetric(m):
+        return m, True
+    if m.shape[1] >= WIDE_RATIO * m.shape[0]:
+        m = _r_factor(m.T).T
+    return m, False
+
+
 def factorize(m: np.ndarray) -> Factorization:
     """The Factorization of m, from the one solver its form calls for.
 
     An m equal to its transpose is QΛQ^T, from one `eigh`: U is Q ordered
-    by descending |λ| and s = |λ|. A wide m is replaced by R^T from
-    m^T = QR first (R from the blockwise `_r_factor`): R^T has the same
-    left vectors and singular values, and no V the size of m is formed.
-    Any other m gets one SVD. U then takes the one sign convention.
+    by descending |λ| and s = |λ|. Any other m, or its R^T if wide (see
+    `_solver_input`), gets one SVD. U then takes the one sign convention.
     """
-    m = _finite(m)
-    if _symmetric(m):
+    m, symmetric = _solver_input(m)
+    if symmetric:
         lam, Q = np.linalg.eigh(m)
         order = np.argsort(-np.abs(lam), kind="stable")
         U, s = Q[:, order], np.abs(lam[order])
     else:
-        if m.shape[1] >= WIDE_RATIO * m.shape[0]:
-            m = _r_factor(m.T).T
         U, s, _ = np.linalg.svd(m, full_matrices=False)
     np.negative(U, out=U, where=_sign_flips(U))
     U.setflags(write=False)
     return Factorization(U, SingularSpectrum(s))
 
 
-def _mode_factorization(t: DenseTensor) -> Factorization:
-    """The Factorization of t's mode-0 unfolding, the first step of the Tucker and TT sweeps."""
-    return t._factorization(("mode", 0), (), lambda: factorize(mode_unfolding(t, 0)))
-
-
-def _step_factorization(t: DenseTensor, slot: tuple, key: tuple, mat: np.ndarray) -> Factorization:
-    """The Factorization of sweep step `slot`, whose matrix `mat` is fixed by `t` and `key` (the ranks
-    kept before it), memoized on t under `key`.
-
-    Step 1 of a two-mode tensor whose weighted matrix A = QΛQ^T equals its
-    transpose needs no solver: A^T U_r = U_r Λ_r, so it is mode 0's cut to r.
-    """
-    if slot in (("mode", 0), ("forward", 0)):
-        return _mode_factorization(t)
-
-    def fill():
-        if slot == ("mode", 1) and t.ndim == 2 and _symmetric(t.weighted_values()):
-            U, first = _mode_factorization(t)
-            return Factorization(U[:, : key[0]], SingularSpectrum(first.values[: key[0]]))
-        return factorize(mat)
-
-    return t._factorization(slot, key, fill)
+def spectrum(mat: np.ndarray) -> SingularSpectrum:
+    """The singular values of mat from `factorize`'s solver, values only: the |eigenvalues| of a mat equal to
+    its transpose, from `eigvalsh`, and else a values-only SVD of mat or its R^T."""
+    mat, symmetric = _solver_input(mat)
+    if symmetric:
+        return SingularSpectrum(np.sort(np.abs(np.linalg.eigvalsh(mat)))[::-1])
+    return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
 
 
 def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:

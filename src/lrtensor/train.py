@@ -4,7 +4,7 @@ Each separation applies a truncated SVD to the current remainder, with
 the previous bond index stacked onto the active mode. The orthonormal
 left vectors become a core; the singular values travel onward in the
 remainder, so error accounting stays in one place. The same step loop
-runs Tucker's sequentially truncated HOSVD (`tucker.hosvd`).
+runs Tucker's sequentially truncated HOSVD (`tucker.hosvd`), and memoizes its steps (`_step_factorization`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import DenseTensor, _weighted_error
-from .svd import TruncationRule, _step_factorization, _step_rules, _tail_bound, truncated_svd
+from .svd import Factorization, SingularSpectrum, TruncationRule, _step_rules, _symmetric, _tail_bound, factorize
+from .svd import truncated_svd
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,31 @@ class TTDecomposition:
         return _tail_bound(self.spectra, self.ranks)
 
 
+def _step_factorization(t: DenseTensor, sweep: str, key: tuple, mat: np.ndarray) -> Factorization:
+    """The Factorization of `mat`, step len(`key`) of `sweep`, fixed by `t` and `key` (the ranks kept before it).
+
+    t's memo holds one entry per step, under slot (sweep, step), reused only
+    under an equal key; step 0, the mode-0 unfolding in both sweeps, is slot
+    ("mode", 0). A miss first drops the slot and its sweep's later slots whose
+    key does not start with `key`. Mode 1 of a two-mode A = QΛQ^T equal to its
+    transpose is A^T U_r = U_r Λ_r: mode 0's entry cut to r = key[0], no solver.
+    """
+    memo, step = t._factorizations, len(key)
+    slot = (sweep, step) if step else ("mode", 0)
+    cached = memo.get(slot)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    for stale in [s for s, (k, _) in memo.items() if s[0] == slot[0] and s[1] >= step and k[:step] != key]:
+        del memo[stale]
+    if slot == ("mode", 1) and t.ndim == 2 and _symmetric(t.weighted_values()):
+        U, first = memo[("mode", 0)][1]
+        found = Factorization(U[:, : key[0]], SingularSpectrum(first.values[: key[0]]))
+    else:
+        found = factorize(mat)
+    memo[slot] = (key, found)
+    return found
+
+
 def _sweep(t: DenseTensor, sweep: str, x: np.ndarray, extents, rules):
     """Truncate `extents`, in order, off the front of `x`, a reshape of `t`: the one step loop.
 
@@ -44,17 +70,17 @@ def _sweep(t: DenseTensor, sweep: str, x: np.ndarray, extents, rules):
     on, which stacks the kept rank onto the next mode; the Tucker sweep passes
     A^T U_r on, which puts the next mode in front and the kept rank at the
     back, so its last `x` is the core, axes in order. No right vectors are
-    formed. A step's A is fixed by `t` and the ranks kept before it, so `t`
-    factorizes it once per such ranks.
+    formed. A step's A is fixed by `t` and the ranks kept before it, so it is
+    factorized once per such ranks (`_step_factorization`).
     Returns each step's kept U and full spectrum, and the last `x`.
     """
     factors = []
     spectra = []
     r = 1
     key = ()
-    for i, (n, rule) in enumerate(zip(extents, rules)):
+    for n, rule in zip(extents, rules):
         mat = x.reshape(r * n, -1)
-        step = truncated_svd(_step_factorization(t, (sweep, i), key, mat), rule)
+        step = truncated_svd(_step_factorization(t, sweep, key, mat), rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)
         if sweep == "mode":

@@ -117,10 +117,14 @@ def _whole_grid(fn, grid):
 
 
 def _runs(fn, n):
-    """How `sample` splits the first scalar axis into runs: their count, and whether the last is partial."""
-    step = max(1, _BLOCK // (n ** (sum(fn.dims) - 1)))
-    count = -(-n // step)
-    return count, count > 1 and n % step != 0
+    """How `sample` splits its run axis into runs: their count, whether the last is partial, and the
+    run axis's points. That axis merges the fewest leading scalar axes that leave at most `_BLOCK`
+    points per run point, at most those of the left half of the balanced unfolding."""
+    axes, left = sum(fn.dims), sum(fn.dims[: -(-len(fn.dims) // 2)])
+    k = min([left] + [j for j in range(1, axes + 1) if n ** (axes - j) <= _BLOCK])
+    points, step = n ** k, max(1, _BLOCK // (n ** (axes - k)))
+    count = -(-points // step)
+    return count, count > 1 and points % step != 0, points
 
 
 @pytest.fixture
@@ -156,7 +160,11 @@ BLOCKED_CASES = {
     "m1-partial": ("weighted_exp", {"m": 1}, 70001),
     "m2-partial": ("weighted_exp", {"m": 2}, 300),
     "m5-partial": ("weighted_exp", {"m": 5}, 11),
-    "m6-one-point-each": ("weighted_product", {"m": 6}, 11),
+    "m6-two-axes-partial": ("weighted_product", {"m": 6}, 11),
+    # coarse grids: one point of the first axis is 2^19, 3^12 and 4^9 points; the run axis merges 4, 3 and 2 axes
+    "m20-n2-four-axes": ("weighted_exp", {"m": 20}, 2),
+    "m13-n3-three-axes": ("weighted_exp", {"m": 13}, 3),
+    "m10-n4-two-axes": ("weighted_exp", {"m": 10}, 4),
     "gauss_kernel-n2-partial": ("gauss_kernel", {"n": 2, "c": 2.0}, 29),
     "rank_one-dims-2-1-partial": ("rank_one", {"dims": (2, 1)}, 70),
     "broadcast-m3-partial": ("skip_first", {"m": 3}, 60),
@@ -175,12 +183,20 @@ class TestBlockedSample:
         t = lt.sample(fn, grid)
         expected = _scale_by_weights(_whole_grid(fn, grid), t.mode_weights, 0.5)
         assert np.array_equal(t.weighted_values(), expected)
-        # consecutive runs of the first axis, each evaluated once, none of them the whole grid unless it is one run
-        count, partial = _runs(fn, n)
-        assert len(evaluated_runs) == count and sum(evaluated_runs) == n
+        # consecutive runs of the run axis, each evaluated once, none of them the whole grid unless it is one run
+        count, partial, points = _runs(fn, n)
+        assert len(evaluated_runs) == count and sum(evaluated_runs) == points
         assert len(set(evaluated_runs[:-1])) <= 1 and (evaluated_runs[-1] < evaluated_runs[0]) == partial
         assert (count == 1) == case.endswith("one-run")
         assert partial == ("partial" in case)
+
+    @pytest.mark.parametrize("m, n, bound", [(20, 2, 1.2), (13, 3, 1.2), (10, 4, 1.2), (6, 11, 1.1)])
+    def test_any_grid_samples_one_block_at_a_time(self, peak_bytes, m, n, bound):
+        fn = lt.make_function("weighted_exp", m=m)
+        lt.sample(fn, lt.GridSpec(2))  # the first call's one-off allocations
+        t, peak, _ = peak_bytes(lambda: lt.sample(fn, lt.GridSpec(n)))
+        # the one array, and one run's samples and weight factor: no run of the first axis alone
+        assert peak <= bound * t.weighted_values().nbytes
 
     def test_a_non_finite_value_in_the_last_run_only_is_rejected(self, evaluated_runs):
         # exp(750 x_0) overflows at x_0 = 1 alone: the last point of the first axis

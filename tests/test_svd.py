@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lrtensor as lt
 import lrtensor.svd as svd
 import lrtensor.train as train
-from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _mode_factorization, _tails, factorize
+from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _tails, factorize
 from oracles import full_svd, gram_spectrum, projection_trace_check
 
 
@@ -82,7 +82,8 @@ class TestTruncatedSVD:
         for m in cases:
             for a in (m, m.T):
                 # a tensor's memoized mode 0 is factorize() of its unfolding
-                got = _mode_factorization(lt.DenseTensor.from_array(a))
+                t = lt.DenseTensor.from_array(a)
+                got = train._step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
                 expected = factorize(a)
                 for e, value in ((expected.U, got.U), (expected.spectrum.values, got.spectrum.values)):
                     assert np.array_equal(e, value)
@@ -214,6 +215,50 @@ def test_blocked_r_factor_matches_one_qr(a):
         if r == len(s) or s_whole[r - 1] - s_whole[r] > 0.05 * s_whole[0]:  # a clear gap: one projector
             P, P_whole = vt[:r].T @ vt[:r], vt_whole[:r].T @ vt_whole[:r]
             assert np.abs(P - P_whole).max() <= 1e-10
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """(name, matrix) of each np.linalg svd, eigh, eigvalsh and qr call; a values-only SVD is named "svd values"."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(("svd values" if kwargs.get("compute_uv") is False else _name, a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def test_spectrum_solves_the_matrix_factorize_solves(solver_calls):
+    rng = np.random.default_rng(8)
+    square = rng.standard_normal((9, 9))
+    cases = {"wide": rng.standard_normal((6, 40)), "tall": rng.standard_normal((40, 6)),
+             "square": square, "symmetric": square + square.T}
+    values_only = {"svd": "svd values", "eigh": "eigvalsh"}
+    for case, m in cases.items():
+        solver_calls.clear()
+        factorized = factorize(m).spectrum.values
+        *reduced, (name, solved) = solver_calls
+        solver_calls.clear()
+        values = svd.spectrum(m).values
+        *spectrum_reduced, (spectrum_name, spectrum_solved) = solver_calls
+        # one dispatch: the same QR reduction, then the values-only twin of the same solver on a bitwise equal matrix
+        assert [n for n, _ in reduced] == [n for n, _ in spectrum_reduced] == (["qr"] if case == "wide" else []), case
+        assert spectrum_name == values_only[name], case
+        assert np.array_equal(spectrum_solved, solved), case
+        # the values-only LAPACK routines round differently from those that also compute vectors
+        assert np.abs(values - factorized).max() <= 1e-14 * factorized[0], case
+
+
+def test_a_wide_spectrum_takes_the_blockwise_qr_reduction(solver_calls):
+    # the mode-0 unfolding of an 8^6 grid: 32 blocks of 1024 rows of its transpose, no SVD of all 32768 columns
+    m = np.random.default_rng(9).standard_normal((8, 8 ** 5))
+    svd.spectrum(m)
+    shapes = [(name, np.shape(a)) for name, a in solver_calls]
+    assert shapes[-1] == ("svd values", (8, 8))
+    assert {name for name, _ in shapes[:-1]} == {"qr"}
+    assert all(shape[-2] < 8 ** 5 for _, shape in shapes), shapes
 
 
 class TestGramSpectrum:

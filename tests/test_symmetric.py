@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import lrtensor as lt
 from lrtensor.core import _scale_by_weights
 from lrtensor.grids import RULE_GAUSS, RULE_TRAPEZOID
-from lrtensor.svd import SIGN_PIVOT_TOL, _mode_factorization, _tails, factorize, spectrum
+from lrtensor.svd import SIGN_PIVOT_TOL, _tails, factorize, spectrum
+from lrtensor.train import _step_factorization
 from oracles import full_svd
 
 KINDS = ("spd", "indefinite", "rank-deficient", "plus-minus-pairs", "repeated")
@@ -60,7 +61,7 @@ def _sign_loop(U):
 def _check_against_full_svd(A):
     assert np.array_equal(A, A.T)
     t = lt.DenseTensor.from_array(A)
-    f = _mode_factorization(t)
+    f = _step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
     U_svd, s, _ = full_svd(A)
     s1 = s[0]
     assert np.abs(f.spectrum.values - s).max() <= 1e-13 * s1
@@ -132,7 +133,8 @@ def test_fixed_symmetric_matrices_match_full_svd(name):
 
 
 def test_ties_keep_eigh_order():
-    f = _mode_factorization(lt.DenseTensor.from_array(np.diag([-2.0, 2.0, 1.0])))
+    t = lt.DenseTensor.from_array(np.diag([-2.0, 2.0, 1.0]))
+    f = _step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
     assert np.array_equal(f.spectrum.values, [2.0, 2.0, 1.0])
     assert np.array_equal(f.U, np.eye(3))
 

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import lrtensor as lt
+import lrtensor.svd as svd
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -155,3 +158,10 @@ class TestCost:
         assert lt.tt_cost((5,)) == 5
         assert lt.tt_cost(()) == 0
         assert lt.tt_cost((2, 3, 4)) == 2 + 6 + 12
+
+
+def test_train_alone_owns_the_step_memo():
+    # the tensor only holds the memo's dict, and `svd` factorizes matrices, never a tensor's step
+    assert [name for name, _ in inspect.getmembers(lt.DenseTensor, callable) if "factoriz" in name] == []
+    source = inspect.getsource(svd)
+    assert "DenseTensor" not in source and "mode_unfolding" not in source
