@@ -12,7 +12,6 @@ is imported from its module.
 from .core import (
     DenseTensor,
     ElementCapError,
-    Shape,
     ShapeMismatchError,
     frobenius_norm,
     mode_unfolding,
@@ -36,9 +35,9 @@ from .schedules import (
 )
 from .svd import (
     DecayFit,
+    Factorization,
     InsufficientSpectrumError,
     SingularSpectrum,
-    TruncatedSVD,
     TruncationRule,
     fit_decay_exponent,
     truncated_svd,

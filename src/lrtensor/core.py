@@ -2,7 +2,9 @@
 
 Weights are absorbed into unfoldings as square roots, so plain matrix
 algebra on an unfolding reproduces the discrete weighted L2 geometry.
-Layout is row-major with the last mode fastest, everywhere.
+Layout is row-major with the last mode fastest, everywhere. A tensor is
+built one way, `DenseTensor(values, mode_weights, cap)`, and its `shape`
+is the plain tuple of its extents.
 
 All objects are immutable after construction, and the operations here
 are pure functions, with one exception: `train` memoizes the Tucker and
@@ -30,39 +32,24 @@ class ShapeMismatchError(ValueError):
     """Operands have inconsistent dimensions."""
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Per-mode extents, capped at a total element budget."""
-
-    extents: tuple
-    cap: int = DEFAULT_ELEMENT_CAP
-
-    def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
-        if len(self.extents) == 0:
-            raise ValueError("a shape needs at least one mode")
-        if any(e < 1 for e in self.extents):
-            raise ValueError(f"extents must be >= 1, got {self.extents}")
-        if self.size > self.cap:
-            raise ElementCapError(
-                f"{self.size} elements exceed the cap of {self.cap}"
-            )
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.extents)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.extents)
+def _check_extents(extents, cap: int) -> tuple:
+    """`extents` as ints, checked: at least one mode, each >= 1, and at most `cap` elements in all."""
+    extents = tuple(int(e) for e in extents)
+    if len(extents) == 0:
+        raise ValueError("a tensor needs at least one mode")
+    if any(e < 1 for e in extents):
+        raise ValueError(f"extents must be >= 1, got {extents}")
+    if (size := math.prod(extents)) > cap:
+        raise ElementCapError(f"{size} elements exceed the cap of {cap}")
+    return extents
 
 
-def _normalize_weights(shape: Shape, mode_weights):
+def _normalize_weights(extents: tuple, mode_weights):
     if mode_weights is None:
         return None
-    if len(mode_weights) != shape.ndim:
+    if len(mode_weights) != len(extents):
         raise ShapeMismatchError(
-            f"expected {shape.ndim} weight vectors, got {len(mode_weights)}"
+            f"expected {len(extents)} weight vectors, got {len(mode_weights)}"
         )
     out = []
     for ax, w in enumerate(mode_weights):
@@ -70,10 +57,10 @@ def _normalize_weights(shape: Shape, mode_weights):
             out.append(None)
             continue
         w = np.asarray(w, dtype=float)
-        if w.shape != (shape.extents[ax],):
+        if w.shape != (extents[ax],):
             raise ShapeMismatchError(
                 f"weights for mode {ax} have length {w.shape}, "
-                f"extent is {shape.extents[ax]}"
+                f"extent is {extents[ax]}"
             )
         if not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError(f"weights for mode {ax} must be positive and finite")
@@ -154,42 +141,38 @@ class DenseTensor:
     """Discrete sample of a multivariate function, one mode per subdomain.
 
     It holds one read-only array, its samples scaled by the square roots of
-    all mode weights (`weighted_values`); `values` divides them back out.
+    all mode weights (`weighted_values`); `values` divides them back out,
+    and `shape` and `ndim` are that array's.
     Its `_factorizations` dict holds one factorization per Tucker and TT
     step, read and filled by `train._step_factorization` alone.
     """
 
-    shape: Shape
     mode_weights: Optional[tuple]
     _weighted: np.ndarray = field(repr=False)
     _factorizations: dict = field(repr=False, compare=False)
 
-    def __init__(self, shape: Shape, values, mode_weights=None):
+    def __init__(self, values, mode_weights=None, cap: int = DEFAULT_ELEMENT_CAP):
         """Weight the raw samples `values` into a new array (the only place weights are multiplied in).
 
-        `values` is an array of the shape's extents, or a `_Samples` that
-        evaluates them a run of leading points at a time (`grids.sample`):
-        either is read, weighted and checked one block of rows at a time, so
-        the one array held is the only full-size one made.
+        `values` is an array, or a `_Samples` that evaluates one a run of
+        leading points at a time (`grids.sample`). Its extents are checked
+        against `cap` before anything is copied; then it is read, weighted and
+        checked one block of rows at a time, so the one array held is the only
+        full-size one made, and the caller's array stays independent.
         """
-        samples = _samples(values)
-        if samples.extents != shape.extents:
-            raise ShapeMismatchError(
-                f"values of shape {samples.extents} do not match shape {shape.extents}"
-            )
-        mode_weights = _normalize_weights(shape, mode_weights)
-        weighted = _scale_by_weights(samples, mode_weights, 0.5)
+        extents = _check_extents(values.extents if isinstance(values, _Samples) else np.shape(values), cap)
+        mode_weights = _normalize_weights(extents, mode_weights)
+        weighted = _scale_by_weights(values, mode_weights, 0.5)
         weighted.setflags(write=False)
-        self.__dict__.update(shape=shape, mode_weights=mode_weights, _weighted=weighted, _factorizations={})
+        self.__dict__.update(mode_weights=mode_weights, _weighted=weighted, _factorizations={})
 
-    @classmethod
-    def from_array(cls, values, mode_weights=None, cap: int = DEFAULT_ELEMENT_CAP):
-        """Wrap a copy of `values`: the caller's array stays writable and independent."""
-        return cls(Shape(np.shape(values), cap=cap), values, mode_weights)
+    @property
+    def shape(self) -> tuple:
+        return self._weighted.shape
 
     @property
     def ndim(self) -> int:
-        return self.shape.ndim
+        return self._weighted.ndim
 
     @property
     def values(self) -> np.ndarray:
@@ -209,7 +192,7 @@ def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
     """Classical mode-`mode` unfolding, weights absorbed: that mode vs all the others."""
     if not 0 <= mode < t.ndim:
         raise ShapeMismatchError(f"mode {mode} out of range 0..{t.ndim - 1}")
-    return np.moveaxis(t.weighted_values(), mode, 0).reshape(t.shape.extents[mode], -1)
+    return np.moveaxis(t.weighted_values(), mode, 0).reshape(t.shape[mode], -1)
 
 
 def _norm(a: np.ndarray) -> float:
@@ -230,8 +213,8 @@ def frobenius_norm(t: DenseTensor) -> float:
 def _weighted_error(t: DenseTensor, left: np.ndarray, right: np.ndarray) -> float:
     """Exact ||A_w - left @ right||, `right` (r, n_1, ..., n_{m-1}): the norm of its row blocks' norms."""
     extents = (left.shape[0],) + right.shape[1:]
-    if extents != t.shape.extents:
-        raise ShapeMismatchError(f"shapes {t.shape.extents} and {extents} differ")
+    if extents != t.shape:
+        raise ShapeMismatchError(f"shapes {t.shape} and {extents} differ")
     a = t.weighted_values().reshape(extents[0], -1)
     right = right.reshape(right.shape[0], -1)
     norms = []

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import _BLOCK, DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, Shape, _outer_product, _Samples
+from .core import _BLOCK, DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, _check_extents, _outer_product, _Samples
 from .functions import FunctionSpec, vectorized_evaluator
 
 RULE_TRAPEZOID = "uniform-trapezoid"
@@ -67,8 +67,7 @@ def sample(
         raise ElementCapError(f"subdomain dims {fn.dims} exceed the cap of {cap} on any grid")
     n_axis = grid.points_per_axis
     total_axes = sum(fn.dims)
-    extents = tuple(n_axis ** n for n in fn.dims)
-    shape = Shape(extents, cap=cap)  # before any grid array is built
+    extents = _check_extents([n_axis ** n for n in fn.dims], cap)  # before any grid array is built
     x, w = axis_rule(grid)
     left_axes = sum(fn.dims[: math.ceil(len(fn.dims) / 2)])
     k = min(left_axes, next(j for j in range(1, total_axes + 1) if n_axis ** (total_axes - j) <= _BLOCK))
@@ -79,4 +78,4 @@ def sample(
                        lambda part: evaluate([*(c[part] for c in merged), *rest]))
     weights = [_outer_product([w] * n) for n in fn.dims]  # the tensor-product rule of each subdomain
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # DenseTensor rejects non-finite values
-        return DenseTensor(shape, samples, weights)
+        return DenseTensor(samples, weights, cap)

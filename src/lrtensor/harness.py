@@ -252,7 +252,7 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
     The bound is the tail bound plus a slack relative to `norm`.
     Returns (ranks, error, bound, cost, storage: the entries the factors or cores hold).
     """
-    extents = t.shape.extents
+    extents = t.shape
     if ranks is None:
         steps = max(1, _rank_count(fmt, len(extents)))  # TT on one mode has no bond
         ranks = TruncationRule.tail_energy(tolerance * norm / math.sqrt(steps))
@@ -452,6 +452,9 @@ def _run_compare_formats(config: ExperimentConfig, report: ExperimentReport) -> 
     norm = frobenius_norm(t)
     rows = []
     timings = []
+    if config.ranks is not None and len(config.ranks) not in (t.ndim, t.ndim - 1):
+        raise ConfigError("ranks", f"compare-formats on {t.ndim} modes takes {t.ndim} or {t.ndim - 1} ranks, "
+                          f"got {len(config.ranks)}")
     for fmt in FORMATS:
         ranks = config.ranks
         if ranks is not None and fmt == "tucker" and len(ranks) == t.ndim - 1:

@@ -1,4 +1,5 @@
-"""Truncated SVD, tail energies, and decay fits; every solver reads its matrix through one dispatch (`_solver_input`)."""
+"""Truncated SVD, tail energies, and decay fits. Every solver reads its matrix through one dispatch
+(`_solver_input`), and one type, `Factorization`, holds its left vectors (all, or the kept ones) and full spectrum."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import _BLOCK, ShapeMismatchError
+from .core import _BLOCK, ShapeMismatchError, _norm
 
 NOISE_FLOOR_RATIO = 1e-13
 SIGN_PIVOT_TOL = 1e-12
@@ -93,26 +94,6 @@ def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list
 
 
 @dataclass(frozen=True)
-class TruncatedSVD:
-    """Result of a rank-truncated SVD: the kept left vectors U, no V, and the full spectrum.
-
-    The kept values are `full_spectrum.values[:rank]`, and `tail` is the
-    Frobenius error of dropping the rest. `floor_limited` is set when a
-    tail-energy target below the achievable noise floor was requested;
-    `tail` then reports the floor actually achieved.
-    """
-
-    U: np.ndarray
-    tail: float
-    full_spectrum: SingularSpectrum
-    floor_limited: bool = False
-
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
-
-@dataclass(frozen=True)
 class DecayFit:
     """Least-squares power-law fit of the squared singular values."""
 
@@ -153,8 +134,24 @@ def _tails(s: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.maximum(sq, 0.0))
 
 
-# All left vectors (read-only, so truncations share views of them) and the spectrum, its tails summed once.
-Factorization = NamedTuple("Factorization", [("U", np.ndarray), ("spectrum", SingularSpectrum)])
+class Factorization(NamedTuple):
+    """Read-only left vectors U, no V, and the full spectrum of their matrix, its tails summed once.
+
+    `factorize` keeps every vector; `truncated_svd` keeps the first `rank`,
+    a view of them, and `tail` is the exact Frobenius error of dropping the
+    rest. The kept values are `full_spectrum.values[:rank]`.
+    """
+
+    U: np.ndarray
+    full_spectrum: SingularSpectrum
+
+    @property
+    def rank(self) -> int:
+        return self.U.shape[1]
+
+    @property
+    def tail(self) -> float:
+        return float(self.full_spectrum.tails[self.rank])
 
 
 def _r_factor(mt: np.ndarray) -> np.ndarray:
@@ -216,48 +213,31 @@ def spectrum(mat: np.ndarray) -> SingularSpectrum:
     return SingularSpectrum(np.linalg.svd(mat, compute_uv=False))
 
 
-def truncated_svd(m, rule: TruncationRule) -> TruncatedSVD:
+def truncated_svd(m, rule: TruncationRule) -> Factorization:
     """Truncate a matrix, or a Factorization of one, at the minimal rank satisfying `rule`.
 
     This is the one place a rank is fitted to its matrix: a fixed rank r
     keeps min(r, min(rows, cols)) values, so an over-large r keeps the
-    full rank. A tail-energy rule keeps at least one singular value, so a
-    decomposition driven by a tolerance never gets a rank-0 mode or
-    bond. The reported tail is the exact Frobenius error of the
-    truncation. A given Factorization is only truncated, so one serves
-    any number of rules; a matrix is factorized first.
+    full rank. A tail-energy rule keeps at least one singular value, and
+    none at the noise floor: a target below the floor keeps the values
+    above it, and `tail` is then the floor actually achieved. So a
+    decomposition driven by a tolerance never gets a rank-0 mode or bond.
+    A given Factorization is only truncated, so one serves any number of
+    rules; a matrix is factorized first.
     """
     U, full = m if isinstance(m, Factorization) else factorize(m)
-    tails = full.tails
-    usable = full.above_floor()
-    floor_limited = False
     if rule.kind == "fixed-rank":
         rank = min(int(rule.value), len(full))
     else:
-        candidates = np.flatnonzero(tails[: usable + 1] <= rule.value)
-        if candidates.size:
-            rank = int(candidates[0])
-        else:
-            rank = usable
-            floor_limited = True
-        rank = max(rank, 1)
-    return TruncatedSVD(
-        U=U[:, :rank],
-        tail=float(tails[rank]),
-        full_spectrum=full,
-        floor_limited=floor_limited,
-    )
+        usable = full.above_floor()
+        candidates = np.flatnonzero(full.tails[: usable + 1] <= rule.value)
+        rank = max(int(candidates[0]) if candidates.size else usable, 1)
+    return Factorization(U[:, :rank], full)
 
 
 def _tail_bound(spectra, ranks) -> float:
-    """sqrt(sum over steps of tail^2), each tail the one `truncated_svd` reported for the rank kept;
-    only a sum of squares past the float range is taken by `math.hypot`, which scales."""
-    tails = [float(spectrum.tails[r]) for spectrum, r in zip(spectra, ranks)]
-    try:
-        bound = math.sqrt(sum(tail ** 2 for tail in tails))
-    except OverflowError:  # a square past the float range
-        bound = math.inf
-    return bound if bound < math.inf else math.hypot(*tails)
+    """sqrt(sum over steps of tail^2), each tail the one `truncated_svd` reported for the rank kept (see `_norm`)."""
+    return _norm(np.array([spectrum.tails[r] for spectrum, r in zip(spectra, ranks)]))
 
 
 def fit_decay_exponent(

@@ -102,9 +102,9 @@ def tt_svd(
     keep full ranks. A given rank is an upper limit: each bond keeps at
     most the rank of its step's matrix. The last remainder is the last core.
     """
-    extents = t.shape.extents
-    rules = _step_rules(TruncationRule.fixed_rank(t.shape.size) if ranks is None else ranks, t.ndim - 1)
-    factors, spectra, last = _sweep(t, "forward", t.weighted_values(), extents[:-1], rules)
+    a, extents = t.weighted_values(), t.shape
+    rules = _step_rules(TruncationRule.fixed_rank(a.size) if ranks is None else ranks, t.ndim - 1)
+    factors, spectra, last = _sweep(t, "forward", a, extents[:-1], rules)
     cores = [u.reshape(-1, n, u.shape[1]) for u, n in zip(factors, extents)]
     return TTDecomposition(cores=tuple(cores + [last.reshape(-1, extents[-1], 1)]), spectra=tuple(spectra))
 

@@ -48,7 +48,7 @@ def hosvd(
     `tail_bound()`, and each step's tail is at most classical HOSVD's at the
     same rank. `t` factorizes a step once per ranks kept before it.
     """
-    factors, spectra, core = _sweep(t, "mode", t.weighted_values(), t.shape.extents, _step_rules(ranks, t.ndim))
+    factors, spectra, core = _sweep(t, "mode", t.weighted_values(), t.shape, _step_rules(ranks, t.ndim))
     core = _finite(core.reshape([f.shape[1] for f in factors]))
     core.setflags(write=False)
     return TuckerDecomposition(core=core, factors=tuple(factors), mode_spectra=tuple(spectra))

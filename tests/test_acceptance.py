@@ -22,7 +22,7 @@ def random_tensor(rng, extents, weighted=False):
     weights = None
     if weighted:
         weights = [rng.random(n) + 0.1 for n in extents]
-    return lt.DenseTensor.from_array(values, mode_weights=weights)
+    return lt.DenseTensor(values, mode_weights=weights)
 
 
 def test_criterion_01_full_rank_exactness():
@@ -116,7 +116,7 @@ def test_criterion_04_tucker_bound():
     while checks < 40:
         t = fixtures[checks % len(fixtures)]
         ranks = tuple(
-            int(rng.integers(1, n + 1)) for n in t.shape.extents
+            int(rng.integers(1, n + 1)) for n in t.shape
         )
         d = lt.hosvd(t, ranks)
         checks += 1
@@ -241,7 +241,7 @@ def test_criterion_08_dimension_robustness():
     ranks = tuple(
         min(r, n)
         for r, n in zip(
-            lt.tucker_ranks_weighted(weighted_params(m)).ranks, sf.shape.extents
+            lt.tucker_ranks_weighted(weighted_params(m)).ranks, sf.shape
         )
     )
     err = lt.tucker_error(sf, lt.hosvd(sf, ranks))

@@ -16,31 +16,28 @@ def rank_one_tensor(vectors, weights=None):
     out = vectors[0]
     for v in vectors[1:]:
         out = np.multiply.outer(out, v)
-    return lt.DenseTensor.from_array(out, mode_weights=weights)
+    return lt.DenseTensor(out, mode_weights=weights)
 
 
 class TestShape:
-    def test_size_and_ndim(self):
-        s = lt.Shape((2, 3, 4))
-        assert s.size == 24
-        assert s.ndim == 3
+    def test_shape_and_ndim_are_the_arrays(self):
+        t = lt.DenseTensor(np.zeros((2, 3, 4)))
+        assert t.shape == (2, 3, 4) and type(t.shape) is tuple
+        assert t.ndim == 3
 
-    def test_rejects_nonpositive_extent(self):
+    @pytest.mark.parametrize("values", [np.float64(1.0), np.zeros((2, 0, 4))], ids=["0-d", "zero-extent"])
+    def test_rejects_no_mode_and_a_zero_extent(self, values):
         with pytest.raises(ValueError):
-            lt.Shape((2, 0, 4))
+            lt.DenseTensor(values)
 
     def test_element_cap(self):
+        # the default cap, through sample: 1024^3 points, rejected before any grid array is built
         with pytest.raises(lt.ElementCapError):
-            lt.Shape((1024, 1024, 1024))
-        # an explicit larger cap admits the same shape
-        lt.Shape((64, 64), cap=2**12)
+            lt.sample(lt.make_function("rank_one", m=3), lt.GridSpec(1024))
+        # an explicit cap admits a tensor of exactly that many elements
+        lt.DenseTensor(np.zeros((64, 64)), cap=2**12)
         with pytest.raises(lt.ElementCapError):
-            lt.Shape((64, 65), cap=2**12)
-
-    @pytest.mark.parametrize("values_shape", [(6,), (3, 2), (2, 4)])
-    def test_tensor_values_must_have_the_shape(self, values_shape):
-        with pytest.raises(lt.ShapeMismatchError):
-            lt.DenseTensor(lt.Shape((2, 3)), np.zeros(values_shape))
+            lt.DenseTensor(np.zeros((64, 65)), cap=2**12)
 
 
 class TestUnfold:
@@ -48,7 +45,7 @@ class TestUnfold:
         vals = np.fromfunction(
             lambda i, j, k: 100 * i + 10 * j + k, (2, 3, 4), dtype=float
         )
-        t = lt.DenseTensor.from_array(vals)
+        t = lt.DenseTensor(vals)
         mat = lt.mode_unfolding(t, 1)
         assert mat.shape == (3, 8)
         # row j lists all (i, k) pairs with i outer, k inner
@@ -63,7 +60,7 @@ class TestUnfold:
 
     def test_norm_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(7)
-        t = lt.DenseTensor.from_array(rng.standard_normal((4, 4, 4)))
+        t = lt.DenseTensor(rng.standard_normal((4, 4, 4)))
         oracle = math.sqrt(float(np.sum(t.values**2)))
         for mode in range(3):
             assert np.linalg.norm(lt.mode_unfolding(t, mode)) == pytest.approx(
@@ -71,7 +68,7 @@ class TestUnfold:
             )
 
     def test_invalid_partition(self):
-        t = lt.DenseTensor.from_array(np.zeros((2, 2)))
+        t = lt.DenseTensor(np.zeros((2, 2)))
         for mode in (-1, t.ndim):
             with pytest.raises(lt.ShapeMismatchError):
                 lt.mode_unfolding(t, mode)
@@ -79,33 +76,33 @@ class TestUnfold:
 
 class TestFrobeniusNorm:
     def test_zero(self):
-        assert lt.frobenius_norm(lt.DenseTensor.from_array(np.zeros((3, 3)))) == 0.0
+        assert lt.frobenius_norm(lt.DenseTensor(np.zeros((3, 3)))) == 0.0
 
     def test_all_ones(self):
-        assert lt.frobenius_norm(lt.DenseTensor.from_array(np.ones((2, 2)))) == 2.0
+        assert lt.frobenius_norm(lt.DenseTensor(np.ones((2, 2)))) == 2.0
 
     def test_constant_with_trapezoid_weights(self):
         n = 33
         w = np.full(n, 1.0 / (n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        t = lt.DenseTensor.from_array(np.ones((n, n)), mode_weights=[w, w])
+        t = lt.DenseTensor(np.ones((n, n)), mode_weights=[w, w])
         assert lt.frobenius_norm(t) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_nan(self):
         vals = np.ones((2, 2))
         vals[0, 0] = np.nan
         with pytest.raises(ValueError):
-            lt.DenseTensor.from_array(vals)
+            lt.DenseTensor(vals)
 
     def test_rejects_a_weighted_product_past_the_float_range_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="tensor entries must be finite"):
-                lt.DenseTensor.from_array(np.full((2, 2), 1e300), mode_weights=[np.full(2, 1e20)] * 2)
+                lt.DenseTensor(np.full((2, 2), 1e300), mode_weights=[np.full(2, 1e20)] * 2)
 
     def test_entries_whose_squares_overflow_keep_a_finite_norm_bound_and_error(self):
-        t = lt.DenseTensor.from_array(np.full((2, 2, 2), 1e300))
+        t = lt.DenseTensor(np.full((2, 2, 2), 1e300))
         d = lt.hosvd(t, (1, 1, 1))
         norm = lt.frobenius_norm(t)
         assert norm == pytest.approx(math.sqrt(8) * 1e300, rel=1e-15)
@@ -115,21 +112,21 @@ class TestFrobeniusNorm:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_a_weight_that_is_not_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="weights for mode 1"):
-            lt.DenseTensor.from_array(np.ones((3, 3)), mode_weights=[None, [1.0, bad, 1.0]])
+            lt.DenseTensor(np.ones((3, 3)), mode_weights=[None, [1.0, bad, 1.0]])
 
 
 class TestWeightedValues:
     def test_computed_once_and_read_only(self):
         rng = np.random.default_rng(4)
         weights = [rng.random(3) + 0.1, rng.random(4) + 0.1]
-        t = lt.DenseTensor.from_array(rng.standard_normal((3, 4)), mode_weights=weights)
+        t = lt.DenseTensor(rng.standard_normal((3, 4)), mode_weights=weights)
         wv = t.weighted_values()
         assert t.weighted_values() is wv
         assert not wv.flags.writeable
         assert np.allclose(wv, t.values * np.sqrt(np.outer(*weights)), rtol=1e-15, atol=0)
 
     def test_unweighted_is_values_itself(self):
-        t = lt.DenseTensor.from_array(np.ones((2, 3)))
+        t = lt.DenseTensor(np.ones((2, 3)))
         assert t.weighted_values() is t.values
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -137,7 +134,7 @@ class TestWeightedValues:
         a = np.ones((3, 4))
         view = a[1:]
         weights = [np.full(3, 0.5), np.full(4, 2.0)] if weighted else None
-        t = lt.DenseTensor.from_array(a, mode_weights=weights)
+        t = lt.DenseTensor(a, mode_weights=weights)
         before = t.weighted_values().copy()
         assert a.flags.writeable
         a[0, 0] = 5.0
@@ -145,12 +142,14 @@ class TestWeightedValues:
         assert np.array_equal(t.values, np.ones((3, 4)))
         assert np.array_equal(t.weighted_values(), before)
 
-    def test_from_array_checks_the_cap_before_copying(self):
-        big = np.broadcast_to(0.0, (1000, 1000))  # 8 bytes held, 8 MB as a copy
+    # 8 bytes held, 8 MB as a copy: a float view, and an integer one that a conversion to float would copy
+    @pytest.mark.parametrize("fill", [0.0, 0], ids=["float", "int"])
+    def test_from_array_checks_the_cap_before_copying(self, fill):
+        big = np.broadcast_to(fill, (1000, 1000))
         tracemalloc.start()
         try:
             with pytest.raises(lt.ElementCapError):
-                lt.DenseTensor.from_array(big, cap=10)
+                lt.DenseTensor(big, cap=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -227,7 +226,7 @@ def tensor_and_mode(draw):
         weights = [rng.uniform(0.1, 2.0, size=n) for n in extents]
     values = rng.standard_normal(extents)
     mode = draw(st.integers(min_value=0, max_value=ndim - 1))
-    return lt.DenseTensor.from_array(values, mode_weights=weights), mode
+    return lt.DenseTensor(values, mode_weights=weights), mode
 
 
 class TestProperties:

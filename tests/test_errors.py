@@ -16,12 +16,12 @@ def trapezoid_weighted(rng, extents):
         w[0] *= 0.5
         w[-1] *= 0.5
         weights.append(w)
-    return lt.DenseTensor.from_array(rng.standard_normal(extents), mode_weights=weights)
+    return lt.DenseTensor(rng.standard_normal(extents), mode_weights=weights)
 
 
 def random_weighted(rng, extents):
     weights = [rng.random(n) + 0.1 for n in extents]
-    return lt.DenseTensor.from_array(rng.standard_normal(extents), mode_weights=weights)
+    return lt.DenseTensor(rng.standard_normal(extents), mode_weights=weights)
 
 
 def weighted_error_oracle(t, weighted_reconstruction):
@@ -29,7 +29,7 @@ def weighted_error_oracle(t, weighted_reconstruction):
 
     R is the reconstruction with the square roots of the weights divided out.
     """
-    w = np.ones(t.shape.extents)
+    w = np.ones(t.shape)
     for ax, wj in enumerate(t.mode_weights):
         shape = [1] * t.ndim
         shape[ax] = -1

@@ -84,7 +84,7 @@ class TestFactorizationCounts:
         assert len(_svds(linalg_calls)) == 8
 
     def test_a_miss_drops_the_stale_steps_before_it_factorizes(self, monkeypatch):
-        t = lt.DenseTensor.from_array(np.random.default_rng(4).standard_normal((4, 4, 4, 4)))
+        t = lt.DenseTensor(np.random.default_rng(4).standard_normal((4, 4, 4, 4)))
         lt.tt_svd(t, [2, 2, 2])
         held = []
         original = np.linalg.svd
@@ -98,7 +98,7 @@ class TestFactorizationCounts:
         assert held == [{("mode", 0)}, {("mode", 0), ("forward", 1)}]
 
     def test_a_miss_on_one_mode_keeps_the_others(self, linalg_calls):
-        t = lt.DenseTensor.from_array(np.random.default_rng(5).standard_normal((3, 4, 5)))
+        t = lt.DenseTensor(np.random.default_rng(5).standard_normal((3, 4, 5)))
         for ranks in [(2, 2, 2), (2, 3, 2), (2, 3, 1)]:
             lt.hosvd(t, ranks)
         # the new rank of mode 1 changes only mode 2's matrix: the miss there keeps modes 0 and 1,
@@ -109,7 +109,7 @@ class TestFactorizationCounts:
 
     def test_two_mode_hosvd_factorizes_once(self, linalg_calls):
         rng = np.random.default_rng(3)
-        t = lt.DenseTensor.from_array(rng.standard_normal((7, 16)))
+        t = lt.DenseTensor(rng.standard_normal((7, 16)))
         for ranks in [(2, 3), (7, 7), lt.TruncationRule.tail_energy(0.5)]:
             lt.hosvd(t, ranks)
         lt.tt_svd(t, [2])
@@ -282,7 +282,7 @@ def test_memoized_decompositions_equal_fresh_ones(case):
     if symmetric:
         values = values + values.T
         weights = weights and [weights[0]] * 2
-    t = lt.DenseTensor.from_array(values, weights)
+    t = lt.DenseTensor(values, weights)
     norm = lt.frobenius_norm(t)
     for fmt, ranks in runs:
         if isinstance(ranks, float):
@@ -290,7 +290,7 @@ def test_memoized_decompositions_equal_fresh_ones(case):
         else:
             rule = ranks if fmt == "tucker" else ranks[:-1]
         got = BUILDERS[fmt](t, rule)
-        fresh = BUILDERS[fmt](lt.DenseTensor.from_array(values, weights), rule)
+        fresh = BUILDERS[fmt](lt.DenseTensor(values, weights), rule)
         assert got.ranks == fresh.ranks
         for a, b in zip(_arrays(fmt, got), _arrays(fmt, fresh), strict=True):
             assert np.array_equal(a, b)
@@ -298,4 +298,4 @@ def test_memoized_decompositions_equal_fresh_ones(case):
         if symmetric and ("mode", 1) in t._factorizations:  # mode 1 is mode 0's entry cut to the rank kept
             ((r,), step), (_, first) = t._factorizations[("mode", 1)], t._factorizations[("mode", 0)]
             assert np.array_equal(step.U, first.U[:, :r])
-            assert np.array_equal(step.spectrum.values, first.spectrum.values[:r])
+            assert np.array_equal(step.full_spectrum.values, first.full_spectrum.values[:r])

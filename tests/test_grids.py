@@ -7,7 +7,7 @@ import pytest
 
 import lrtensor as lt
 import lrtensor.grids as grids
-from lrtensor import DenseTensor, GridSpec, Shape, frobenius_norm
+from lrtensor import DenseTensor, GridSpec, frobenius_norm
 from lrtensor.cli import main as cli_main
 from lrtensor.core import _BLOCK, _scale_by_weights
 from lrtensor.functions import _REGISTRY, vectorized_evaluator
@@ -30,7 +30,7 @@ def discrete_mixed_seminorm(t: DenseTensor, mode: int) -> float:
     First-order forward differences scaled by 1/h; the differenced mode
     must carry a uniform grid (trapezoid weights or no weights).
     """
-    n = t.shape.extents[mode]
+    n = t.shape[mode]
     if n < 3:
         raise ValueError("mode extent must be >= 3 for finite differences")
     w_mode = None if t.mode_weights is None else t.mode_weights[mode]
@@ -44,7 +44,7 @@ def discrete_mixed_seminorm(t: DenseTensor, mode: int) -> float:
     else:
         weights = list(t.mode_weights)
     weights[mode] = np.full(n - 1, h)
-    cell = DenseTensor(Shape(diffs.shape, cap=t.shape.cap), diffs, weights)
+    cell = DenseTensor(diffs, weights)
     return float(np.linalg.norm(cell.weighted_values()))
 
 
@@ -91,7 +91,7 @@ class TestSample:
     def test_grouped_modes(self):
         fn = lt.make_function("gauss_kernel", n=2, c=1.0)
         sf = lt.sample(fn, lt.GridSpec(5))
-        assert sf.shape.extents == (25, 25)
+        assert sf.shape == (25, 25)
 
     def test_mode_weights_and_cap(self):
         fn = lt.make_function("rank_one", dims=(1,))
@@ -231,7 +231,7 @@ class TestBlockedSample:
 
 class TestDiscreteSeminorm:
     def test_constant_is_zero(self):
-        t = lt.DenseTensor.from_array(np.ones((9, 9)))
+        t = lt.DenseTensor(np.ones((9, 9)))
         assert discrete_mixed_seminorm(t, 0) == 0.0
 
     def test_linear_function(self):
@@ -239,11 +239,7 @@ class TestDiscreteSeminorm:
         fn = lt.make_function("weighted_exp", m=2, gamma=(0.0, 0.0))
         sf = lt.sample(fn, lt.GridSpec(n))
         x = np.linspace(0, 1, n)
-        t = lt.DenseTensor(
-            sf.shape,
-            np.broadcast_to(x[:, None], (n, n)),
-            sf.mode_weights,
-        )
+        t = lt.DenseTensor(np.broadcast_to(x[:, None], (n, n)), sf.mode_weights)
         assert discrete_mixed_seminorm(t, 0) == pytest.approx(1.0, abs=2e-2)
 
     def test_sine_seminorm(self):
@@ -252,7 +248,7 @@ class TestDiscreteSeminorm:
         w = np.full(n, 1.0 / (n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        t = lt.DenseTensor.from_array(
+        t = lt.DenseTensor(
             np.broadcast_to(np.sin(2 * np.pi * x)[:, None], (n, n)).copy(),
             mode_weights=[w, w],
         )
@@ -260,13 +256,13 @@ class TestDiscreteSeminorm:
         assert discrete_mixed_seminorm(t, 0) == pytest.approx(target, rel=0.02)
 
     def test_rejects_short_mode(self):
-        t = lt.DenseTensor.from_array(np.ones((2, 5)))
+        t = lt.DenseTensor(np.ones((2, 5)))
         with pytest.raises(ValueError):
             discrete_mixed_seminorm(t, 0)
 
     def test_rejects_non_uniform_grid(self):
         x, w = axis_rule(lt.GridSpec(9, rule="gauss-legendre"))
-        t = lt.DenseTensor.from_array(np.ones((9, 9)), mode_weights=[w, w])
+        t = lt.DenseTensor(np.ones((9, 9)), mode_weights=[w, w])
         with pytest.raises(ValueError):
             discrete_mixed_seminorm(t, 0)
 
@@ -290,7 +286,7 @@ class TestEigenfunctionRegularityBound:
         constants = []
         for alpha in range(8):
             phi = U[:, alpha] / np.sqrt(w)
-            phi_t = lt.DenseTensor.from_array(phi, mode_weights=[w])
+            phi_t = lt.DenseTensor(phi, mode_weights=[w])
             h1 = discrete_h1_norm(phi_t, 0)
             lam = s[alpha] ** 2
             constants.append(h1 / (lam**-0.5 * f_norm))

@@ -353,13 +353,13 @@ class TestTolerance:
             for k in range(8)
         )
         weights = [rng.random(n) + 0.1 for n in extents] if weighted else None
-        t = lt.DenseTensor.from_array(values, mode_weights=weights)
+        t = lt.DenseTensor(values, mode_weights=weights)
         tol = 1e-2
         norm = lt.frobenius_norm(t)
         rule = lt.TruncationRule.tail_energy(tol * norm)
 
         d = lt.hosvd(t, rule)
-        probe = lt.hosvd(t, t.shape.extents)
+        probe = lt.hosvd(t, t.shape)
         assert d.ranks == tuple(_probe_rank(sp, tol) for sp in probe.mode_spectra)
         assert lt.tucker_error(t, d) <= math.sqrt(t.ndim) * tol * norm + 1e-10 * norm
 
@@ -373,7 +373,7 @@ def _ridge(m: int, n: int) -> lt.DenseTensor:
     """exp(-(x_1 + ... + x_m)^2) on the n-point trapezoid grid: rank >= 2 in every mode and bond."""
     x, w = axis_rule(lt.GridSpec(n))
     s = sum(np.meshgrid(*[x] * m, indexing="ij"))
-    return lt.DenseTensor.from_array(np.exp(-s ** 2), mode_weights=[w] * m)
+    return lt.DenseTensor(np.exp(-s ** 2), mode_weights=[w] * m)
 
 
 class TestTotalTolerance:
@@ -459,8 +459,12 @@ class TestRanksContract:
         assert self._run(tmp_path, raw) == 2
         assert "'ranks'" in capsys.readouterr().err
 
-    def test_tucker_too_many_ranks_exit_two(self, tmp_path, capsys):
-        raw = decompose_config(format="tucker", ranks=[2, 2, 2, 9])
+    # compare-formats takes m ranks (Tucker all, TT the leading m - 1) or m - 1 (TT only), never more
+    @pytest.mark.parametrize("raw", [
+        decompose_config(format="tucker", ranks=[2, 2, 2, 9]),
+        dict(decompose_config(ranks=[2, 2, 2, 2]), experiment="compare-formats"),
+    ], ids=["decompose", "compare-formats"])
+    def test_tucker_too_many_ranks_exit_two(self, tmp_path, capsys, raw):
         assert self._run(tmp_path, raw) == 2
         assert "'ranks'" in capsys.readouterr().err
 
@@ -468,7 +472,7 @@ class TestRanksContract:
         rng = np.random.default_rng(7)
         for _ in range(20):
             extents = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 6))))
-            t = lt.DenseTensor.from_array(rng.standard_normal(extents))
+            t = lt.DenseTensor(rng.standard_normal(extents))
             wanted = [int(r) for r in rng.integers(1, 30, size=len(extents) - 1)]
             assert lt.tt_svd(t, wanted).ranks == tuple(feasible_ranks(extents, wanted))
 

@@ -60,11 +60,11 @@ def _sign_loop(U):
 
 def _check_against_full_svd(A):
     assert np.array_equal(A, A.T)
-    t = lt.DenseTensor.from_array(A)
+    t = lt.DenseTensor(A)
     f = _step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
     U_svd, s, _ = full_svd(A)
     s1 = s[0]
-    assert np.abs(f.spectrum.values - s).max() <= 1e-13 * s1
+    assert np.abs(f.full_spectrum.values - s).max() <= 1e-13 * s1
     assert np.abs(spectrum(A).values - s).max() <= 1e-13 * s1
 
     lam, Q = np.linalg.eigh(A)
@@ -73,10 +73,10 @@ def _check_against_full_svd(A):
     for got in (f, factorize(A)):  # the memo's entry and the one factorization routine
         assert np.array_equal(got.U, expected)
         assert np.array_equal(np.signbit(got.U), np.signbit(expected))
-        assert np.array_equal(got.spectrum.values, np.abs(lam[order]))
+        assert np.array_equal(got.full_spectrum.values, np.abs(lam[order]))
     assert np.allclose(f.U.T @ f.U, np.eye(len(s)), atol=1e-12)
 
-    s_f = f.spectrum.values
+    s_f = f.full_spectrum.values
     tails = _tails(s)
     tolerances = [0.0, 2.0 * tails[0]] + [
         (tails[r] + tails[r + 1]) / 2 for r in range(len(s)) if tails[r] - tails[r + 1] > 1e-6 * s1
@@ -96,7 +96,7 @@ def _check_against_full_svd(A):
         # mode 1 is mode 0 cut to the rank kept: the spectrum and left vectors of A^T U_r, to rounding
         (r0,), step = t._factorizations[("mode", 1)]
         assert r0 == d.ranks[0]
-        assert np.array_equal(step.U, f.U[:, :r0]) and np.array_equal(step.spectrum.values, s_f[:r0])
+        assert np.array_equal(step.U, f.U[:, :r0]) and np.array_equal(step.full_spectrum.values, s_f[:r0])
         U_r, s_r, _ = full_svd(A.T @ f.U[:, :r0])
         assert np.abs(s_r - s_f[:r0]).max() <= 1e-13 * s1
         r1, cut = d.ranks[1], np.append(s_f[:r0], 0.0)
@@ -133,9 +133,9 @@ def test_fixed_symmetric_matrices_match_full_svd(name):
 
 
 def test_ties_keep_eigh_order():
-    t = lt.DenseTensor.from_array(np.diag([-2.0, 2.0, 1.0]))
+    t = lt.DenseTensor(np.diag([-2.0, 2.0, 1.0]))
     f = _step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
-    assert np.array_equal(f.spectrum.values, [2.0, 2.0, 1.0])
+    assert np.array_equal(f.full_spectrum.values, [2.0, 2.0, 1.0])
     assert np.array_equal(f.U, np.eye(3))
 
 

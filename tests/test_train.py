@@ -12,7 +12,7 @@ def random_tensor(rng, extents, weighted=False):
     weights = None
     if weighted:
         weights = [rng.random(n) + 0.1 for n in extents]
-    return lt.DenseTensor.from_array(values, mode_weights=weights)
+    return lt.DenseTensor(values, mode_weights=weights)
 
 
 class TestExactness:
@@ -27,7 +27,7 @@ class TestExactness:
         rng = np.random.default_rng(4)
         vecs = [rng.standard_normal(n) for n in (4, 3, 5, 2)]
         values = np.einsum("i,j,k,l->ijkl", *vecs)
-        t = lt.DenseTensor.from_array(values)
+        t = lt.DenseTensor(values)
         d = lt.tt_svd(t, ranks=(1, 1, 1))
         assert lt.tt_error(t, d) <= 1e-12 * lt.frobenius_norm(t)
 
@@ -36,7 +36,7 @@ class TestExactness:
         a = [rng.standard_normal(4) for _ in range(3)]
         b = [rng.standard_normal(4) for _ in range(3)]
         values = np.einsum("i,j,k->ijk", *a) + np.einsum("i,j,k->ijk", *b)
-        t = lt.DenseTensor.from_array(values)
+        t = lt.DenseTensor(values)
         d = lt.tt_svd(t, ranks=(2, 2))
         assert lt.tt_error(t, d) <= 1e-12 * lt.frobenius_norm(t)
 
@@ -110,13 +110,13 @@ class TestStructure:
             "i,k->ik", b[0], b[1]
         )
         ones = np.ones(4)
-        t3 = lt.DenseTensor.from_array(np.einsum("ik,j->ijk", values, ones))
+        t3 = lt.DenseTensor(np.einsum("ik,j->ijk", values, ones))
         norm = lt.frobenius_norm(t3)
         # with the trivial axis in the middle both bonds must carry rank 2
         assert lt.tt_error(t3, lt.tt_svd(t3, ranks=(2, 2))) <= 1e-12 * norm
         assert lt.tt_error(t3, lt.tt_svd(t3, ranks=(2, 1))) > 1e-6 * norm
         # moving the coupled axes next to each other drops the second bond
-        t3p = lt.DenseTensor.from_array(np.einsum("ik,j->ikj", values, ones))
+        t3p = lt.DenseTensor(np.einsum("ik,j->ikj", values, ones))
         assert lt.tt_error(t3p, lt.tt_svd(t3p, ranks=(2, 1))) <= 1e-12 * norm
 
 

@@ -14,7 +14,7 @@ def random_tensor(rng, extents, weighted=False):
     weights = None
     if weighted:
         weights = [rng.random(n) + 0.1 for n in extents]
-    return lt.DenseTensor.from_array(values, mode_weights=weights)
+    return lt.DenseTensor(values, mode_weights=weights)
 
 
 class TestFullRank:
@@ -22,14 +22,14 @@ class TestFullRank:
     def test_full_rank_reconstruction(self, weighted):
         rng = np.random.default_rng(7)
         t = random_tensor(rng, (4, 5, 3), weighted=weighted)
-        d = lt.hosvd(t, t.shape.extents)
+        d = lt.hosvd(t, t.shape)
         assert lt.tucker_error(t, d) <= 1e-12 * lt.frobenius_norm(t)
 
     def test_rank_one_tensor_needs_rank_one(self):
         rng = np.random.default_rng(1)
         vecs = [rng.standard_normal(n) for n in (6, 5, 4)]
         values = np.einsum("i,j,k->ijk", *vecs)
-        t = lt.DenseTensor.from_array(values)
+        t = lt.DenseTensor(values)
         d = lt.hosvd(t, (1, 1, 1))
         assert lt.tucker_error(t, d) <= 1e-12 * lt.frobenius_norm(t)
         assert d.ranks == (1, 1, 1)
@@ -166,7 +166,7 @@ def _two_mode_tensor(extents, weighted, rank):
     k = min(extents) if rank is None else rank
     values = rng.standard_normal((n0, k)) @ rng.standard_normal((k, n1))
     weights = [rng.random(n) + 0.1 for n in extents] if weighted else None
-    return lt.DenseTensor.from_array(values, mode_weights=weights)
+    return lt.DenseTensor(values, mode_weights=weights)
 
 
 def _per_mode(t, rules):
@@ -199,7 +199,7 @@ class TestTwoModeOneSVD:
         k = min(extents)
         for r0 in range(1, k + 2):
             ranks = (r0, k + 2 - r0)
-            d = lt.hosvd(lt.DenseTensor.from_array(t.values, t.mode_weights), ranks)
+            d = lt.hosvd(lt.DenseTensor(t.values, t.mode_weights), ranks)
             old = _per_mode(t, [lt.TruncationRule.fixed_rank(r) for r in ranks])
             assert d.ranks == tuple(step.rank for step in old)
             assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
@@ -214,7 +214,7 @@ class TestTwoModeOneSVD:
         targets = [0.5 * (tails[r] + tails[r + 1]) for r in range(kept)] + [1e-14 * norm]
         for target in targets:
             rule = lt.TruncationRule.tail_energy(target)
-            d = lt.hosvd(lt.DenseTensor.from_array(t.values, t.mode_weights), rule)
+            d = lt.hosvd(lt.DenseTensor(t.values, t.mode_weights), rule)
             assert d.ranks == tuple(step.rank for step in _per_mode(t, [rule, rule]))
             assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
 
