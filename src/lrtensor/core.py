@@ -136,7 +136,7 @@ def _scale_by_weights(values, mode_weights, power: float) -> np.ndarray:
     return out.reshape(extents)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DenseTensor:
     """Discrete sample of a multivariate function, one mode per subdomain.
 
@@ -149,7 +149,7 @@ class DenseTensor:
 
     mode_weights: Optional[tuple]
     _weighted: np.ndarray = field(repr=False)
-    _factorizations: dict = field(repr=False, compare=False)
+    _factorizations: dict = field(repr=False)
 
     def __init__(self, values, mode_weights=None, cap: int = DEFAULT_ELEMENT_CAP):
         """Weight the raw samples `values` into a new array (the only place weights are multiplied in).

@@ -250,7 +250,7 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
     rank whose discarded tail is at most tolerance * norm / sqrt(S), so
     the tail bound, the total, is at most tolerance * norm.
     The bound is the tail bound plus a slack relative to `norm`.
-    Returns (ranks, error, bound, cost, storage: the entries the factors or cores hold).
+    Returns (ranks, error, bound, cost, storage: the entries held, lengths: each step's spectrum length).
     """
     extents = t.shape
     if ranks is None:
@@ -261,11 +261,11 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
                           f"takes {expected} ranks, got {len(ranks)}")
     if fmt == "tucker":
         d = hosvd(t, ranks)
-        err, cost, arrays = tucker_error(t, d), tucker_cost(d.ranks), d.factors
+        err, cost, arrays, spectra = tucker_error(t, d), tucker_cost(d.ranks), d.factors, d.mode_spectra
     else:
         d = tt_svd(t, ranks)
-        err, cost, arrays = tt_error(t, d), tt_cost(d.ranks), d.cores
-    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays)
+        err, cost, arrays, spectra = tt_error(t, d), tt_cost(d.ranks), d.cores, d.spectra
+    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays), tuple(map(len, spectra))
 
 
 def _check(report: ExperimentReport, fmt: str, ranks, err: float, bound: float, *_) -> bool:
@@ -308,7 +308,7 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
 def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
     report.summary_lines.append(f"- function: {config.function.id}")
-    ranks, *measured = _decompose(t, frobenius_norm(t), config.format, config.ranks, config.tolerance)
+    ranks, *measured, _ = _decompose(t, frobenius_norm(t), config.format, config.ranks, config.tolerance)
     ok = _check(report, config.format, ranks, *measured)
     _emit(report, _DECOMPOSITION_HEADER, [[config.format, _ranks_str(ranks), *measured, ok]])
 
@@ -388,12 +388,12 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
     if not config.epsilons:
         raise ConfigError("epsilons", "rank-vs-eps needs a list of epsilons")
     t = _sample_tensor(config)
+    if config.scheduler and (dims := config.scheduler[1].dims) != config.function.dims:
+        raise ConfigError("scheduler", f"dims {dims} differ from the function's subdomain dims {config.function.dims}")
     norm = frobenius_norm(t)
     m = t.ndim
     count = _rank_count(config.format, m)
-    rows = []
-    built = 0
-    asked = measured = None
+    rows, builds = [], []
     for eps in config.epsilons:
         schedule = _schedule_ranks_for(config, eps)
         if len(schedule.ranks) < count:
@@ -402,18 +402,17 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
         # Bonds the weighted TT schedule drops (rank 0) run at rank 1; a
         # schedule with more ranks than the format takes gives the leading ones.
         ranks = [max(r, 1) for r in schedule.ranks][:count]
-        # A step keeps min(rank asked, rank of its matrix), and its matrix depends only on the ranks kept
-        # before it. So if each step asks what it asked at the last epsilon, or was cut there (kept < asked)
-        # and asks for at least what it kept, then by induction in sweep order the decomposition is the same.
-        if measured is None or not all(r == q or k < q and k <= r for q, k, r in zip(asked, measured[0], ranks)):
+        # A step keeps min(rank asked, its spectrum's length) of a matrix fixed by the ranks kept before it:
+        # so, by induction in sweep order, an earlier build that would keep its own ranks is this decomposition.
+        measured = next((b for b in builds if tuple(map(min, ranks, b[-1])) == b[0]), None)
+        if measured is None:
             measured = _decompose(t, norm, config.format, ranks, None)
-            built += 1
-        asked = ranks
-        kept, err, bound, cost, _ = measured
+            builds.append(measured)
+        kept, err, bound, cost, *_ = measured
         ok = _check(report, config.format, *measured)
         rows.append([eps, _ranks_str(kept), cost, err, bound, math.sqrt(m) * eps, ok])
     _emit(report, ["epsilon", "ranks", "cost", "error", "bound", "sqrt_m_eps", "within_bound"], rows)
-    report.summary_lines.append(f"- {len(rows)} epsilon values, {built} decompositions, format {config.format}")
+    report.summary_lines.append(f"- {len(rows)} epsilon values, {len(builds)} decompositions, format {config.format}")
 
 
 def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> None:
@@ -462,7 +461,7 @@ def _run_compare_formats(config: ExperimentConfig, report: ExperimentReport) -> 
         elif ranks is not None:
             ranks = ranks[: _rank_count(fmt, t.ndim)]  # each format takes the leading ranks
         begin = time.perf_counter()
-        used, *measured = _decompose(t, norm, fmt, ranks, config.tolerance)
+        used, *measured, _ = _decompose(t, norm, fmt, ranks, config.tolerance)
         timings.append((fmt, time.perf_counter() - begin))
         rows.append([fmt, _ranks_str(used), *measured, _check(report, fmt, used, *measured)])
     _emit(report, _DECOMPOSITION_HEADER, rows)

@@ -22,12 +22,12 @@ class InsufficientSpectrumError(ValueError):
     """Too few usable singular values for the requested fit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularSpectrum:
     """Descending nonnegative singular values of a matrix, and their tails (see `_tails`), summed once."""
 
     values: np.ndarray
-    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    tails: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()

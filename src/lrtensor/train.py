@@ -19,7 +19,7 @@ from .svd import Factorization, SingularSpectrum, TruncationRule, _step_rules, _
 from .svd import truncated_svd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TTDecomposition:
     """Chain of order-3 cores (bond_in, extent, bond_out), boundary bonds 1."""
 
@@ -41,16 +41,16 @@ def _step_factorization(t: DenseTensor, sweep: str, key: tuple, mat: np.ndarray)
 
     t's memo holds one entry per step, under slot (sweep, step), reused only
     under an equal key; step 0, the mode-0 unfolding in both sweeps, is slot
-    ("mode", 0). A miss first drops the slot and its sweep's later slots whose
-    key does not start with `key`. Mode 1 of a two-mode A = QΛQ^T equal to its
-    transpose is A^T U_r = U_r Λ_r: mode 0's entry cut to r = key[0], no solver.
+    ("mode", 0). A miss first drops the slot and its sweep's later slots, one
+    chain of kept ranks that can no longer match. Mode 1 of a two-mode A = QΛQ^T
+    equal to its transpose is A^T U_r = U_r Λ_r: mode 0's entry cut to r = key[0], no solver.
     """
     memo, step = t._factorizations, len(key)
     slot = (sweep, step) if step else ("mode", 0)
     cached = memo.get(slot)
     if cached is not None and cached[0] == key:
         return cached[1]
-    for stale in [s for s, (k, _) in memo.items() if s[0] == slot[0] and s[1] >= step and k[:step] != key]:
+    for stale in [s for s in memo if s[0] == slot[0] and s[1] >= step]:
         del memo[stale]
     if slot == ("mode", 1) and t.ndim == 2 and _symmetric(t.weighted_values()):
         U, first = memo[("mode", 0)][1]

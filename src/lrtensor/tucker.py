@@ -19,7 +19,7 @@ from .svd import TruncationRule, _finite, _step_rules, _tail_bound
 from .train import _sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuckerDecomposition:
     """Read-only core array (weighted samples projected on the factors), orthonormal factors, mode spectra."""
 

@@ -40,6 +40,19 @@ class TestShape:
             lt.DenseTensor(np.zeros((64, 65)), cap=2**12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lt.DenseTensor(np.ones((2, 2))),
+    lambda: lt.SingularSpectrum(np.array([2.0, 1.0])),
+    lambda: lt.hosvd(lt.DenseTensor(np.ones((2, 2))), [1, 1]),
+    lambda: lt.tt_svd(lt.DenseTensor(np.ones((2, 2))), [1]),
+], ids=["DenseTensor", "SingularSpectrum", "TuckerDecomposition", "TTDecomposition"])
+def test_array_holders_compare_and_hash_by_identity(build):
+    x = build()
+    assert x == x
+    assert x != build()  # an equal copy is another object
+    assert x in {x}
+
+
 class TestUnfold:
     def test_index_ordering(self):
         vals = np.fromfunction(
@@ -114,6 +127,14 @@ class TestFrobeniusNorm:
         with pytest.raises(ValueError, match="weights for mode 1"):
             lt.DenseTensor(np.ones((3, 3)), mode_weights=[None, [1.0, bad, 1.0]])
 
+    @pytest.mark.parametrize("weights, message", [
+        ([np.ones(2)], "expected 2 weight vectors, got 1"),
+        ([np.ones(2), np.ones(2)], "weights for mode 1 have length"),
+    ], ids=["count", "length"])
+    def test_rejects_weights_that_do_not_fit_the_modes(self, weights, message):
+        with pytest.raises(lt.ShapeMismatchError, match=message):
+            lt.DenseTensor(np.ones((2, 3)), mode_weights=weights)
+
 
 class TestWeightedValues:
     def test_computed_once_and_read_only(self):
@@ -128,6 +149,7 @@ class TestWeightedValues:
     def test_unweighted_is_values_itself(self):
         t = lt.DenseTensor(np.ones((2, 3)))
         assert t.weighted_values() is t.values
+        assert lt.DenseTensor(np.ones((2, 3)), mode_weights=[None, None]).mode_weights is None  # no weights at all
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_from_array_does_not_alias_the_callers_array(self, weighted):

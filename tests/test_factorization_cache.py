@@ -197,23 +197,36 @@ def _assert_rows_equal_fresh_builds(raw, rows):
 
 
 class TestRankVsEpsReuse:
-    """rank-vs-eps builds and measures a decomposition again only when its ranks can change it."""
+    """rank-vs-eps builds and measures each distinct decomposition once: a row reuses any earlier build
+    whose steps would each keep what they kept, the smaller of its rank and that step's spectrum length."""
 
     @pytest.mark.parametrize("fmt", ["tucker", "tt"])
     def test_saturated_epsilons_reuse_the_previous_row(self, tmp_path, builds, checked, fmt):
         raw = _rank_vs_eps(fmt)
         report = hz.run(hz.parse_config(raw), tmp_path)
-        # The third epsilon asks for 8 on the first mode or bond, which is all it has, and keeps it
-        # uncut; so the fourth, asking 16, builds once more to find it cut, and the last two reuse it.
-        assert builds == {"tucker": ["hosvd", "tucker_error"], "tt": ["tt_svd", "tt_error"]}[fmt] * 4
-        assert f"- 6 epsilon values, 4 decompositions, format {fmt}" in report.summary_lines
+        # The third epsilon asks for 8 on the first mode or bond, all its spectrum holds; the fourth asks
+        # for 16, which that step of the third's build would cut to 8, so it and the last two reuse that build.
+        assert builds == {"tucker": ["hosvd", "tucker_error"], "tt": ["tt_svd", "tt_error"]}[fmt] * 3
+        assert f"- 6 epsilon values, 3 decompositions, format {fmt}" in report.summary_lines
         assert len(checked) == 6
         _assert_rows_equal_fresh_builds(raw, checked)
 
     def test_summary_counts_epsilons_and_decompositions(self, tmp_path):
         raw = {**_rank_vs_eps("tt"), "epsilons": [0.5 * 0.5 ** i for i in range(7)]}
         report = hz.run(hz.parse_config(raw), tmp_path)
-        assert "- 7 epsilon values, 4 decompositions, format tt" in report.summary_lines
+        assert "- 7 epsilon values, 3 decompositions, format tt" in report.summary_lines
+
+    @pytest.mark.parametrize("fmt", ["tucker", "tt"])
+    def test_a_repeated_epsilon_reuses_its_earlier_build(self, tmp_path, builds, checked, fmt):
+        raw = {**_rank_vs_eps(fmt), "epsilons": [0.5, 0.125, 0.5]}
+        report = hz.run(hz.parse_config(raw), tmp_path)
+        # the third row's ranks are the first's, not the second's: it reuses the first build
+        assert builds == {"tucker": ["hosvd", "tucker_error"], "tt": ["tt_svd", "tt_error"]}[fmt] * 2
+        assert f"- 3 epsilon values, 2 decompositions, format {fmt}" in report.summary_lines
+        rows = (tmp_path / "rank_vs_eps.csv").read_text().splitlines()[2:]
+        assert rows[2] == rows[0] != rows[1]
+        assert checked[2] == checked[0]
+        _assert_rows_equal_fresh_builds(raw, checked)
 
     @pytest.mark.parametrize("fmt, requested, kept, built", [
         # rows 2 and 3 change an uncut mode's request; rows 4 and 5 ask a cut mode for at least

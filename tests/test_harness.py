@@ -409,6 +409,18 @@ class TestRankVsEps:
         assert row["within_bound"] == "1"
 
 
+class TestExponents:
+    def test_decay_rate_reports_the_theory_exponent_of_a_finite_smoothness(self, tmp_path):
+        raw = {"experiment": "decay-rate", "function": {"id": "brownian_bridge"}, "grid": {"points_per_axis": 33}}
+        assert _run_cli(tmp_path, raw) == 0
+        (row,) = _csv_rows(tmp_path / "o" / "decay_rate.csv")
+        assert float(row["theory_exponent"]) == -4.0  # -2k/n - 1, with k = 3/2 on one-dimensional subdomains
+
+    def test_a_missed_exponent_target_exits_one_with_a_fail_line(self, tmp_path):
+        assert _run_cli(tmp_path, {**SMALL_CONFIGS["spectrum"], "expected_exponent": 0}) == 1
+        assert "- exponent target 0 +- 0.5: FAIL" in (tmp_path / "o" / "summary.md").read_text().splitlines()
+
+
 class TestWeightOnce:
     @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
     def test_tolerance_decompose_weights_once(self, tmp_path, monkeypatch, fmt):
@@ -499,7 +511,8 @@ SMALL_CONFIGS = {
                         "grid": {"points_per_axis": 5}, "ranks": [1, 1]},
 }
 
-# Bond 2 is cut from the second epsilon on and bond 1 from the third, so the last two reuse the third's decomposition.
+# Bond 2 is cut from the second epsilon on, and bond 1 asks from the third on for more than its spectrum holds,
+# so the last four rows reuse the second's decomposition.
 SATURATING_RANK_VS_EPS = {"experiment": "rank-vs-eps", "function": {"id": "weighted_exp", "m": 3},
                           "grid": {"points_per_axis": 4}, "format": "tt",
                           "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1, 1, 1]},
@@ -536,6 +549,10 @@ BAD_INPUT = [
     ("schedule", {"scheduler": dict(SCHEDULER, delta=None)}, "scheduler"),
     ("schedule", {"scheduler": None}, "scheduler"),
     ("rank-vs-eps", {"scheduler": dict(WEIGHTED_SCHEDULER, regime="tt-weighted")}, "scheduler"),
+    ("rank-vs-eps", {"function": {"id": "rank_one", "m": 3},
+                     "scheduler": dict(WEIGHTED_SCHEDULER, regime="tucker-weighted", dims=[3, 3, 3])}, "scheduler"),
+    ("rank-vs-eps", {"function": {"id": "rank_one", "m": 3},
+                     "scheduler": dict(WEIGHTED_SCHEDULER, regime="tucker-weighted", dims=[1] * 5)}, "scheduler"),
     ("spectrum", {"mode": -1}, "mode"),
     ("decompose-tol", {"tolerence": 0.5}, "tolerence"),
     ("decompose", {"rank": [1, 1]}, "rank"),
@@ -588,6 +605,14 @@ class TestInputContract:
          "ValueError: dims must list at least one subdomain"),
         ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[])}, "scheduler",
          "ValueError: dims must list at least one subdomain"),
+        ("decompose", {"function": {"id": "brownian_bridge", "dims": [1, 2]}}, "function",
+         "ValueError: brownian_bridge is defined on dims (1, 1)"),
+        ("decompose", {"function": {"id": "gauss_kernel", "dims": [1, 2]}}, "function",
+         "ValueError: gauss_kernel needs two subdomains of equal dimension"),
+        ("decompose", {"function": {"id": "weighted_exp", "dims": [2, 1]}}, "function",
+         "ValueError: weighted_exp is defined on one-dimensional subdomains"),
+        ("decompose", {"function": {"id": "weighted_exp", "m": 3, "gamma": [1.0, 0.5]}}, "function",
+         "ValueError: gamma must supply one weight per subdomain"),
     ])
     def test_bad_nested_key_prints_what_is_wrong(self, tmp_path, capsys, name, change, field, message):
         assert _run_cli(tmp_path, {**SMALL_CONFIGS[name], **change}) == 2
@@ -637,7 +662,7 @@ class TestInputContract:
         assert report.violations == len(rows)
         assert report.summary_path.read_text().count("-> FAIL") == len(rows)
         if name == "rank-vs-eps-saturating":
-            assert "- 5 epsilon values, 3 decompositions, format tt" in report.summary_lines
+            assert "- 5 epsilon values, 2 decompositions, format tt" in report.summary_lines
 
 
 class TestSingularVectorsComputed:
