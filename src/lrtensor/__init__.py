@@ -30,8 +30,7 @@ from .schedules import (
     RankSchedule,
     SchedulerParams,
     WeightedHypothesisError,
-    tucker_ranks_unweighted,
-    tucker_ranks_weighted,
+    build_schedule,
 )
 from .svd import (
     DecayFit,

@@ -420,12 +420,16 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
         raise ConfigError("m_values", "dim-robustness needs a list of mode counts")
     if config.scheduler is None:
         raise ConfigError("scheduler", "dim-robustness needs scheduler params")
-    _, base = config.scheduler
+    regime, base = config.scheduler
+    if regime is not None or base.gamma is not None or len(base.dims) != 1:
+        raise ConfigError("scheduler", "dim-robustness builds both Tucker regimes, default weights, on m copies of "
+                          f"one subdomain: it takes one dims entry and no regime or gamma, got regime {regime!r}, "
+                          f"gamma {base.gamma}, dims {base.dims}")
+    (n,) = base.dims
     rows = []
     for m in config.m_values:
         with _field("scheduler"):
-            n = base.dims[0]
-            p = replace(base, dims=(n,) * m, gamma=None)
+            p = replace(base, dims=(n,) * m)
             weighted = build_schedule(REGIME_TUCKER_WEIGHTED, p)
             unweighted = build_schedule(REGIME_TUCKER, p)
         rows.append([

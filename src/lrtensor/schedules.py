@@ -1,4 +1,4 @@
-"""Rank-selection rules for the unweighted and weighted Sobolev regimes.
+"""Rank-selection rules for the unweighted and weighted Sobolev regimes: one rule, read per regime.
 
 Fractional ranks are ceiled (with a tiny slack so that exact powers of
 ten do not round up spuriously): ranks are cardinalities and ceiling
@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Optional, Tuple
+from typing import Optional
 
+from .functions import default_gamma
 from .train import tt_cost
 from .tucker import tucker_cost
 
@@ -20,6 +20,13 @@ REGIME_TUCKER = "tucker-unweighted"
 REGIME_TT = "tt-unweighted"
 REGIME_TUCKER_WEIGHTED = "tucker-weighted"
 REGIME_TT_WEIGHTED = "tt-weighted"
+# Each regime as its two independent choices: (tensor-train format, weighted).
+_REGIMES = {
+    REGIME_TUCKER: (False, False),
+    REGIME_TT: (True, False),
+    REGIME_TUCKER_WEIGHTED: (False, True),
+    REGIME_TT_WEIGHTED: (True, True),
+}
 
 _CEIL_SLACK = 1e-9
 
@@ -55,39 +62,25 @@ class SchedulerParams:
             raise ValueError("subdomain dimensions must be >= 1")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
+            if not all(g > 0 for g in self.gamma):
+                raise ValueError(f"gamma weights must be positive, got {self.gamma}")
 
     @property
     def m(self) -> int:
         return len(self.dims)
 
-    def require_weighted(self) -> int:
-        """Validate the weighted-mode hypotheses; returns the common n."""
+    def require_weighted(self) -> None:
+        """Validate the weighted-mode hypotheses: equal subdomain dimensions n, delta > 0, delta' > delta + k/n."""
         if len(set(self.dims)) != 1:
-            raise ValueError(
-                "weighted schedules assume identical subdomains; "
-                f"got dims {self.dims}"
-            )
+            raise ValueError(f"weighted schedules assume identical subdomains; got dims {self.dims}")
         if self.delta is None or self.delta_prime is None:
             raise WeightedHypothesisError("weighted mode needs delta and delta_prime")
         n = self.dims[0]
         if not self.delta > 0:
             raise WeightedHypothesisError("delta must be positive")
         if not self.delta_prime > self.delta + self.k / n:
-            raise WeightedHypothesisError(
-                f"need delta' > delta + k/n = {self.delta + self.k / n}, "
-                f"got delta' = {self.delta_prime}"
-            )
-        return n
-
-    def gamma_at(self, j: int) -> float:
-        """Weight of mode j (1-based); defaults to j^(-(1+delta')/k)."""
-        if self.gamma is not None:
-            if j > len(self.gamma):
-                raise ValueError(
-                    f"gamma supplies {len(self.gamma)} weights but mode {j} is needed"
-                )
-            return self.gamma[j - 1]
-        return float(j) ** (-(1.0 + self.delta_prime) / self.k)
+            raise WeightedHypothesisError(f"need delta' > delta + k/n = {self.delta + self.k / n}, "
+                                          f"got delta' = {self.delta_prime}")
 
 
 @dataclass(frozen=True)
@@ -105,15 +98,12 @@ class RankSchedule:
     M: Optional[int] = None
     paper_M_value: Optional[float] = None
 
-    def active_ranks(self) -> tuple:
-        return tuple(r for r in self.ranks if r > 0)
-
     @property
     def predicted_cost(self) -> int:
         """Core entries (Tucker) or chain rank entries of the kept bonds (TT)."""
         if self.regime in (REGIME_TUCKER, REGIME_TUCKER_WEIGHTED):
             return tucker_cost(self.ranks)
-        return tt_cost(self.active_ranks())
+        return tt_cost([r for r in self.ranks if r > 0])
 
     def to_json(self) -> str:
         p = self.params
@@ -131,91 +121,45 @@ class RankSchedule:
         }, indent=2, sort_keys=True) + "\n"
 
 
-def tucker_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
-    """r_j = ceil(eps^(-n_j/k)), one rank per mode."""
-    ranks = tuple(_ceil(p.epsilon ** (-n / p.k)) for n in p.dims)
-    return RankSchedule(
-        regime=REGIME_TUCKER,
-        ranks=ranks,
-        params=p,
-    )
-
-
-def tt_ranks_unweighted(p: SchedulerParams) -> RankSchedule:
-    """r_j = ceil(eps^(-(n_1+...+n_j)/k)) for the m-1 bonds."""
-    if p.m < 2:
-        raise ValueError("tensor-train schedules need at least two modes")
-    ranks = tuple(_ceil(p.epsilon ** (-partial / p.k)) for partial in accumulate(p.dims[:-1]))
-    return RankSchedule(
-        regime=REGIME_TT,
-        ranks=ranks,
-        params=p,
-    )
-
-
-def _weighted_rank(p: SchedulerParams, n: int, j: int, r_prev: int = 1) -> int:
-    """ceil(r_prev gamma_j^n j^((1+delta)n/k) eps^(-n/k)), floored at 1: the weighted regimes' rule."""
-    raw = r_prev * p.gamma_at(j) ** n * float(j) ** ((1.0 + p.delta) * n / p.k) * p.epsilon ** (-n / p.k)
-    return max(_ceil(raw), 1)
-
-
-def tucker_ranks_weighted(p: SchedulerParams) -> RankSchedule:
-    """r_j = ceil(gamma_j^n j^((1+delta)n/k) eps^(-n/k)), floored at 1."""
-    n = p.require_weighted()
-    ranks = tuple(_weighted_rank(p, n, j) for j in range(1, p.m + 1))
-    return RankSchedule(
-        regime=REGIME_TUCKER_WEIGHTED,
-        ranks=ranks,
-        params=p,
-    )
-
-
-def dimension_truncation_index(p: SchedulerParams) -> Tuple[int, float]:
-    """Operational M and the printed closed form.
-
-    The printed form eps^(k/(1+delta')) vanishes as eps -> 0; requiring
-    gamma_{M+1}^k <= eps with the default weights gives the value used
-    operationally, M = ceil(eps^(-1/(1+delta'))). Both are returned.
-    """
-    printed = p.epsilon ** (p.k / (1.0 + p.delta_prime))
-    operational = _ceil(p.epsilon ** (-1.0 / (1.0 + p.delta_prime)))
-    return max(operational, 1), printed
-
-
-def tt_ranks_weighted(p: SchedulerParams) -> RankSchedule:
-    """Recursive bond ranks r_j = ceil(r_{j-1} gamma_j^n j^((1+delta)n/k) eps^(-n/k)).
-
-    Bonds beyond the dimension-truncation index M are set to zero
-    (modes dropped entirely).
-    """
-    n = p.require_weighted()
-    if p.m < 2:
-        raise ValueError("tensor-train schedules need at least two modes")
-    M, printed = dimension_truncation_index(p)
-    ranks = []
-    r_prev = 1
-    for j in range(1, p.m):
-        if j > M:
-            ranks.append(0)
-            continue
-        r_prev = _weighted_rank(p, n, j, r_prev)
-        ranks.append(r_prev)
-    return RankSchedule(
-        regime=REGIME_TT_WEIGHTED,
-        ranks=tuple(ranks),
-        params=p,
-        M=M,
-        paper_M_value=printed,
-    )
-
-
 def build_schedule(regime: str, p: SchedulerParams) -> RankSchedule:
-    builders = {
-        REGIME_TUCKER: tucker_ranks_unweighted,
-        REGIME_TT: tt_ranks_unweighted,
-        REGIME_TUCKER_WEIGHTED: tucker_ranks_weighted,
-        REGIME_TT_WEIGHTED: tt_ranks_weighted,
-    }
-    if regime not in builders:
-        raise ValueError(f"unknown regime {regime!r}; known: {sorted(builders)}")
-    return builders[regime](p)
+    """The one rank rule r_j = ceil(c_j w_j eps^(-s_j/k)), floored at 1, with `regime`'s format and weighting.
+
+    The format sets the steps and the carry. Tucker has a rank per mode
+    j = 1..m, with c_j = 1 and s_j = n_j. TT has a rank per bond
+    j = 1..m-1; unweighted it carries the running dimension sum
+    s_j = n_1+...+n_j (c_j = 1), weighted the previous rank c_j = r_{j-1}
+    (c_1 = 1, s_j = n).
+
+    The weighting sets w_j: 1 unweighted, gamma_j^n j^((1+delta)n/k)
+    weighted, with gamma from `p.gamma` or else j^(-(1+delta')/k)
+    (`default_gamma`). Weighted TT keeps only the bonds j <= M, the
+    dimension-truncation index, and drops the rest (rank 0). The printed
+    form eps^(k/(1+delta')) vanishes as eps -> 0; requiring
+    gamma_{M+1}^k <= eps with the default weights gives the value used
+    operationally, M = ceil(eps^(-1/(1+delta'))), at least 1. Both are
+    recorded (`M`, `paper_M_value`).
+    """
+    if regime not in _REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; known: {sorted(_REGIMES)}")
+    tt, weighted = _REGIMES[regime]
+    if weighted:
+        p.require_weighted()
+    if tt and p.m < 2:
+        raise ValueError("tensor-train schedules need at least two modes")
+    steps = p.m - 1 if tt else p.m
+    M = printed = None
+    if tt and weighted:
+        M = max(_ceil(p.epsilon ** (-1.0 / (1.0 + p.delta_prime))), 1)
+        printed = p.epsilon ** (p.k / (1.0 + p.delta_prime))
+    kept = steps if M is None else min(M, steps)
+    if weighted:
+        gamma = default_gamma(kept, p.k, p.delta_prime) if p.gamma is None else p.gamma
+        if len(gamma) < kept:
+            raise ValueError(f"gamma supplies {len(gamma)} weights but mode {len(gamma) + 1} is needed")
+    ranks, s, r = [], 0, 1
+    for j, n in enumerate(p.dims[:kept], start=1):
+        s = s + n if tt and not weighted else n
+        w = (r if tt else 1) * gamma[j - 1] ** n * float(j) ** ((1.0 + p.delta) * n / p.k) if weighted else 1.0
+        r = max(_ceil(w * p.epsilon ** (-s / p.k)), 1)
+        ranks.append(r)
+    return RankSchedule(regime, tuple(ranks) + (0,) * (steps - kept), p, M, printed)

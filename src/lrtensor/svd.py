@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,7 +134,8 @@ def _tails(s: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.maximum(sq, 0.0))
 
 
-class Factorization(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Factorization:
     """Read-only left vectors U, no V, and the full spectrum of their matrix, its tails summed once.
 
     `factorize` keeps every vector; `truncated_svd` keeps the first `rank`,
@@ -225,14 +226,15 @@ def truncated_svd(m, rule: TruncationRule) -> Factorization:
     A given Factorization is only truncated, so one serves any number of
     rules; a matrix is factorized first.
     """
-    U, full = m if isinstance(m, Factorization) else factorize(m)
+    f = m if isinstance(m, Factorization) else factorize(m)
+    full = f.full_spectrum
     if rule.kind == "fixed-rank":
         rank = min(int(rule.value), len(full))
     else:
         usable = full.above_floor()
         candidates = np.flatnonzero(full.tails[: usable + 1] <= rule.value)
         rank = max(int(candidates[0]) if candidates.size else usable, 1)
-    return Factorization(U[:, :rank], full)
+    return Factorization(f.U[:, :rank], full)
 
 
 def _tail_bound(spectra, ranks) -> float:

@@ -53,8 +53,8 @@ def _step_factorization(t: DenseTensor, sweep: str, key: tuple, mat: np.ndarray)
     for stale in [s for s in memo if s[0] == slot[0] and s[1] >= step]:
         del memo[stale]
     if slot == ("mode", 1) and t.ndim == 2 and _symmetric(t.weighted_values()):
-        U, first = memo[("mode", 0)][1]
-        found = Factorization(U[:, : key[0]], SingularSpectrum(first.values[: key[0]]))
+        first = memo[("mode", 0)][1]
+        found = Factorization(first.U[:, : key[0]], SingularSpectrum(first.full_spectrum.values[: key[0]]))
     else:
         found = factorize(mat)
     memo[slot] = (key, found)

@@ -181,8 +181,8 @@ def test_criterion_06_gram_oracle_equivalence():
 def test_criterion_07_cost_formulas():
     start = time.perf_counter()
     assert lt.tt_cost((10, 100)) == 1010
-    schedule = lt.tucker_ranks_unweighted(
-        lt.SchedulerParams(epsilon=0.01, k=2.0, dims=(1, 1, 1))
+    schedule = lt.build_schedule(
+        "tucker-unweighted", lt.SchedulerParams(epsilon=0.01, k=2.0, dims=(1, 1, 1))
     )
     assert schedule.ranks == (10, 10, 10)
     assert lt.tucker_cost(schedule.ranks) == 1000
@@ -209,7 +209,7 @@ def test_criterion_08_dimension_robustness():
         )
 
     def log_cost(m):
-        s = lt.tucker_ranks_weighted(weighted_params(m))
+        s = lt.build_schedule("tucker-weighted", weighted_params(m))
         return sum(math.log(r) for r in s.ranks)
 
     growth = log_cost(64) / log_cost(16) - 1.0
@@ -219,8 +219,8 @@ def test_criterion_08_dimension_robustness():
     log_unweighted = np.array(
         [
             math.log(
-                lt.tucker_ranks_unweighted(
-                    lt.SchedulerParams(epsilon=0.1, k=1.0, dims=(1,) * int(m))
+                lt.build_schedule(
+                    "tucker-unweighted", lt.SchedulerParams(epsilon=0.1, k=1.0, dims=(1,) * int(m))
                 ).predicted_cost
             )
             for m in ms
@@ -241,7 +241,7 @@ def test_criterion_08_dimension_robustness():
     ranks = tuple(
         min(r, n)
         for r, n in zip(
-            lt.tucker_ranks_weighted(weighted_params(m)).ranks, sf.shape
+            lt.build_schedule("tucker-weighted", weighted_params(m)).ranks, sf.shape
         )
     )
     err = lt.tucker_error(sf, lt.hosvd(sf, ranks))

@@ -45,7 +45,8 @@ class TestShape:
     lambda: lt.SingularSpectrum(np.array([2.0, 1.0])),
     lambda: lt.hosvd(lt.DenseTensor(np.ones((2, 2))), [1, 1]),
     lambda: lt.tt_svd(lt.DenseTensor(np.ones((2, 2))), [1]),
-], ids=["DenseTensor", "SingularSpectrum", "TuckerDecomposition", "TTDecomposition"])
+    lambda: lt.truncated_svd(np.eye(3), lt.TruncationRule.fixed_rank(2)),
+], ids=["DenseTensor", "SingularSpectrum", "TuckerDecomposition", "TTDecomposition", "Factorization"])
 def test_array_holders_compare_and_hash_by_identity(build):
     x = build()
     assert x == x

@@ -567,6 +567,10 @@ BAD_INPUT = [
     ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"n": 1.5}}}, "function"),
     ("decay-rate", {"function": {"id": "gauss_kernel", "params": {"n": True}}}, "function"),
     ("decompose-tol", {"function": {"id": "weighted_exp", "m": 3, "params": {"k": True}}}, "function"),
+    ("schedule", {"scheduler": dict(SCHEDULER, dims=[1] * 4, gamma=[-1, 0, -0.5, 0.1])}, "scheduler"),
+    ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[1], regime="tt-weighted")}, "scheduler"),
+    ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[1], gamma=[9, 9, 9])}, "scheduler"),
+    ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[1, 5, 7])}, "scheduler"),
 ]
 
 
