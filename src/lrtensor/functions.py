@@ -4,12 +4,18 @@ Each entry is a deterministic, bounded function on the unit box. The ids
 are the stable names used by CLI configs; each entry lists the `params`
 its evaluator reads, and no others are accepted. Evaluators are
 vectorized over broadcastable coordinate arrays, one array per scalar axis.
+
+Each entry's one layout sets its subdomain dims and weights: `any` takes
+any dims (default m scalar ones, m = 2), `pair` is dims (1, 1), `kernel` is
+two equal subdomains of dimension `n` (default 1), and `weighted` is m
+scalar subdomains with weights gamma (default `default_gamma` of `k` and
+`delta_prime`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -18,6 +24,16 @@ ANALYTIC = "analytic"
 
 class UnknownFunctionError(KeyError):
     """Function id not present in the registry."""
+
+
+def subdomain_dims(dims) -> tuple:
+    """`dims` as a tuple of ints: at least one subdomain, each of dimension >= 1."""
+    dims = tuple(int(n) for n in dims)
+    if not dims:
+        raise ValueError("dims must list at least one subdomain")
+    if any(n < 1 for n in dims):
+        raise ValueError(f"subdomain dimensions must be >= 1, got {dims}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -31,11 +47,7 @@ class FunctionSpec:
     parameters: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        if not self.dims:
-            raise ValueError("dims must list at least one subdomain")
-        if any(n < 1 for n in self.dims):
-            raise ValueError(f"subdomain dimensions must be >= 1, got {self.dims}")
+        object.__setattr__(self, "dims", subdomain_dims(self.dims))
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
         object.__setattr__(self, "parameters", tuple(sorted(dict(self.parameters).items())))
@@ -93,45 +105,22 @@ def _eval_weighted_exp(spec, coords):
     return np.exp(out)
 
 
-_REGISTRY: Dict[str, dict] = {
-    "rank_one": {
-        "evaluator": _eval_rank_one,
-        "smoothness_k": ANALYTIC,
-        "gamma": False,
-    },
-    "brownian_bridge": {
-        "evaluator": _eval_brownian_bridge,
-        "smoothness_k": 1.5,
-        "gamma": False,
-        "fixed_dims": (1, 1),
-    },
-    "weighted_product": {
-        "evaluator": _eval_weighted_product,
-        "smoothness_k": ANALYTIC,
-        "gamma": True,
-        "scalar_modes": True,
-        "params": ("k", "delta_prime"),
-    },
-    "gauss_kernel": {
-        "evaluator": _eval_gauss_kernel,
-        "smoothness_k": ANALYTIC,
-        "gamma": False,
-        "two_equal": True,
-        "params": ("n", "c"),
-    },
-    "abs_diff": {
-        "evaluator": _eval_abs_diff,
-        "smoothness_k": 1.5,
-        "gamma": False,
-        "fixed_dims": (1, 1),
-    },
-    "weighted_exp": {
-        "evaluator": _eval_weighted_exp,
-        "smoothness_k": ANALYTIC,
-        "gamma": True,
-        "scalar_modes": True,
-        "params": ("k", "delta_prime"),
-    },
+class _Entry(NamedTuple):
+    """A registered function: its evaluator, smoothness order, layout (see above) and the params it reads."""
+
+    evaluator: Callable
+    smoothness_k: object
+    layout: str
+    params: tuple = ()
+
+
+_REGISTRY: Dict[str, _Entry] = {
+    "rank_one": _Entry(_eval_rank_one, ANALYTIC, "any"),
+    "brownian_bridge": _Entry(_eval_brownian_bridge, 1.5, "pair"),
+    "weighted_product": _Entry(_eval_weighted_product, ANALYTIC, "weighted", ("k", "delta_prime")),
+    "gauss_kernel": _Entry(_eval_gauss_kernel, ANALYTIC, "kernel", ("n", "c")),
+    "abs_diff": _Entry(_eval_abs_diff, 1.5, "pair"),
+    "weighted_exp": _Entry(_eval_weighted_exp, ANALYTIC, "weighted", ("k", "delta_prime")),
 }
 
 
@@ -146,40 +135,38 @@ def make_function(
     gamma=None,
     **parameters,
 ) -> FunctionSpec:
-    """Build a FunctionSpec, filling in defaults per registry entry; a field it leaves unread is an error."""
+    """Build a FunctionSpec, filling in defaults per its entry's layout; a field it leaves unread is an error."""
     try:
         entry = _REGISTRY[fn_id]
     except KeyError:
         raise UnknownFunctionError(
             f"unknown function id {fn_id!r}; known: {registered_ids()}"
         ) from None
-    unknown = sorted(set(parameters) - set(entry.get("params", ())))
+    unknown = sorted(set(parameters) - set(entry.params))
     if unknown:
         raise ValueError(f"{fn_id} takes no parameters {unknown}")
+    layout = entry.layout
     # A field given where this entry would not read it is an error, not ignored.
-    unread = {"m": dims is not None or "fixed_dims" in entry or entry.get("two_equal"), "n": dims is not None,
-              "gamma": not entry["gamma"], "k": gamma is not None, "delta_prime": gamma is not None}
+    unread = {"m": dims is not None or layout in ("pair", "kernel"), "n": dims is not None,
+              "gamma": layout != "weighted", "k": gamma is not None, "delta_prime": gamma is not None}
     ignored = sorted(f for f, v in {"m": m, "gamma": gamma, **parameters}.items() if v is not None and unread.get(f))
     if ignored:
         raise ValueError(f"{fn_id} does not read {ignored} with the other fields given")
-    if dims is None:
-        if "fixed_dims" in entry:
-            dims = entry["fixed_dims"]
-        elif entry.get("two_equal"):
-            n = parameters.pop("n", 1)
-            if n != int(n):
-                raise ValueError(f"{fn_id} needs an integer n, got {n!r}")
-            dims = (n, n)
-        else:
-            dims = (1,) * (m if m is not None else 2)
+    if dims is None and layout == "kernel":
+        n = parameters.pop("n", 1)
+        if n != int(n):
+            raise ValueError(f"{fn_id} needs an integer n, got {n!r}")
+        dims = (n, n)
+    elif dims is None:
+        dims = (1, 1) if layout == "pair" else (1,) * (m if m is not None else 2)
     dims = tuple(int(n) for n in dims)
-    if "fixed_dims" in entry and dims != entry["fixed_dims"]:
-        raise ValueError(f"{fn_id} is defined on dims {entry['fixed_dims']}")
-    if entry.get("two_equal") and (len(dims) != 2 or dims[0] != dims[1]):
+    if layout == "pair" and dims != (1, 1):
+        raise ValueError(f"{fn_id} is defined on dims (1, 1)")
+    if layout == "kernel" and (len(dims) != 2 or dims[0] != dims[1]):
         raise ValueError(f"{fn_id} needs two subdomains of equal dimension")
-    if entry.get("scalar_modes") and any(n != 1 for n in dims):
-        raise ValueError(f"{fn_id} is defined on one-dimensional subdomains")
-    if entry["gamma"]:
+    if layout == "weighted":
+        if any(n != 1 for n in dims):
+            raise ValueError(f"{fn_id} is defined on one-dimensional subdomains")
         if gamma is None:
             gamma = default_gamma(
                 len(dims),
@@ -188,12 +175,10 @@ def make_function(
             )
         if len(gamma) != len(dims):
             raise ValueError("gamma must supply one weight per subdomain")
-    else:
-        gamma = None
     return FunctionSpec(
         id=fn_id,
         dims=dims,
-        smoothness_k=entry["smoothness_k"],
+        smoothness_k=entry.smoothness_k,
         gamma=gamma,
         parameters=tuple(parameters.items()),
     )
@@ -204,7 +189,7 @@ def vectorized_evaluator(spec: FunctionSpec) -> Callable:
     entry = _REGISTRY.get(spec.id)
     if entry is None:
         raise UnknownFunctionError(f"unknown function id {spec.id!r}")
-    evaluator = entry["evaluator"]
+    evaluator = entry.evaluator
 
     def call(coords):
         if len(coords) != sum(spec.dims):

@@ -353,13 +353,15 @@ def _check_exponent(config, report, exponent) -> None:
 
 def _run_schedule(config: ExperimentConfig, report: ExperimentReport) -> None:
     schedule = _schedule_ranks_for(config)
+    with _field("scheduler"):  # a cost past Python's int-to-str digit limit
+        text, cost = schedule.to_json(), str(schedule.predicted_cost)
     path = report.out_dir / "schedule.json"
-    path.write_text(schedule.to_json())
+    path.write_text(text)
     report.csv_paths.append(path)
     report.summary_lines += [
         f"- regime: {schedule.regime}",
         f"- ranks: {_ranks_str(schedule.ranks)}",
-        f"- predicted cost: {schedule.predicted_cost}",
+        f"- predicted cost: {cost}",
     ]
     if schedule.M is not None:
         report.summary_lines.append(
@@ -432,9 +434,10 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
             p = replace(base, dims=(n,) * m)
             weighted = build_schedule(REGIME_TUCKER_WEIGHTED, p)
             unweighted = build_schedule(REGIME_TUCKER, p)
+            cost = str(weighted.predicted_cost)  # a cost past Python's int-to-str digit limit
         rows.append([
             m,
-            weighted.predicted_cost,
+            cost,
             math.log(weighted.predicted_cost),
             math.log(unweighted.predicted_cost),
         ])

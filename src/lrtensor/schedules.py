@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .functions import default_gamma
+from .functions import default_gamma, subdomain_dims
 from .train import tt_cost
 from .tucker import tucker_cost
 
@@ -51,15 +51,11 @@ class SchedulerParams:
     gamma: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.k <= 0:
             raise ValueError("smoothness order k must be positive")
-        if not self.dims:
-            raise ValueError("dims must list at least one subdomain")
-        if any(n < 1 for n in self.dims):
-            raise ValueError("subdomain dimensions must be >= 1")
+        object.__setattr__(self, "dims", subdomain_dims(self.dims))
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
             if not all(g > 0 for g in self.gamma):

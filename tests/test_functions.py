@@ -47,6 +47,63 @@ class TestRegistry:
         assert hash(a) == hash(b)
 
 
+# (id, make_function arguments, the (dims, gamma) built or the ValueError message after the id): each layout's
+# defaults, its check on explicit dims, and every field a layout leaves unread, which is rejected.
+LAYOUT_CASES = [
+    ("rank_one", {}, ((1, 1), None)),
+    ("rank_one", {"m": 3}, ((1, 1, 1), None)),
+    ("rank_one", {"dims": (2, 3)}, ((2, 3), None)),
+    ("rank_one", {"dims": (1, 1), "m": 2}, "does not read ['m'] with the other fields given"),
+    ("rank_one", {"gamma": (1.0, 1.0)}, "does not read ['gamma'] with the other fields given"),
+    ("rank_one", {"n": 2}, "takes no parameters ['n']"),
+    ("brownian_bridge", {}, ((1, 1), None)),
+    ("brownian_bridge", {"m": 2}, "does not read ['m'] with the other fields given"),
+    ("brownian_bridge", {"gamma": (1.0, 1.0)}, "does not read ['gamma'] with the other fields given"),
+    ("brownian_bridge", {"dims": (1, 2)}, "is defined on dims (1, 1)"),
+    ("abs_diff", {}, ((1, 1), None)),
+    ("abs_diff", {"m": 2}, "does not read ['m'] with the other fields given"),
+    ("abs_diff", {"dims": (1,)}, "is defined on dims (1, 1)"),
+    ("abs_diff", {"c": 1.0}, "takes no parameters ['c']"),
+    ("gauss_kernel", {}, ((1, 1), None)),
+    ("gauss_kernel", {"n": 2}, ((2, 2), None)),
+    ("gauss_kernel", {"dims": (3, 3)}, ((3, 3), None)),
+    ("gauss_kernel", {"m": 2}, "does not read ['m'] with the other fields given"),
+    ("gauss_kernel", {"dims": (2, 2), "n": 2}, "does not read ['n'] with the other fields given"),
+    ("gauss_kernel", {"gamma": (1.0, 1.0)}, "does not read ['gamma'] with the other fields given"),
+    ("gauss_kernel", {"dims": (1, 2)}, "needs two subdomains of equal dimension"),
+    ("gauss_kernel", {"dims": (1, 1, 1)}, "needs two subdomains of equal dimension"),
+    ("gauss_kernel", {"k": 1.0}, "takes no parameters ['k']"),
+    ("weighted_product", {}, ((1, 1), (1.0, 2.0**-3))),
+    ("weighted_product", {"m": 3, "k": 2.0, "delta_prime": 1.0}, ((1, 1, 1), (1.0, 0.5, 1 / 3))),
+    ("weighted_product", {"m": 3, "gamma": (0.5, 0.25, 0.125)}, ((1, 1, 1), (0.5, 0.25, 0.125))),
+    ("weighted_product", {"gamma": (1.0, 0.5), "k": 2.0}, "does not read ['k'] with the other fields given"),
+    ("weighted_product", {"gamma": (1.0, 0.5), "delta_prime": 1.0},
+     "does not read ['delta_prime'] with the other fields given"),
+    ("weighted_product", {"dims": (1, 2)}, "is defined on one-dimensional subdomains"),
+    ("weighted_exp", {"dims": (1, 1, 1)}, ((1, 1, 1), (1.0, 2.0**-3, 3.0**-3))),
+    ("weighted_exp", {"dims": (1, 1), "m": 2}, "does not read ['m'] with the other fields given"),
+    ("weighted_exp", {"m": 2, "gamma": (1.0, 0.5), "k": 1.0, "delta_prime": 2.0},
+     "does not read ['delta_prime', 'k'] with the other fields given"),
+    ("weighted_exp", {"n": 1}, "takes no parameters ['n']"),
+]
+
+
+@pytest.mark.parametrize("fn_id, arguments, expected", LAYOUT_CASES)
+def test_layout_defaults_and_unread_fields(fn_id, arguments, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as caught:
+            lt.make_function(fn_id, **arguments)
+        assert str(caught.value) == f"{fn_id} {expected}"
+    else:
+        fn = lt.make_function(fn_id, **arguments)
+        assert fn.dims == expected[0]
+        assert fn.gamma == (None if expected[1] is None else pytest.approx(expected[1], rel=1e-15))
+
+
+def test_layout_cases_cover_every_id():
+    assert sorted({row[0] for row in LAYOUT_CASES}) == list(registered_ids())
+
+
 class TestEvaluation:
     def test_rank_one_point_value(self):
         fn = lt.make_function("rank_one", m=2)

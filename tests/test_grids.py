@@ -10,7 +10,7 @@ import lrtensor.grids as grids
 from lrtensor import DenseTensor, GridSpec, frobenius_norm
 from lrtensor.cli import main as cli_main
 from lrtensor.core import _BLOCK, _scale_by_weights
-from lrtensor.functions import _REGISTRY, vectorized_evaluator
+from lrtensor.functions import _REGISTRY, _Entry, vectorized_evaluator
 from lrtensor.grids import axis_rule
 from oracles import full_svd
 
@@ -148,10 +148,8 @@ def evaluated_runs(monkeypatch):
 @pytest.fixture
 def constant_along_axis_0(monkeypatch):
     """A function that ignores its first coordinate (an evaluator broadcast along it), and a constant (0-d)."""
-    monkeypatch.setitem(_REGISTRY, "skip_first", {
-        "evaluator": lambda spec, coords: np.exp(-sum(coords[1:])), "smoothness_k": math.inf, "gamma": False})
-    monkeypatch.setitem(_REGISTRY, "constant", {
-        "evaluator": lambda spec, coords: 2.5, "smoothness_k": math.inf, "gamma": False})
+    monkeypatch.setitem(_REGISTRY, "skip_first", _Entry(lambda spec, coords: np.exp(-sum(coords[1:])), math.inf, "any"))
+    monkeypatch.setitem(_REGISTRY, "constant", _Entry(lambda spec, coords: 2.5, math.inf, "any"))
 
 
 BLOCKED_CASES = {

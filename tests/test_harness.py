@@ -571,6 +571,11 @@ BAD_INPUT = [
     ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[1], regime="tt-weighted")}, "scheduler"),
     ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[1], gamma=[9, 9, 9])}, "scheduler"),
     ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, dims=[1, 5, 7])}, "scheduler"),
+    # predicted costs of more than 4300 digits, past Python's int-to-str limit
+    ("schedule", {"scheduler": {"regime": "tucker-unweighted", "epsilon": 1e-300, "k": 1.0, "dims": [1] * 20}},
+     "scheduler"),
+    ("dim-robustness", {"scheduler": dict(WEIGHTED_SCHEDULER, epsilon=1e-300, dims=[1]), "m_values": [2, 40]},
+     "scheduler"),
 ]
 
 

@@ -1,5 +1,6 @@
 """The README's examples run as written, its config table and format names match
-the reader, and every export follows the rule in `lrtensor`'s docstring."""
+the reader, its function list matches the registry, and every export follows the
+rule in `lrtensor`'s docstring."""
 
 import dataclasses
 import inspect
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import lrtensor as lt
 from lrtensor.cli import main as cli_main
+from lrtensor.functions import _REGISTRY
 from lrtensor.harness import _FORMAT_NAMES, ExperimentConfig, _format
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -53,6 +55,12 @@ def test_format_names_are_the_ones_the_reader_accepts():
     for listed in (row, line):
         assert re.findall(r"`([\w-]+)`", listed) == list(_FORMAT_NAMES)
     assert re.search(r"`tt-bidir` is a legacy name that\s+runs `tt`'s sweep", README)
+
+
+def test_function_list_is_the_registry():
+    listed = re.findall(r"^- `(\w+)`: layout `(\w+)`, params (.*)$", README, flags=re.MULTILINE)
+    table = [(fn_id, layout, tuple(re.findall(r"`(\w+)`", params))) for fn_id, layout, params in listed]
+    assert table == [(fn_id, entry.layout, entry.params) for fn_id, entry in _REGISTRY.items()]
 
 
 def _annotations(obj) -> str:
