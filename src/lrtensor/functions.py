@@ -27,8 +27,11 @@ class UnknownFunctionError(KeyError):
 
 
 def subdomain_dims(dims) -> tuple:
-    """`dims` as a tuple of ints: at least one subdomain, each of dimension >= 1."""
-    dims = tuple(int(n) for n in dims)
+    """`dims` as a tuple of ints: at least one subdomain, each of an integral dimension >= 1."""
+    given = tuple(dims)
+    dims = tuple(int(n) for n in given)
+    if dims != given:
+        raise ValueError(f"subdomain dimensions must be integers, got {given}")
     if not dims:
         raise ValueError("dims must list at least one subdomain")
     if any(n < 1 for n in dims):
@@ -159,7 +162,7 @@ def make_function(
         dims = (n, n)
     elif dims is None:
         dims = (1, 1) if layout == "pair" else (1,) * (m if m is not None else 2)
-    dims = tuple(int(n) for n in dims)
+    dims = subdomain_dims(dims)
     if layout == "pair" and dims != (1, 1):
         raise ValueError(f"{fn_id} is defined on dims (1, 1)")
     if layout == "kernel" and (len(dims) != 2 or dims[0] != dims[1]):

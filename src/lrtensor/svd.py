@@ -1,5 +1,5 @@
 """Truncated SVD, tail energies, and decay fits. Every solver reads its matrix through one dispatch
-(`_solver_input`), and one type, `Factorization`, holds its left vectors (all, or the kept ones) and full spectrum."""
+(`_solver_input`), and one type, `Factorization`, holds its left vectors (all, or the kept ones), full spectrum and eigenvalues."""
 
 from __future__ import annotations
 
@@ -140,11 +140,14 @@ class Factorization:
 
     `factorize` keeps every vector; `truncated_svd` keeps the first `rank`,
     a view of them, and `tail` is the exact Frobenius error of dropping the
-    rest. The kept values are `full_spectrum.values[:rank]`.
+    rest. The kept values are `full_spectrum.values[:rank]`. A matrix equal to
+    its transpose also records its signed `eigenvalues`, in U's column order:
+    it is U diag(λ) U^T, so its projections on U_r are read off λ (see `train._sweep`).
     """
 
     U: np.ndarray
     full_spectrum: SingularSpectrum
+    eigenvalues: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
@@ -190,19 +193,22 @@ def factorize(m: np.ndarray) -> Factorization:
     """The Factorization of m, from the one solver its form calls for.
 
     An m equal to its transpose is QΛQ^T, from one `eigh`: U is Q ordered
-    by descending |λ| and s = |λ|. Any other m, or its R^T if wide (see
-    `_solver_input`), gets one SVD. U then takes the one sign convention.
+    by descending |λ|, s = |λ|, and λ in that order is kept as `eigenvalues`.
+    Any other m, or its R^T if wide (see `_solver_input`), gets one SVD.
+    U then takes the one sign convention, which leaves U diag(λ) U^T as it is.
     """
     m, symmetric = _solver_input(m)
     if symmetric:
         lam, Q = np.linalg.eigh(m)
         order = np.argsort(-np.abs(lam), kind="stable")
-        U, s = Q[:, order], np.abs(lam[order])
+        U, lam = np.take(Q, order, axis=1), lam[order]
+        s = np.abs(lam)
+        lam.setflags(write=False)
     else:
-        U, s, _ = np.linalg.svd(m, full_matrices=False)
+        (U, s, _), lam = np.linalg.svd(m, full_matrices=False), None
     np.negative(U, out=U, where=_sign_flips(U))
     U.setflags(write=False)
-    return Factorization(U, SingularSpectrum(s))
+    return Factorization(U, SingularSpectrum(s), lam)
 
 
 def spectrum(mat: np.ndarray) -> SingularSpectrum:
@@ -234,7 +240,7 @@ def truncated_svd(m, rule: TruncationRule) -> Factorization:
         usable = full.above_floor()
         candidates = np.flatnonzero(full.tails[: usable + 1] <= rule.value)
         rank = max(int(candidates[0]) if candidates.size else usable, 1)
-    return Factorization(f.U[:, :rank], full)
+    return Factorization(f.U[:, :rank], full, f.eigenvalues)
 
 
 def _tail_bound(spectra, ranks) -> float:

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .core import DenseTensor, _weighted_error
-from .svd import Factorization, SingularSpectrum, TruncationRule, _step_rules, _symmetric, _tail_bound, factorize
+from .svd import Factorization, SingularSpectrum, TruncationRule, _step_rules, _tail_bound, factorize
 from .svd import truncated_svd
 
 
@@ -42,8 +42,8 @@ def _step_factorization(t: DenseTensor, sweep: str, key: tuple, mat: np.ndarray)
     t's memo holds one entry per step, under slot (sweep, step), reused only
     under an equal key; step 0, the mode-0 unfolding in both sweeps, is slot
     ("mode", 0). A miss first drops the slot and its sweep's later slots, one
-    chain of kept ranks that can no longer match. Mode 1 of a two-mode A = QΛQ^T
-    equal to its transpose is A^T U_r = U_r Λ_r: mode 0's entry cut to r = key[0], no solver.
+    chain of kept ranks that can no longer match. Mode 1 of a two-mode A = UΛU^T
+    (mode 0's entry has `eigenvalues`) is A^T U_r = U_r Λ_r: mode 0's entry cut to r = key[0], no solver.
     """
     memo, step = t._factorizations, len(key)
     slot = (sweep, step) if step else ("mode", 0)
@@ -52,8 +52,8 @@ def _step_factorization(t: DenseTensor, sweep: str, key: tuple, mat: np.ndarray)
         return cached[1]
     for stale in [s for s in memo if s[0] == slot[0] and s[1] >= step]:
         del memo[stale]
-    if slot == ("mode", 1) and t.ndim == 2 and _symmetric(t.weighted_values()):
-        first = memo[("mode", 0)][1]
+    first = memo[("mode", 0)][1] if slot == ("mode", 1) and t.ndim == 2 else None
+    if first is not None and first.eigenvalues is not None:
         found = Factorization(first.U[:, : key[0]], SingularSpectrum(first.full_spectrum.values[: key[0]]))
     else:
         found = factorize(mat)
@@ -72,21 +72,30 @@ def _sweep(t: DenseTensor, sweep: str, x: np.ndarray, extents, rules):
     back, so its last `x` is the core, axes in order. No right vectors are
     formed. A step's A is fixed by `t` and the ranks kept before it, so it is
     factorized once per such ranks (`_step_factorization`).
+    An A = UΛU^T from `eigh` passes U_r Λ_r or Λ_r U_r^T on, a scaling; a two-mode Tucker sweep's
+    next step is then its cut, and (U_r0 Λ_r0)^T U_r1 = diag(λ) cut to (r0, r1), by orthonormality.
     Returns each step's kept U and full spectrum, and the last `x`.
     """
     factors = []
     spectra = []
     r = 1
     key = ()
+    lam = None  # the signed eigenvalues kept by the last step whose A = UΛU^T
     for n, rule in zip(extents, rules):
         mat = x.reshape(r * n, -1)
         step = truncated_svd(_step_factorization(t, sweep, key, mat), rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)
-        if sweep == "mode":
+        if step.eigenvalues is not None:
+            lam = step.eigenvalues[: step.rank]
+            x = step.U * lam if sweep == "mode" else lam[:, None] * step.U.T
+        elif lam is not None and t.ndim == 2:  # the cut (see `_step_factorization`)
+            x = np.diag(lam)[:, : step.rank]
+        elif sweep == "mode":
             x = mat.T @ step.U
         else:
             x = step.U.T @ mat
+        if sweep != "mode":
             r = step.rank
         key += (step.rank,)
     return factors, spectra, x

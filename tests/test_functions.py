@@ -40,6 +40,20 @@ class TestRegistry:
         with pytest.raises(ValueError, match=r"subdomain dimensions must be >= 1, got \(0, 1\)"):
             FunctionSpec("rank_one", dims=(0, 1), smoothness_k=lt.functions.ANALYTIC)
 
+    @pytest.mark.parametrize("build, given", [
+        (lambda: lt.make_function("rank_one", dims=(2.5, 1)), r"\(2\.5, 1\)"),
+        (lambda: lt.make_function("gauss_kernel", dims=(1.5, 1.5)), r"\(1\.5, 1\.5\)"),
+        (lambda: lt.SchedulerParams(0.1, 1.0, (2.5,)), r"\(2\.5,\)"),
+        (lambda: FunctionSpec("rank_one", dims=(1, 0.5), smoothness_k=lt.functions.ANALYTIC), r"\(1, 0\.5\)"),
+    ])
+    def test_fractional_subdomain_dims_are_rejected(self, build, given):
+        with pytest.raises(ValueError, match=rf"^subdomain dimensions must be integers, got {given}$"):
+            build()
+
+    def test_integral_float_dims_are_read_as_ints(self):
+        for dims in (lt.make_function("rank_one", dims=(2.0, 1)).dims, lt.SchedulerParams(0.1, 1.0, (3.0,)).dims):
+            assert dims in ((2, 1), (3,)) and all(type(n) is int for n in dims)
+
     def test_spec_is_hashable_and_deterministic(self):
         a = lt.make_function("gauss_kernel", n=2, c=1.5)
         b = lt.make_function("gauss_kernel", c=1.5, n=2)

@@ -6,7 +6,12 @@ A^T U_r = U_r Λ_r, needs no solver: its Factorization is mode 0's cut to
 r. These tests hold `svd.factorize`'s `eigh` path and that cut to dense
 SVDs of the same matrices (the `full_svd` oracle), and check that
 weighting keeps every registered kernel's sample bitwise symmetric.
+The projections are read off the signed eigenvalues too: Tucker's core is
+diag(λ) cut to (r0, r1) and a two-mode TT's last core is Λ_r U_r^T. These
+are held to a reference that multiplies U_0^T A U_1 out.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrtensor as lt
+from lrtensor import svd
 from lrtensor.core import _scale_by_weights
 from lrtensor.grids import RULE_GAUSS, RULE_TRAPEZOID
 from lrtensor.svd import SIGN_PIVOT_TOL, _tails, factorize, spectrum
@@ -176,3 +182,95 @@ def test_brownian_bridge_spectrum_tracks_its_eigenvalues():
     spec = spectrum(A)
     assert np.abs(spec.values[:20] / (np.pi * alpha) ** -2.0 - 1.0).max() <= 0.02
     assert lt.fit_decay_exponent(spec).exponent == pytest.approx(-4.0, abs=0.3)
+
+
+def _eigen(A):
+    """The signed eigenvalues and eigenvectors of a symmetric A from one `eigh`, ordered and signed as `factorize`'s."""
+    lam, Q = np.linalg.eigh(A)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    return lam[order], _sign_loop(Q[:, order])
+
+
+def _reference(A, lam, U, ranks):
+    """Test-side sequentially truncated HOSVD of a symmetric A = U diag(lam) U^T: factors and spectra read
+    off `_eigen`, the core multiplied out as U_0^T A U_1."""
+    rules = [ranks] * 2 if isinstance(ranks, lt.TruncationRule) else [lt.TruncationRule.fixed_rank(r) for r in ranks]
+    spectra = [lt.SingularSpectrum(np.abs(lam))]
+    r0 = lt.truncated_svd(lt.Factorization(U, spectra[0]), rules[0]).rank
+    spectra.append(lt.SingularSpectrum(np.abs(lam[:r0])))  # of A^T U_r0 = U_r0 Λ_r0
+    r1 = lt.truncated_svd(lt.Factorization(U[:, :r0], spectra[1]), rules[1]).rank
+    core = U[:, :r0].T @ A @ U[:, :r1]
+    return lt.TuckerDecomposition(core, (U[:, :r0], U[:, :r1]), tuple(spectra))
+
+
+def _check_projections_read_off_eigh(t):
+    """hosvd's core is exactly diag(λ) cut to (r0, r1), and a two-mode TT's last core exactly Λ_r U_r^T;
+    ranks, spectra and bounds equal the reference's, and each error is within 1e-13 ||A|| of its product form."""
+    A = t.weighted_values()
+    norm = np.linalg.norm(A)
+    lam, U = _eigen(A)
+    rules = [lt.TruncationRule.tail_energy(1e-3 * norm), lt.TruncationRule.tail_energy(0.0)]
+    for ranks in [A.shape, (3, 2), (2, 5)] + rules:  # full, r1 < r0, r1 capped at r0, and two tolerances
+        ref = _reference(A, lam, U, ranks)
+        d = lt.hosvd(t, ranks)
+        r0, r1 = d.ranks
+        assert d.ranks == ref.ranks
+        for got, want in zip(d.mode_spectra, ref.mode_spectra, strict=True):
+            assert np.array_equal(got.values, want.values)
+        assert d.tail_bound() == ref.tail_bound()
+        for got, want in zip(d.factors, ref.factors, strict=True):
+            assert np.array_equal(got, want)
+        diagonal = np.zeros((r0, r1))
+        diagonal[np.arange(r1), np.arange(r1)] = lam[:r1]
+        assert np.array_equal(d.core, diagonal)
+        error = lt.tucker_error(t, d)
+        assert error <= d.tail_bound() + 1e-10 * norm
+        assert abs(error - lt.tucker_error(t, ref)) <= 1e-13 * norm
+
+        tt = lt.tt_svd(t, ranks if isinstance(ranks, lt.TruncationRule) else ranks[:1])
+        (r,) = tt.ranks
+        assert r == r0 and np.array_equal(tt.cores[0][0], U[:, :r])
+        assert np.array_equal(tt.cores[1][:, :, 0], lam[:r, None] * U[:, :r].T)
+        product = lt.TTDecomposition((tt.cores[0], (U[:, :r].T @ A)[:, :, None]), tt.spectra)
+        error = lt.tt_error(t, tt)
+        assert error <= tt.tail_bound() + 1e-10 * norm
+        assert abs(error - lt.tt_error(t, product)) <= 1e-13 * norm
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_matrices())
+def test_projections_of_symmetric_matrices_are_read_off_eigh(A):
+    _check_projections_read_off_eigh(lt.DenseTensor(A))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_projections_of_kernel_samples_are_read_off_eigh(kernel):
+    fn, dims, n = KERNELS[kernel]
+    _check_projections_read_off_eigh(lt.sample(fn, lt.GridSpec(n)))
+
+
+@pytest.fixture
+def symmetry_decisions(monkeypatch):
+    """The shapes `svd._symmetric` is asked about, in order, through any module of the package that holds it."""
+    asked, original = [], svd._symmetric
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lrtensor" and getattr(module, "_symmetric", None) is original:
+            monkeypatch.setattr(module, "_symmetric", lambda m: asked.append(m.shape) or original(m))
+    return asked
+
+
+@pytest.mark.parametrize("kernel", sorted(k for k in KERNELS if not k.endswith("-runs")))
+def test_two_mode_symmetric_hosvd_decides_symmetry_once(kernel, symmetry_decisions):
+    fn, dims, n = KERNELS[kernel]
+    t = lt.sample(fn, lt.GridSpec(n))
+    symmetry_decisions.clear()
+    lt.hosvd(t, lt.TruncationRule.tail_energy(1e-6 * lt.frobenius_norm(t)))
+    assert symmetry_decisions == [t.shape]  # mode 0's, in `factorize`; mode 1 is its cut
+    lt.tt_svd(t, [3])
+    assert symmetry_decisions == [t.shape]  # TT's one step is mode 0's memo entry
+
+
+def test_two_mode_hosvd_decides_symmetry_once_per_factorized_step(symmetry_decisions):
+    t = lt.DenseTensor(np.random.default_rng(6).standard_normal((6, 6)))
+    lt.hosvd(t, [3, 2])
+    assert symmetry_decisions == [(6, 6), (6, 3)]  # not symmetric: mode 1's A^T U_r is factorized too
