@@ -29,6 +29,8 @@ class UnknownFunctionError(KeyError):
 def subdomain_dims(dims) -> tuple:
     """`dims` as a tuple of ints: at least one subdomain, each of an integral dimension >= 1."""
     given = tuple(dims)
+    if any(isinstance(n, (float, np.floating)) and not np.isfinite(n) for n in given):  # before int() overflows
+        raise ValueError(f"subdomain dimensions must be finite, got {given}")
     dims = tuple(int(n) for n in given)
     if dims != given:
         raise ValueError(f"subdomain dimensions must be integers, got {given}")
@@ -157,8 +159,6 @@ def make_function(
         raise ValueError(f"{fn_id} does not read {ignored} with the other fields given")
     if dims is None and layout == "kernel":
         n = parameters.pop("n", 1)
-        if n != int(n):
-            raise ValueError(f"{fn_id} needs an integer n, got {n!r}")
         dims = (n, n)
     elif dims is None:
         dims = (1, 1) if layout == "pair" else (1,) * (m if m is not None else 2)

@@ -245,12 +245,12 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
     """Build and measure one decomposition of `t`, whose norm is `norm`.
 
     Given ranks (one per mode or bond) are upper limits: each step keeps
-    at most the rank of its matrix, and the ranks returned are the kept
-    ones. Without ranks, each of the S modes or bonds keeps the minimal
-    rank whose discarded tail is at most tolerance * norm / sqrt(S), so
-    the tail bound, the total, is at most tolerance * norm.
+    at most its matrix's usable rank (see `truncated_svd`), and the ranks
+    returned are the kept ones. Without ranks, each of the S modes or bonds
+    keeps the minimal rank whose discarded tail is at most tolerance * norm / sqrt(S),
+    so the tail bound, the total, is at most tolerance * norm.
     The bound is the tail bound plus a slack relative to `norm`.
-    Returns (ranks, error, bound, cost, storage: the entries held, lengths: each step's spectrum length).
+    Returns (ranks, error, bound, cost, storage: the entries held, caps: each step's usable rank).
     """
     extents = t.shape
     if ranks is None:
@@ -265,7 +265,8 @@ def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
     else:
         d = tt_svd(t, ranks)
         err, cost, arrays, spectra = tt_error(t, d), tt_cost(d.ranks), d.cores, d.spectra
-    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays), tuple(map(len, spectra))
+    caps = tuple(s.usable_rank() for s in spectra)
+    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays), caps
 
 
 def _check(report: ExperimentReport, fmt: str, ranks, err: float, bound: float, *_) -> bool:
@@ -404,7 +405,7 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
         # Bonds the weighted TT schedule drops (rank 0) run at rank 1; a
         # schedule with more ranks than the format takes gives the leading ones.
         ranks = [max(r, 1) for r in schedule.ranks][:count]
-        # A step keeps min(rank asked, its spectrum's length) of a matrix fixed by the ranks kept before it:
+        # A step keeps min(rank asked, its usable rank) of a matrix fixed by the ranks kept before it:
         # so, by induction in sweep order, an earlier build that would keep its own ranks is this decomposition.
         measured = next((b for b in builds if tuple(map(min, ranks, b[-1])) == b[0]), None)
         if measured is None:

@@ -49,9 +49,9 @@ class SingularSpectrum:
     def noise_floor(self) -> float:
         return NOISE_FLOOR_RATIO * (self.values[0] if len(self) else 0.0)
 
-    def above_floor(self) -> int:
-        """Number of values that are not flagged as numerical noise."""
-        return int(np.count_nonzero(self.values > self.noise_floor))
+    def usable_rank(self) -> int:
+        """The numerical rank, the number of values above the noise floor, at least 1: the most `truncated_svd` keeps."""
+        return max(int(np.count_nonzero(self.values > self.noise_floor)), 1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class TruncationRule:
 
     @classmethod
     def fixed_rank(cls, r: int) -> "TruncationRule":
-        """Keep r >= 1 singular values, or all of them when the matrix has fewer."""
+        """Keep r >= 1 singular values, at most the matrix's usable rank: those above 1e-13 * s_1, at least 1."""
         return cls("fixed-rank", int(r))
 
     @classmethod
@@ -84,12 +84,8 @@ def _step_rules(ranks: Union[Sequence[int], TruncationRule], count: int) -> list
     """One rule per step (mode or bond): one rule for all, or `count` fixed ranks >= 1."""
     if isinstance(ranks, TruncationRule):
         return [ranks] * count
-    ranks = [int(r) for r in ranks]
     if len(ranks) != count:
         raise ShapeMismatchError(f"{len(ranks)} ranks supplied for {count} steps")
-    for step, r in enumerate(ranks, start=1):
-        if r < 1:
-            raise ValueError(f"rank at step {step} must be positive, got {r}")
     return [TruncationRule.fixed_rank(r) for r in ranks]
 
 
@@ -223,23 +219,24 @@ def spectrum(mat: np.ndarray) -> SingularSpectrum:
 def truncated_svd(m, rule: TruncationRule) -> Factorization:
     """Truncate a matrix, or a Factorization of one, at the minimal rank satisfying `rule`.
 
-    This is the one place a rank is fitted to its matrix: a fixed rank r
-    keeps min(r, min(rows, cols)) values, so an over-large r keeps the
-    full rank. A tail-energy rule keeps at least one singular value, and
-    none at the noise floor: a target below the floor keeps the values
-    above it, and `tail` is then the floor actually achieved. So a
-    decomposition driven by a tolerance never gets a rank-0 mode or bond.
+    This is the one place a rank is fitted to its matrix, under one cap for
+    both rule kinds: the usable rank, the number of values above the noise
+    floor 1e-13 * s_1, at least 1. A fixed rank r keeps min(r, cap) values,
+    so an over-large r keeps the numerical rank. A tail-energy rule keeps the
+    minimal rank within the cap whose tail meets its target, at least 1; a
+    target below the floor keeps the cap, and `tail` is then the floor
+    actually achieved. `tail` counts every value dropped, floor values too.
     A given Factorization is only truncated, so one serves any number of
     rules; a matrix is factorized first.
     """
     f = m if isinstance(m, Factorization) else factorize(m)
     full = f.full_spectrum
+    cap = full.usable_rank()
     if rule.kind == "fixed-rank":
-        rank = min(int(rule.value), len(full))
+        rank = min(int(rule.value), cap)
     else:
-        usable = full.above_floor()
-        candidates = np.flatnonzero(full.tails[: usable + 1] <= rule.value)
-        rank = max(int(candidates[0]) if candidates.size else usable, 1)
+        candidates = np.flatnonzero(full.tails[: cap + 1] <= rule.value)
+        rank = max(int(candidates[0]), 1) if candidates.size else cap
     return Factorization(f.U[:, :rank], full, f.eigenvalues)
 
 
@@ -259,13 +256,10 @@ def fit_decay_exponent(
     the decay; the window actually used is reported in the result.
     """
     s = spectrum.values
-    usable = spectrum.above_floor()
+    usable = spectrum.usable_rank()
     if window is None:
-        last = max(8, usable // 8)
-        window = (2, min(last, usable))
-    first, last = int(window[0]), int(window[1])
-    first = max(first, 2)
-    last = min(last, usable)
+        window = (2, max(8, usable // 8))
+    first, last = max(int(window[0]), 2), min(int(window[1]), usable)
     if last <= first + 2:
         raise InsufficientSpectrumError(
             f"window ({first}, {last}) leaves too few usable singular values"

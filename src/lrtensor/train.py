@@ -107,9 +107,10 @@ def tt_svd(
     """Left-to-right TT-SVD (Oseledets, SIAM J. Sci. Comput. 2011).
 
     `ranks` is one rank per bond (m-1 entries), one TruncationRule that
-    picks the rank of every bond from that step's spectrum, or None to
-    keep full ranks. A given rank is an upper limit: each bond keeps at
-    most the rank of its step's matrix. The last remainder is the last core.
+    picks the rank of every bond from that step's spectrum, or None to keep
+    the numerical full ranks. A given rank is an upper limit: each bond keeps at most
+    its step matrix's numerical rank (values above 1e-13 * s_1, at least 1; see
+    `truncated_svd`). The last remainder is the last core.
     """
     a, extents = t.weighted_values(), t.shape
     rules = _step_rules(TruncationRule.fixed_rank(a.size) if ranks is None else ranks, t.ndim - 1)

@@ -55,6 +55,23 @@ def _rank_vs_eps(fmt, m=4):
     }
 
 
+@pytest.fixture
+def full_rank(monkeypatch):
+    """Each sampled tensor replaced by seeded Gaussian noise of its shape and weights.
+
+    Every registry function on more than two modes is separable: its samples have numerical rank 1, so every
+    step would keep rank 1 (see `truncated_svd`). Noise has full numerical rank, so a step keeps the rank it
+    is asked for, up to the size of its matrix, and the reuse and refactorization counts below have ranks to track.
+    """
+    sample = hz._sample_tensor
+
+    def noise(config):
+        t = sample(config)
+        return lt.DenseTensor(np.random.default_rng(0).standard_normal(t.shape), t.mode_weights)
+
+    monkeypatch.setattr(hz, "_sample_tensor", noise)
+
+
 def _csv_column(path, name):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     col = lines[0].split(",").index(name)
@@ -62,6 +79,7 @@ def _csv_column(path, name):
 
 
 class TestFactorizationCounts:
+    @pytest.mark.usefixtures("full_rank")
     def test_rank_vs_eps_tucker_refactorizes_only_after_a_changed_rank(self, tmp_path, linalg_calls):
         assert hz.run(hz.parse_config(_rank_vs_eps("tucker")), tmp_path).exit_code == 0
         ranks = _csv_column(tmp_path / "rank_vs_eps.csv", "ranks")
@@ -69,6 +87,7 @@ class TestFactorizationCounts:
         # 4 modes at the first epsilon, then modes 1-3 after each new first rank; mode 0 once
         assert len(_svds(linalg_calls)) == 10
 
+    @pytest.mark.usefixtures("full_rank")
     def test_rank_vs_eps_tt_refactorizes_only_after_a_changed_rank(self, tmp_path, linalg_calls):
         assert hz.run(hz.parse_config(_rank_vs_eps("tt")), tmp_path).exit_code == 0
         ranks = _csv_column(tmp_path / "rank_vs_eps.csv", "ranks")
@@ -142,6 +161,7 @@ class TestFactorizationCounts:
         # one SVD per step: the mode-0 unfolding, then mode 1's 64 x r_0 matrix, r_0 = 1
         assert linalg_calls == [("svd", (64, 64)), ("svd", (64, 1))]
 
+    @pytest.mark.usefixtures("full_rank")
     @pytest.mark.parametrize("fmt", sorted(hz._FORMAT_NAMES))
     def test_two_mode_rank_vs_eps_factorizes_once(self, tmp_path, linalg_calls, fmt):
         assert hz.run(hz.parse_config(_rank_vs_eps(fmt, m=2)), tmp_path).exit_code == 0
@@ -154,6 +174,26 @@ class TestFactorizationCounts:
         assert hz.run(hz.parse_config(raw), tmp_path).exit_code == 0
         # Tucker's two steps, mode 1's matrix 6 x r_0 with r_0 = 1; TT's first step is mode 0
         assert _svds(linalg_calls) == [(6, 6), (6, 1)]
+
+
+# the cost of rank 1 everywhere: one core entry (Tucker), or r_1 + r_1 r_2 + r_2 r_3 = 3 (TT, see `tt_cost`)
+@pytest.mark.parametrize("fmt, ranks, cost", [("tucker", "1x1x1x1", "1"), ("tt", "1x1x1", "3")])
+def test_a_separable_rank_vs_eps_stays_at_rank_one(tmp_path, linalg_calls, fmt, ranks, cost):
+    """A guard on the cost of rank-vs-eps on a numerically rank-1 tensor, whatever ranks its schedule asks for.
+
+    Each step keeps rank 1, its usable rank, so one build serves every epsilon, and no step factorizes a
+    matrix larger than the 16 x 16 R^T the wide 16 x 16^3 mode-0 unfolding is reduced to.
+    """
+    raw = {"experiment": "rank-vs-eps", "function": {"id": "rank_one", "m": 4}, "grid": {"points_per_axis": 16},
+           "format": fmt, "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1] * 4},
+           "epsilons": [0.5 ** i for i in range(1, 6)]}
+    report = hz.run(hz.parse_config(raw), tmp_path)
+    assert report.exit_code == 0
+    assert _csv_column(tmp_path / "rank_vs_eps.csv", "ranks") == [ranks] * 5
+    assert _csv_column(tmp_path / "rank_vs_eps.csv", "cost") == [cost] * 5
+    assert f"- 5 epsilon values, 1 decompositions, format {fmt}" in report.summary_lines
+    factorized = [shape for name, shape in linalg_calls if name in ("svd", "eigh")]
+    assert factorized and all(max(shape) <= 16 for shape in factorized), factorized
 
 
 @pytest.fixture
@@ -196,9 +236,10 @@ def _assert_rows_equal_fresh_builds(raw, rows):
         assert d.tail_bound() + 1e-10 * lt.frobenius_norm(t) == bound
 
 
+@pytest.mark.usefixtures("full_rank")
 class TestRankVsEpsReuse:
     """rank-vs-eps builds and measures each distinct decomposition once: a row reuses any earlier build
-    whose steps would each keep what they kept, the smaller of its rank and that step's spectrum length."""
+    whose steps would each keep what they kept, the smaller of its rank and that step's usable rank."""
 
     @pytest.mark.parametrize("fmt", ["tucker", "tt"])
     def test_saturated_epsilons_reuse_the_previous_row(self, tmp_path, builds, checked, fmt):

@@ -33,7 +33,7 @@ class TestRegistry:
             lt.make_function("no_such_function", m=3)
 
     def test_fractional_n_is_rejected(self):
-        with pytest.raises(ValueError, match="integer n"):
+        with pytest.raises(ValueError, match=r"^subdomain dimensions must be integers, got \(1\.5, 1\.5\)$"):
             lt.make_function("gauss_kernel", n=1.5)
 
     def test_subdomain_dims_must_be_positive(self):
@@ -48,6 +48,18 @@ class TestRegistry:
     ])
     def test_fractional_subdomain_dims_are_rejected(self, build, given):
         with pytest.raises(ValueError, match=rf"^subdomain dimensions must be integers, got {given}$"):
+            build()
+
+    @pytest.mark.parametrize("build, given", [
+        (lambda: lt.make_function("rank_one", dims=(float("inf"), 1)), r"\(inf, 1\)"),
+        (lambda: lt.SchedulerParams(0.1, 1.0, (float("inf"),)), r"\(inf,\)"),
+        (lambda: lt.make_function("rank_one", dims=(1, -np.inf)), r"\(1, -inf\)"),
+        (lambda: lt.SchedulerParams(0.1, 1.0, (np.nan,)), r"\(nan,\)"),
+        (lambda: lt.make_function("gauss_kernel", n=float("inf")), r"\(inf, inf\)"),
+    ])
+    def test_non_finite_subdomain_dims_are_rejected(self, build, given):
+        # checked before int(), which raises OverflowError on an infinity
+        with pytest.raises(ValueError, match=rf"^subdomain dimensions must be finite, got {given}$"):
             build()
 
     def test_integral_float_dims_are_read_as_ints(self):

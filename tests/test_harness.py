@@ -240,7 +240,9 @@ class TestLegacyFormatName:
             summaries[fmt] = report.summary_lines
         assert len(rows["tt"]) == 4
         assert rows["tt-bidir"] == rows["tt"]  # the CSV has no format column
-        assert "- 4 epsilon values, 3 decompositions, format tt-bidir" in summaries["tt-bidir"]
+        # weighted_exp is separable: every bond keeps its usable rank 1, so one build serves every epsilon
+        assert [row["ranks"] for row in rows["tt"]] == ["1x1x1"] * 4
+        assert "- 4 epsilon values, 1 decompositions, format tt-bidir" in summaries["tt-bidir"]
         assert [line.replace("tt-bidir", "tt") for line in summaries["tt-bidir"] if "wall time" not in line] \
             == [line for line in summaries["tt"] if "wall time" not in line]
 
@@ -303,11 +305,11 @@ def _probe_rank(spectrum, tol):
     """The rank the former full-rank probe picked: the minimal rank whose
     tail is <= tol times the spectrum's total energy, floored at 1."""
     total = tail_energy(spectrum, 0)
-    usable = spectrum.above_floor()
+    usable = spectrum.usable_rank()
     for r in range(usable + 1):
         if tail_energy(spectrum, r) <= tol * total:
             return max(r, 1)
-    return max(usable, 1)
+    return usable
 
 
 class TestTolerance:
@@ -452,19 +454,21 @@ class TestRanksContract:
 
     @pytest.mark.parametrize("fmt", ["tt", "tt-bidir"])
     def test_tt_ranks_clamped_in_sweep_order(self, tmp_path, fmt):
-        # bond 2 sees a 3 x 9 matrix once bond 1 keeps rank 1
+        # bond 2 sees a 3 x 9 matrix once bond 1 keeps rank 1; rank_one is separable, so that matrix has
+        # one value above the noise floor and keeps min(9 asked, 3 values, 1 usable) = 1
         raw = decompose_config(function=self.RANK_ONE_3_3_9, grid={"points_per_axis": 3},
                                format=fmt, ranks=[1, 9])
         assert self._run(tmp_path, raw) == 0
         (row,) = _csv_rows(tmp_path / "o" / "decompose.csv")
-        assert row["ranks"] == "1x3"
+        assert row["ranks"] == "1x1"
 
     def test_compare_formats_clamps_tt_ranks(self, tmp_path):
         raw = {"experiment": "compare-formats", "function": self.RANK_ONE_3_3_9,
                "grid": {"points_per_axis": 3}, "ranks": [1, 9]}
         assert self._run(tmp_path, raw) == 0
         ranks = {row["format"]: row["ranks"] for row in _csv_rows(tmp_path / "o" / "compare_formats.csv")}
-        assert ranks == {"tucker": "1x1x1", "tt": "1x3"}
+        # two bond ranks leave Tucker to the tolerance; TT's bond 2 keeps its usable rank 1 (see above)
+        assert ranks == {"tucker": "1x1x1", "tt": "1x1"}
 
     def test_tt_too_few_ranks_exit_two(self, tmp_path, capsys):
         raw = decompose_config(format="tt", ranks=[2])
@@ -511,8 +515,8 @@ SMALL_CONFIGS = {
                         "grid": {"points_per_axis": 5}, "ranks": [1, 1]},
 }
 
-# Bond 2 is cut from the second epsilon on, and bond 1 asks from the third on for more than its spectrum holds,
-# so the last four rows reuse the second's decomposition.
+# weighted_exp is separable: each bond's matrix has one value above the noise floor, so every bond keeps
+# rank 1 whatever each epsilon asks, and the last four rows reuse the first's decomposition.
 SATURATING_RANK_VS_EPS = {"experiment": "rank-vs-eps", "function": {"id": "weighted_exp", "m": 3},
                           "grid": {"points_per_axis": 4}, "format": "tt",
                           "scheduler": {"epsilon": 0.5, "k": 1.0, "dims": [1, 1, 1]},
@@ -671,7 +675,7 @@ class TestInputContract:
         assert report.violations == len(rows)
         assert report.summary_path.read_text().count("-> FAIL") == len(rows)
         if name == "rank-vs-eps-saturating":
-            assert "- 5 epsilon values, 2 decompositions, format tt" in report.summary_lines
+            assert "- 5 epsilon values, 1 decompositions, format tt" in report.summary_lines
 
 
 class TestSingularVectorsComputed:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lrtensor as lt
@@ -117,13 +117,15 @@ class TestTruncatedSVD:
         right = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
         s = np.linspace(3.0, 0.5, rank)  # well separated, so U's first `rank` columns are unique up to sign
         m = left @ np.diag(s) @ right.T
-        res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(rows))
+        f = factorize(m)
+        res = lt.truncated_svd(f, lt.TruncationRule.fixed_rank(rows))
+        assert res.rank == rank  # min(rows asked, rows values, `rank` above the noise floor)
         sigma = np.linalg.svd(m, compute_uv=False)
-        assert np.max(np.abs(res.full_spectrum.values - sigma)) <= 1e-14 * sigma[0]
-        assert np.max(np.abs(res.U[:, :rank] - full_svd(m)[0][:, :rank])) <= 1e-10
-        assert np.max(np.abs(res.U.T @ res.U - np.eye(rows))) <= 1e-12
+        assert np.max(np.abs(f.full_spectrum.values - sigma)) <= 1e-14 * sigma[0]
+        assert np.max(np.abs(res.U - full_svd(m)[0][:, :rank])) <= 1e-10
+        assert np.max(np.abs(f.U.T @ f.U - np.eye(rows))) <= 1e-12  # all of U, floor columns too
         for c in range(rows):
-            assert res.U[np.abs(res.U[:, c]) > SIGN_PIVOT_TOL, c][0] > 0
+            assert f.U[np.abs(f.U[:, c]) > SIGN_PIVOT_TOL, c][0] > 0
 
     # the last shape puts the entry in m^T's leftover rows, past every whole block of the blockwise QR
     @pytest.mark.parametrize("shape", [(3, 10), (5, 5), (10, 3), (5, 2 * svd.QR_BLOCK_ROWS + 7)])
@@ -144,6 +146,12 @@ class TestTruncatedSVD:
             use(t, lt.TruncationRule.fixed_rank(0))
         assert use(t, lt.TruncationRule.tail_energy(0.0)) is not None  # a zero tail stays a valid target
 
+    @pytest.mark.parametrize("build, ranks", [(lt.hosvd, [2, 0, 1]), (lt.tt_svd, [0, 2]), (lt.tt_svd, [2, -1])])
+    def test_a_rank_below_one_in_a_list_is_rejected(self, build, ranks):
+        t = lt.DenseTensor(np.random.default_rng(5).standard_normal((5, 4, 3)))
+        with pytest.raises(ValueError, match=r"fixed-rank rule value must be >= 1, got -?\d"):
+            build(t, ranks)
+
     def test_tail_energy_rule_minimal_rank(self):
         m = np.diag([3.0, 2.0, 1.0])
         res = lt.truncated_svd(m, lt.TruncationRule.tail_energy(2.3))
@@ -156,6 +164,54 @@ class TestTruncatedSVD:
         res = lt.truncated_svd(m, lt.TruncationRule.tail_energy(1e-18))
         assert res.rank == 1
         assert res.tail == pytest.approx(1e-16)
+
+
+@st.composite
+def _fixed_rank_cases(draw):
+    """A matrix of at most 12 x 30 (wide ones reach the QR reduction), a fixed rank to keep, and an rng."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    return rows, cols, draw(st.integers(1, 40)), np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+
+class TestUsableRankCap:
+    """A fixed rank r keeps min(r, usable rank): the values above 1e-13 * s_1, at least 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fixed_rank_cases())
+    def test_no_value_at_the_floor_keeps_min_of_rank_and_length(self, case):
+        rows, cols, r, rng = case
+        k = min(rows, cols)
+        left = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+        m = left @ np.diag(rng.uniform(0.5, 3.0, size=k)) @ right.T
+        res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(r))
+        assert res.full_spectrum.usable_rank() == len(res.full_spectrum) == k
+        assert res.rank == min(r, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fixed_rank_cases(), st.data())
+    def test_a_product_of_rank_q_factors_keeps_min_of_rank_and_q(self, case, data):
+        rows, cols, r, rng = case
+        k = min(rows, cols)
+        assume(k >= 2)  # a rank below the full one
+        q = data.draw(st.integers(1, k - 1))
+        symmetric = data.draw(st.booleans())  # B B^T is factorized by eigh
+        left = rng.standard_normal((rows, q))
+        m = left @ (left.T if symmetric else rng.standard_normal((q, cols)))
+        res = lt.truncated_svd(m, lt.TruncationRule.fixed_rank(r))
+        full = res.full_spectrum
+        assert res.rank == min(r, q)
+        if r >= q:  # only values at the floor are dropped
+            assert res.tail <= math.sqrt(len(full) - q) * full.noise_floor
+        assert np.linalg.norm(m - res.U @ (res.U.T @ m)) <= res.tail + 1e-12 * full.values[0]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (4, 4), (6, 2), (3, 20)])
+    @pytest.mark.parametrize("rule", [lt.TruncationRule.fixed_rank(1), lt.TruncationRule.fixed_rank(50),
+                                      lt.TruncationRule.tail_energy(0.0)], ids=["r1", "r50", "tail0"])
+    def test_a_zero_matrix_keeps_rank_one(self, shape, rule):
+        res = lt.truncated_svd(np.zeros(shape), rule)
+        assert res.full_spectrum.usable_rank() == res.rank == 1
+        assert res.tail == 0.0
 
 
 SPECTRA = ("separated", "graded", "clustered", "rank-deficient")
