@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .harness import ConfigError, load_config, run
 
 
+@functools.cache  # built once per process: `main` only parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrtensor",

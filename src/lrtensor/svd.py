@@ -16,6 +16,7 @@ SIGN_PIVOT_TOL = 1e-12
 WIDE_RATIO = 2  # a matrix with cols >= WIDE_RATIO * rows is reduced by a blockwise QR first
 # Rows of m^T per block of that QR (at least 4 * rows of m): each block's QR works in cache.
 QR_BLOCK_ROWS = 1024
+SYMMETRY_BLOCK = 128  # rows per block of `_symmetric`, which stops at the first block that differs
 
 
 class InsufficientSpectrumError(ValueError):
@@ -119,7 +120,10 @@ def _sign_flips(U: np.ndarray) -> np.ndarray:
 
 
 def _symmetric(mat: np.ndarray) -> bool:
-    return np.array_equal(mat, mat.T)
+    """`np.array_equal(mat, mat.T)` of a matrix: each block of rows of its upper triangle against its columns."""
+    b = SYMMETRY_BLOCK
+    return mat.shape == mat.T.shape and all(
+        np.array_equal(mat[i : i + b, i:], mat[i:, i : i + b].T) for i in range(0, len(mat), b))
 
 
 def _tails(s: np.ndarray) -> np.ndarray:

@@ -56,13 +56,15 @@ def hosvd(
 
 
 def tucker_error(t: DenseTensor, d: TuckerDecomposition) -> float:
-    """Exact weighted Frobenius error: U_0 against the core contracted with the other factors,
-    each of which multiplies the mode in front and moves it to the back, as in the sweep."""
+    """Exact weighted Frobenius error, block by block of rows against the held tensor: U_0 against the core
+    contracted with the other factors, each multiplying the mode in front and moving it to the back, as in the
+    sweep. A two-mode core zero off its diagonal c is U_0[:, :k] diag(c) U_1[:, :k]^T, k = len(c): one product."""
+    if d.core.ndim == 2 and np.count_nonzero(d.core) == np.count_nonzero(c := np.diagonal(d.core)):
+        return _weighted_error(t, d.factors[0][:, : c.size], c[:, None] * d.factors[1][:, : c.size].T)
     right = np.moveaxis(d.core, 0, -1)
     for factor in d.factors[1:]:
         right = right.reshape(factor.shape[1], -1).T @ factor.T
-    extents = [f.shape[0] for f in d.factors]
-    return _weighted_error(t, d.factors[0], right.reshape([d.ranks[0]] + extents[1:]))
+    return _weighted_error(t, d.factors[0], right.reshape([d.ranks[0]] + [f.shape[0] for f in d.factors[1:]]))
 
 
 def tucker_cost(ranks: Sequence[int]) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lrtensor as lt
+from lrtensor import tucker
 from oracles import tt_reconstruction, tucker_reconstruction
 
 
@@ -73,7 +74,7 @@ def test_a_full_rank_tucker_error_holds_about_one_tensor_sized_array(peak_bytes)
     d = lt.hosvd(t, (1024, 1024))
     error, peak, _ = peak_bytes(lambda: lt.tucker_error(t, d))
     assert error <= 1e-12 * lt.frobenius_norm(t)
-    assert peak <= 1.25 * t.weighted_values().nbytes  # the core times U_1, and one block of rows
+    assert peak <= 1.25 * t.weighted_values().nbytes  # diag(c) U_1[:, :k]^T, and one block of rows
 
 
 MEMORY_FORMATS = {"tucker": (lt.hosvd, lt.tucker_error), "tt": (lt.tt_svd, lt.tt_error)}
@@ -93,3 +94,51 @@ def test_a_low_rank_error_holds_no_tensor_sized_array(peak_bytes, fmt):
     measured, peak, _ = peak_bytes(lambda: error(t, d))
     assert measured <= 1e-6 * lt.frobenius_norm(t)
     assert peak <= 0.5 * t.weighted_values().nbytes  # blocks of rows, never the whole reconstruction
+
+
+@pytest.fixture
+def error_arguments(monkeypatch):
+    """The (left, right) pairs `tucker_error` passes to `_weighted_error`, in order."""
+    passed, original = [], tucker._weighted_error
+
+    def record(t, left, right):
+        passed.append((left, right))
+        return original(t, left, right)
+
+    monkeypatch.setattr(tucker, "_weighted_error", record)
+    return passed
+
+
+# name: (core, columns of U_0 the error reads: min(r0, r1) on the diagonal path, r0 on the dense one)
+TWO_MODE_CORES = {
+    "diagonal-r0-above-r1": (np.diag([3.0, 2.0, 1.0, 0.5])[:, :3], 3),
+    "diagonal-r0-below-r1": (np.diag([3.0, -2.0, 1.0, 0.5])[:2], 2),
+    "diagonal-with-a-zero": (np.diag([3.0, 0.0, 1.0]), 3),
+    "one-entry-off-the-diagonal": (np.array([[3.0, 0.0, 0.0], [0.0, 2.0, 0.25], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), 4),
+}
+
+
+@pytest.mark.parametrize("make", [trapezoid_weighted, random_weighted])
+@pytest.mark.parametrize("name", sorted(TWO_MODE_CORES))
+def test_two_mode_core_errors_match_weighted_oracle(make, name, error_arguments):
+    rng = np.random.default_rng(29)
+    t = make(rng, (7, 6))
+    core, columns = TWO_MODE_CORES[name]
+    factors = tuple(np.linalg.qr(rng.standard_normal((n, r)))[0] for n, r in zip(t.shape, core.shape))
+    d = lt.TuckerDecomposition(core, factors, ())
+    oracle = weighted_error_oracle(t, tucker_reconstruction(d.core, d.factors))
+    assert oracle > 0
+    assert lt.tucker_error(t, d) == pytest.approx(oracle, rel=1e-12)
+    assert [left.shape for left, _ in error_arguments] == [(7, columns)]
+
+
+def test_a_diagonal_two_mode_core_is_measured_through_its_diagonal(error_arguments):
+    t = lt.sample(lt.make_function("abs_diff"), lt.GridSpec(64))
+    d = lt.hosvd(t, (40, 30))
+    assert d.ranks == (40, 30)
+    assert np.count_nonzero(d.core) == np.count_nonzero(np.diagonal(d.core))  # diag(λ) cut to (40, 30)
+    error = lt.tucker_error(t, d)
+    [(left, right)] = error_arguments
+    assert left.shape == (64, 30)  # U_0's first min(r0, r1) columns, not all 40
+    assert right.shape == (30, 64)
+    assert error == pytest.approx(weighted_error_oracle(t, tucker_reconstruction(d.core, d.factors)), rel=1e-12)

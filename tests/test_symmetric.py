@@ -274,3 +274,42 @@ def test_two_mode_hosvd_decides_symmetry_once_per_factorized_step(symmetry_decis
     t = lt.DenseTensor(np.random.default_rng(6).standard_normal((6, 6)))
     lt.hosvd(t, [3, 2])
     assert symmetry_decisions == [(6, 6), (6, 3)]  # not symmetric: mode 1's A^T U_r is factorized too
+
+
+B = svd.SYMMETRY_BLOCK
+SIDES = [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 37]  # below the block, equal to it, and multiples or not of it
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(SIDES), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_blockwise_symmetry_test_agrees_with_array_equal(n, seed, data):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a += a.T
+    assert svd._symmetric(a) is np.array_equal(a, a.T) is True
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    a[i, j] += 1.0
+    assert svd._symmetric(a) is np.array_equal(a, a.T) is (i == j)
+
+
+# where: the entry of an n x n matrix that is perturbed, from its last index
+PERTURBED = {
+    "top-right": lambda last: (0, last),
+    "bottom-left": lambda last: (last, 0),
+    "diagonal": lambda last: (last, last),
+    "last-block": lambda last: (last // B * B, last),
+}
+
+
+@pytest.mark.parametrize("n", SIDES)
+@pytest.mark.parametrize("where", sorted(PERTURBED))
+def test_blockwise_symmetry_test_sees_one_perturbed_entry(n, where):
+    a = np.add.outer(np.arange(n), np.arange(n)).astype(float)
+    i, j = PERTURBED[where](n - 1)
+    a[i, j] = -1.0
+    assert svd._symmetric(a) is np.array_equal(a, a.T) is (i == j)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 2), (B, B + 1), (2 * B + 37, B)])
+def test_blockwise_symmetry_test_of_a_non_square_or_empty_matrix(shape):
+    a = np.zeros(shape)
+    assert svd._symmetric(a) is np.array_equal(a, a.T)
