@@ -678,6 +678,44 @@ class TestInputContract:
             assert "- 5 epsilon values, 1 decompositions, format tt" in report.summary_lines
 
 
+# The decomposing configs of SMALL_CONFIGS, whose functions are separable (every error at the noise floor),
+# and two on `abs_diff`, whose ranks leave real tails: one reuses builds, one truncates Tucker at a tolerance.
+GOLDEN_CONFIGS = {
+    **{name: SMALL_CONFIGS[name] for name in ("decompose", "decompose-tol", "compare-formats", "rank-vs-eps")},
+    "rank-vs-eps-abs-diff": {"experiment": "rank-vs-eps", "function": {"id": "abs_diff"},
+                             "grid": {"points_per_axis": 9}, "format": "tucker",
+                             "scheduler": {"epsilon": 0.3, "k": 1.5, "dims": [1, 1]},
+                             "epsilons": [0.3, 0.1, 0.03, 0.01, 0.3]},
+    "compare-formats-abs-diff": {"experiment": "compare-formats", "function": {"id": "abs_diff"},
+                                 "grid": {"points_per_axis": 9}, "ranks": [4], "tolerance": 3e-2},
+}
+
+
+class TestGoldenRows:
+    """Each decomposing experiment writes the committed rows of `tests/data/rows_<config>.csv`.
+
+    A config that reorders, drops or re-derives a row fails. Row order and every column but
+    `error` and `bound` match exactly. Those two match to 1e-9 relative, since their last digits depend on
+    the BLAS; an error at the noise floor, which is all rounding, to 1e-15 of the tensor's norm.
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_rows_match_the_committed_rows(self, tmp_path, name):
+        config = hz.parse_config(GOLDEN_CONFIGS[name])
+        report = hz.run(config, tmp_path)
+        assert report.exit_code == 0
+        rows = _csv_rows(report.csv_paths[0])
+        golden = _csv_rows(DATA / f"rows_{name.replace('-', '_')}.csv")
+        assert [list(row) for row in rows] == [list(row) for row in golden]
+        floor = 1e-15 * lt.frobenius_norm(hz._sample_tensor(config))
+        for row, expected in zip(rows, golden, strict=True):
+            for column, value in expected.items():
+                if column in ("error", "bound"):
+                    assert float(row[column]) == pytest.approx(float(value), rel=1e-9, abs=floor), column
+                else:
+                    assert row[column] == value, column
+
+
 class TestSingularVectorsComputed:
     """No singular vectors of a wide matrix are computed, and spectra compute none."""
 
