@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,9 +220,6 @@ def _emit(report: ExperimentReport, header: Sequence[str], rows) -> None:
     report.csv_paths.append(path)
 
 
-_DECOMPOSITION_HEADER = ("format", "ranks", "error", "bound", "cost", "storage", "within_bound")
-
-
 def _ranks_str(ranks) -> str:
     return "x".join(str(int(r)) for r in ranks)
 
@@ -236,47 +233,72 @@ def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
         return sample(config.function, config.grid, cap=config.cap)
 
 
-def _rank_count(fmt: str, m: int) -> int:
-    """Ranks a format takes on m modes: one per mode (Tucker) or bond (TT)."""
-    return m if fmt == "tucker" else m - 1
+def _verdict(report: ExperimentReport, line: str, ok: bool, failure: str = "") -> None:
+    """Write `line` ended by PASS, or by FAIL and `failure`, as one summary line; count a FAIL as a violation."""
+    report.violations += not ok
+    report.summary_lines.append(line + ("PASS" if ok else "FAIL" + failure))
 
 
-def _decompose(t: DenseTensor, norm: float, fmt: str, ranks, tolerance):
-    """Build and measure one decomposition of `t`, whose norm is `norm`.
+class Measured(NamedTuple):
+    """One decomposition as `_measure` built, measured and checked it."""
 
-    Given ranks (one per mode or bond) are upper limits: each step keeps
-    at most its matrix's usable rank (see `truncated_svd`), and the ranks
-    returned are the kept ones. Without ranks, each of the S modes or bonds
-    keeps the minimal rank whose discarded tail is at most tolerance * norm / sqrt(S),
-    so the tail bound, the total, is at most tolerance * norm.
-    The bound is the tail bound plus a slack relative to `norm`.
-    Returns (ranks, error, bound, cost, storage: the entries held, caps: each step's usable rank).
+    ranks: tuple  # kept, one per mode (Tucker) or bond (TT)
+    error: float
+    bound: float  # the tail bound plus a slack of 1e-10 of the tensor's norm
+    tail: float  # the tail bound, the root sum of the squared tails discarded
+    cost: int
+    storage: int  # the entries held
+    usable: tuple  # each step's usable rank
+    seconds: float  # to build and measure it
+    ok: bool  # the error is within the slack of the tail bound
+
+
+def _measure(report: ExperimentReport, t: DenseTensor, points, tolerance=None, field="ranks") -> List[Measured]:
+    """Build, measure and check one decomposition of `t` per (format, ranks or None) point, in order.
+
+    Given ranks, one per mode (Tucker) or bond (TT; another count raises a ConfigError naming `field`), are upper
+    limits; without, each of the S steps keeps the minimal rank whose tail is at most tolerance * norm / sqrt(S).
+    A step keeps min(rank asked, usable rank) of a matrix fixed by the ranks kept before it, so an earlier build
+    of the format that would keep its own ranks is the point's decomposition, and is reused. ST-HOSVD and TT-SVD
+    are chains of orthogonal projections, so an error passes within 1e-10 * norm of its tail bound, either side.
     """
-    extents = t.shape
-    if ranks is None:
-        steps = max(1, _rank_count(fmt, len(extents)))  # TT on one mode has no bond
-        ranks = TruncationRule.tail_energy(tolerance * norm / math.sqrt(steps))
-    elif len(ranks) != (expected := _rank_count(fmt, len(extents))):
-        raise ConfigError("ranks", f"format {fmt!r} on {len(extents)} modes "
-                          f"takes {expected} ranks, got {len(ranks)}")
-    if fmt == "tucker":
-        d = hosvd(t, ranks)
-        err, cost, arrays, spectra = tucker_error(t, d), tucker_cost(d.ranks), d.factors, d.mode_spectra
-    else:
-        d = tt_svd(t, ranks)
-        err, cost, arrays, spectra = tt_error(t, d), tt_cost(d.ranks), d.cores, d.spectra
-    caps = tuple(s.usable_rank() for s in spectra)
-    return d.ranks, err, d.tail_bound() + 1e-10 * norm, cost, sum(a.size for a in arrays), caps
+    norm = frobenius_norm(t)
+    slack = 1e-10 * norm
+    builds, records = [], []
+    for fmt, ranks in points:
+        count = t.ndim if fmt == "tucker" else t.ndim - 1
+        if ranks is not None and len(ranks) != count:
+            raise ConfigError(field, f"format {fmt!r} on {t.ndim} modes takes {count} ranks, got {len(ranks)}")
+        record = next((b for f, b in builds if ranks is not None and f == fmt
+                       and tuple(map(min, ranks, b.usable)) == b.ranks), None)
+        if record is None:
+            if ranks is None:  # TT on one mode has no bond
+                ranks = TruncationRule.tail_energy(tolerance * norm / math.sqrt(max(1, count)))
+            begin = time.perf_counter()
+            if fmt == "tucker":
+                d = hosvd(t, ranks)
+                err, cost, arrays, spectra = tucker_error(t, d), tucker_cost(d.ranks), d.factors, d.mode_spectra
+            else:
+                d = tt_svd(t, ranks)
+                err, cost, arrays, spectra = tt_error(t, d), tt_cost(d.ranks), d.cores, d.spectra
+            tail = d.tail_bound()
+            record = Measured(d.ranks, err, tail + slack, tail, cost, sum(a.size for a in arrays),
+                              tuple(s.usable_rank() for s in spectra), time.perf_counter() - begin,
+                              bool(tail - slack <= err <= tail + slack))
+            builds.append((fmt, record))
+        side = " (above the bound)" if not record.error <= record.bound else " (below the tail bound)"
+        _verdict(report, f"- {fmt}, ranks {_ranks_str(record.ranks)}: error {record.error:.6e} "
+                         f"vs bound {record.bound:.6e} -> ", record.ok, side)
+        records.append(record)
+    gap = max(abs(r.error - r.tail) for r in records)
+    report.summary_lines.append(f"- largest |error - tail bound| / norm: {gap / (norm or 1.0):.3e}")
+    return records
 
 
-def _check(report: ExperimentReport, fmt: str, ranks, err: float, bound: float, *_) -> bool:
-    """Check what `_decompose` measured: write one PASS/FAIL summary line, count a FAIL as a violation."""
-    ok = err <= bound
-    if not ok:
-        report.violations += 1
-    report.summary_lines.append(f"- {fmt}, ranks {_ranks_str(ranks)}: error {err:.6e} "
-                                f"vs bound {bound:.6e} -> {'PASS' if ok else 'FAIL'}")
-    return ok
+def _emit_decompositions(report: ExperimentReport, points, records: List[Measured]) -> None:
+    _emit(report, ("format", "ranks", "error", "bound", "cost", "storage", "within_bound"),
+          [[fmt, _ranks_str(r.ranks), r.error, r.bound, r.cost, r.storage, r.ok]
+           for (fmt, _), r in zip(points, records)])
 
 
 def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = None) -> RankSchedule:
@@ -309,9 +331,8 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
 def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
     report.summary_lines.append(f"- function: {config.function.id}")
-    ranks, *measured, _ = _decompose(t, frobenius_norm(t), config.format, config.ranks, config.tolerance)
-    ok = _check(report, config.format, ranks, *measured)
-    _emit(report, _DECOMPOSITION_HEADER, [[config.format, _ranks_str(ranks), *measured, ok]])
+    points = [(config.format, config.ranks)]
+    _emit_decompositions(report, points, _measure(report, t, points, config.tolerance))
 
 
 def _spectrum_fit(config: ExperimentConfig):
@@ -343,13 +364,8 @@ def _check_exponent(config, report, exponent) -> None:
     if config.expected_exponent is None:
         return
     tol = config.exponent_tol
-    ok = abs(exponent - config.expected_exponent) <= tol
-    if not ok:
-        report.violations += 1
-    report.summary_lines.append(
-        f"- exponent target {config.expected_exponent} +- {tol}: "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
+    _verdict(report, f"- exponent target {config.expected_exponent} +- {tol}: ",
+             abs(exponent - config.expected_exponent) <= tol)
 
 
 def _run_schedule(config: ExperimentConfig, report: ExperimentReport) -> None:
@@ -393,29 +409,15 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
     t = _sample_tensor(config)
     if config.scheduler and (dims := config.scheduler[1].dims) != config.function.dims:
         raise ConfigError("scheduler", f"dims {dims} differ from the function's subdomain dims {config.function.dims}")
-    norm = frobenius_norm(t)
-    m = t.ndim
-    count = _rank_count(config.format, m)
-    rows, builds = [], []
-    for eps in config.epsilons:
-        schedule = _schedule_ranks_for(config, eps)
-        if len(schedule.ranks) < count:
-            raise ConfigError("scheduler", f"regime {schedule.regime!r} gives {len(schedule.ranks)} ranks, "
-                              f"format {config.format!r} on {m} modes takes {count}")
-        # Bonds the weighted TT schedule drops (rank 0) run at rank 1; a
-        # schedule with more ranks than the format takes gives the leading ones.
-        ranks = [max(r, 1) for r in schedule.ranks][:count]
-        # A step keeps min(rank asked, its usable rank) of a matrix fixed by the ranks kept before it:
-        # so, by induction in sweep order, an earlier build that would keep its own ranks is this decomposition.
-        measured = next((b for b in builds if tuple(map(min, ranks, b[-1])) == b[0]), None)
-        if measured is None:
-            measured = _decompose(t, norm, config.format, ranks, None)
-            builds.append(measured)
-        kept, err, bound, cost, *_ = measured
-        ok = _check(report, config.format, *measured)
-        rows.append([eps, _ranks_str(kept), cost, err, bound, math.sqrt(m) * eps, ok])
-    _emit(report, ["epsilon", "ranks", "cost", "error", "bound", "sqrt_m_eps", "within_bound"], rows)
-    report.summary_lines.append(f"- {len(rows)} epsilon values, {len(builds)} decompositions, format {config.format}")
+    # Bonds the weighted TT schedule drops (rank 0) run at rank 1; TT takes a Tucker schedule's leading ranks.
+    schedules = [[max(r, 1) for r in _schedule_ranks_for(config, eps).ranks] for eps in config.epsilons]
+    points = [(config.format, r if config.format == "tucker" else r[: t.ndim - 1]) for r in schedules]
+    records = _measure(report, t, points, field="scheduler")
+    _emit(report, ["epsilon", "ranks", "cost", "error", "bound", "sqrt_m_eps", "within_bound"],
+          [[eps, _ranks_str(r.ranks), r.cost, r.error, r.bound, math.sqrt(t.ndim) * eps, r.ok]
+           for eps, r in zip(config.epsilons, records)])
+    report.summary_lines.append(f"- {len(records)} epsilon values, {len(set(map(id, records)))} decompositions, "
+                                f"format {config.format}")
 
 
 def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> None:
@@ -456,25 +458,16 @@ def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> N
 
 def _run_compare_formats(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
-    norm = frobenius_norm(t)
-    rows = []
-    timings = []
-    if config.ranks is not None and len(config.ranks) not in (t.ndim, t.ndim - 1):
+    ranks = config.ranks
+    if ranks is not None and len(ranks) not in (t.ndim, t.ndim - 1):
         raise ConfigError("ranks", f"compare-formats on {t.ndim} modes takes {t.ndim} or {t.ndim - 1} ranks, "
-                          f"got {len(config.ranks)}")
-    for fmt in FORMATS:
-        ranks = config.ranks
-        if ranks is not None and fmt == "tucker" and len(ranks) == t.ndim - 1:
-            ranks = None  # bond ranks do not apply to the Tucker format
-        elif ranks is not None:
-            ranks = ranks[: _rank_count(fmt, t.ndim)]  # each format takes the leading ranks
-        begin = time.perf_counter()
-        used, *measured, _ = _decompose(t, norm, fmt, ranks, config.tolerance)
-        timings.append((fmt, time.perf_counter() - begin))
-        rows.append([fmt, _ranks_str(used), *measured, _check(report, fmt, used, *measured)])
-    _emit(report, _DECOMPOSITION_HEADER, rows)
-    for fmt, dt in timings:
-        report.summary_lines.append(f"- {fmt}: {dt:.3f} s")
+                          f"got {len(ranks)}")
+    # Tucker takes m ranks and truncates at the tolerance given m - 1 bond ranks; TT takes the leading m - 1.
+    points = [("tucker", None if ranks is None or len(ranks) < t.ndim else ranks),
+              ("tt", None if ranks is None else ranks[: t.ndim - 1])]
+    records = _measure(report, t, points, config.tolerance)
+    _emit_decompositions(report, points, records)
+    report.summary_lines += [f"- {fmt}: {r.seconds:.3f} s" for (fmt, _), r in zip(points, records)]
 
 
 _RUNNERS = {

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrtensor as lt
 from lrtensor import tucker
@@ -94,6 +96,33 @@ def test_a_low_rank_error_holds_no_tensor_sized_array(peak_bytes, fmt):
     measured, peak, _ = peak_bytes(lambda: error(t, d))
     assert measured <= 1e-6 * lt.frobenius_norm(t)
     assert peak <= 0.5 * t.weighted_values().nbytes  # blocks of rows, never the whole reconstruction
+
+
+def decaying_weighted(rng, extents):
+    """Four separable terms of sizes 1, 1e-2, 1e-4 and 1e-6 plus noise of 1e-9: tails at every scale."""
+    values = 1e-9 * rng.standard_normal(extents)
+    for k in range(4):
+        values = values + 10.0 ** (-2 * k) * math.prod(np.ix_(*[rng.standard_normal(n) for n in extents]))
+    return lt.DenseTensor(values, mode_weights=[rng.random(n) + 0.1 for n in extents])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), extents=st.lists(st.integers(2, 6), min_size=2, max_size=5),
+       fmt=st.sampled_from(sorted(MEMORY_FORMATS)), make=st.sampled_from([random_weighted, decaying_weighted]),
+       data=st.data())
+def test_each_error_equals_its_tail_bound(seed, extents, fmt, make, data):
+    """ST-HOSVD and TT-SVD are chains of orthogonal projections: each error is its root-sum-of-tails."""
+    build, error = MEMORY_FORMATS[fmt]
+    t = make(np.random.default_rng(seed), tuple(extents))
+    norm = lt.frobenius_norm(t)
+    steps = len(extents) - (fmt == "tt")
+    if data.draw(st.booleans(), label="fixed ranks"):
+        ranks = data.draw(st.lists(st.integers(1, 8), min_size=steps, max_size=steps), label="ranks")
+    else:
+        tolerance = data.draw(st.floats(1e-8, 1.0), label="tolerance")
+        ranks = lt.TruncationRule.tail_energy(tolerance * norm / math.sqrt(steps))
+    d = build(t, ranks)
+    assert abs(error(t, d) - d.tail_bound()) <= 1e-12 * norm
 
 
 @pytest.fixture

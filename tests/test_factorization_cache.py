@@ -213,13 +213,14 @@ def builds(monkeypatch):
 def checked(monkeypatch):
     """Every measurement the harness checks, one per row, reused or built."""
     rows = []
-    original = hz._check
+    original = hz._measure
 
-    def recording(report, fmt, *measured):
-        rows.append(measured)
-        return original(report, fmt, *measured)
+    def recording(*args, **kwargs):
+        records = original(*args, **kwargs)
+        rows.extend(records)
+        return records
 
-    monkeypatch.setattr(hz, "_check", recording)
+    monkeypatch.setattr(hz, "_measure", recording)
     return rows
 
 
@@ -293,6 +294,15 @@ class TestRankVsEpsReuse:
         assert len(builds) == 2 * built
         assert [measured[0] for measured in checked] == kept
         _assert_rows_equal_fresh_builds(raw, checked)
+
+
+def test_a_build_of_one_format_is_never_reused_for_the_other(tmp_path):
+    # TT's two bond ranks, each capped at its usable rank, equal its kept ranks: a Tucker point that
+    # matched them by its leading ranks would take the TT build
+    t = lt.DenseTensor(np.random.default_rng(0).standard_normal((4, 4, 4)))
+    report = hz.ExperimentReport("compare-formats", tmp_path)
+    tt, tucker = hz._measure(report, t, [("tt", [2, 2]), ("tucker", [2, 2, 2])])
+    assert (tt.ranks, tucker.ranks) == ((2, 2), (2, 2, 2))
 
 
 def _arrays(fmt, d):

@@ -382,10 +382,11 @@ class TestTotalTolerance:
     # Each case read a bound 1.01x to 1.88x tolerance * norm when each step could discard tolerance * norm.
     @pytest.mark.parametrize("m, tolerance", [(3, 1e-3), (4, 1e-4), (4, 1.78e-7), (5, 3e-7)])
     @pytest.mark.parametrize("fmt", hz._FORMAT_NAMES)
-    def test_bound_is_within_the_tolerance(self, fmt, m, tolerance):
+    def test_bound_is_within_the_tolerance(self, tmp_path, fmt, m, tolerance):
         t = _ridge(m, 8)
         norm = lt.frobenius_norm(t)
-        ranks, err, bound, *_ = hz._decompose(t, norm, fmt, None, tolerance)
+        report = hz.ExperimentReport("decompose", tmp_path)
+        ((ranks, err, bound, *_),) = hz._measure(report, t, [(fmt, None)], tolerance)
         assert err <= bound
         assert bound <= tolerance * norm + 1e-10 * norm
         assert min(ranks) >= 2
@@ -664,9 +665,18 @@ class TestInputContract:
         assert float(row["error"]) <= float(row["bound"]) < math.inf
 
     @pytest.mark.parametrize("name", ["decompose", "compare-formats", "rank-vs-eps", "rank-vs-eps-saturating"])
-    def test_failed_bound_checks_report_themselves(self, tmp_path, monkeypatch, name):
-        monkeypatch.setattr(lt.TuckerDecomposition, "tail_bound", lambda self: -1.0)
-        monkeypatch.setattr(lt.TTDecomposition, "tail_bound", lambda self: -1.0)
+    # Above: a tail bound of -1 puts every error above its bound. Below: an error routine that returns 0.
+    # Every function here is separable, so its true tails sit at the noise floor, where an error of 0 is
+    # right; the tails are stubbed to 1 so that the zero error falls below them.
+    @pytest.mark.parametrize("side, tail, error", [
+        ("above the bound", -1.0, None), ("below the tail bound", 1.0, 0.0),
+    ], ids=["upper", "lower"])
+    def test_failed_bound_checks_report_themselves(self, tmp_path, monkeypatch, name, side, tail, error):
+        monkeypatch.setattr(lt.TuckerDecomposition, "tail_bound", lambda self: tail)
+        monkeypatch.setattr(lt.TTDecomposition, "tail_bound", lambda self: tail)
+        if error is not None:
+            monkeypatch.setattr(hz, "tucker_error", lambda t, d: error)
+            monkeypatch.setattr(hz, "tt_error", lambda t, d: error)
         raw = SATURATING_RANK_VS_EPS if name == "rank-vs-eps-saturating" else SMALL_CONFIGS[name]
         report = hz.run(hz.parse_config(raw, cap=4096), tmp_path)
         rows = _csv_rows(report.csv_paths[0])
@@ -674,8 +684,17 @@ class TestInputContract:
         assert [row["within_bound"] for row in rows] == ["0"] * len(rows)
         assert report.violations == len(rows)
         assert report.summary_path.read_text().count("-> FAIL") == len(rows)
+        assert report.summary_path.read_text().count(f"-> FAIL ({side})") == len(rows)
         if name == "rank-vs-eps-saturating":
             assert "- 5 epsilon values, 1 decompositions, format tt" in report.summary_lines
+
+    def test_a_zero_error_below_real_tails_fails_the_lower_side(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hz, "tucker_error", lambda t, d: 0.0)
+        monkeypatch.setattr(hz, "tt_error", lambda t, d: 0.0)
+        report = hz.run(hz.parse_config(GOLDEN_CONFIGS["compare-formats-abs-diff"]), tmp_path)
+        assert report.exit_code == 1
+        assert [row["within_bound"] for row in _csv_rows(report.csv_paths[0])] == ["0", "0"]
+        assert report.summary_path.read_text().count("-> FAIL (below the tail bound)") == 2
 
 
 # The decomposing configs of SMALL_CONFIGS, whose functions are separable (every error at the noise floor),
