@@ -7,8 +7,8 @@ built one way, `DenseTensor(values, mode_weights, cap)`, and its `shape`
 is the plain tuple of its extents.
 
 All objects are immutable after construction, and the operations here
-are pure functions, with one exception: `train` memoizes the Tucker and
-TT step factorizations of a DenseTensor in its `_factorizations` dict.
+are pure functions, with one exception: `train._sweep` memoizes the Tucker
+and TT step factorizations of a DenseTensor in its `_factorizations` dict.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class DenseTensor:
     all mode weights (`weighted_values`); `values` divides them back out,
     and `shape` and `ndim` are that array's.
     Its `_factorizations` dict holds one factorization per Tucker and TT
-    step, read and filled by `train._step_factorization` alone.
+    step, read and filled by `train._sweep` alone.
     """
 
     mode_weights: Optional[tuple]

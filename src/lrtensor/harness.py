@@ -157,7 +157,6 @@ class ExperimentConfig:
     scheduler: Optional[Tuple[Optional[str], SchedulerParams]] = _config(_scheduler, None)
     epsilons: tuple = _config(lambda v: _numbers(v, float, 0, 1), ())
     m_values: tuple = _config(lambda v: _numbers(v, int, 0, _MAX_MODES), ())
-    mode: int = _config(lambda v: _number(v, int), 0)
     fit_window: Optional[tuple] = _config(lambda v: _numbers(v, int, 0, length=2), None)
     expected_exponent: Optional[float] = _config(_number, None)
     exponent_tol: float = _config(lambda v: _number(v, None, 0), 0.3)
@@ -336,11 +335,8 @@ def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _spectrum_fit(config: ExperimentConfig):
-    """The spectrum of the config's mode unfolding and its decay fit."""
-    t = _sample_tensor(config)
-    with _field("mode"):
-        mat = mode_unfolding(t, config.mode)
-    spec = spectrum(mat)
+    """The spectrum of the mode-0 unfolding and its decay fit."""
+    spec = spectrum(mode_unfolding(_sample_tensor(config), 0))
     with _field("fit_window"):
         return spec, fit_decay_exponent(spec, window=config.fit_window)
 
@@ -353,7 +349,7 @@ def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
     ]
     _emit(report, ["alpha", "sigma", "lambda"], rows)
     report.summary_lines += [
-        f"- function: {config.function.id}, mode {config.mode}",
+        f"- function: {config.function.id}, mode 0",
         f"- fitted lambda exponent: {fit.exponent:.4f} (r2 {fit.r2:.4f}, "
         f"window alpha {fit.window[0]}..{fit.window[1]})",
     ]

@@ -4,7 +4,7 @@ Each separation applies a truncated SVD to the current remainder, with
 the previous bond index stacked onto the active mode. The orthonormal
 left vectors become a core; the singular values travel onward in the
 remainder, so error accounting stays in one place. The same step loop
-runs Tucker's sequentially truncated HOSVD (`tucker.hosvd`), and memoizes its steps (`_step_factorization`).
+runs Tucker's sequentially truncated HOSVD (`tucker.hosvd`), and memoizes its steps in the tensor (`_sweep`).
 """
 
 from __future__ import annotations
@@ -36,31 +36,6 @@ class TTDecomposition:
         return _tail_bound(self.spectra, self.ranks)
 
 
-def _step_factorization(t: DenseTensor, sweep: str, key: tuple, mat: np.ndarray) -> Factorization:
-    """The Factorization of `mat`, step len(`key`) of `sweep`, fixed by `t` and `key` (the ranks kept before it).
-
-    t's memo holds one entry per step, under slot (sweep, step), reused only
-    under an equal key; step 0, the mode-0 unfolding in both sweeps, is slot
-    ("mode", 0). A miss first drops the slot and its sweep's later slots, one
-    chain of kept ranks that can no longer match. Mode 1 of a two-mode A = UΛU^T
-    (mode 0's entry has `eigenvalues`) is A^T U_r = U_r Λ_r: mode 0's entry cut to r = key[0], no solver.
-    """
-    memo, step = t._factorizations, len(key)
-    slot = (sweep, step) if step else ("mode", 0)
-    cached = memo.get(slot)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    for stale in [s for s in memo if s[0] == slot[0] and s[1] >= step]:
-        del memo[stale]
-    first = memo[("mode", 0)][1] if slot == ("mode", 1) and t.ndim == 2 else None
-    if first is not None and first.eigenvalues is not None:
-        found = Factorization(first.U[:, : key[0]], SingularSpectrum(first.full_spectrum.values[: key[0]]))
-    else:
-        found = factorize(mat)
-    memo[slot] = (key, found)
-    return found
-
-
 def _sweep(t: DenseTensor, sweep: str, x: np.ndarray, extents, rules):
     """Truncate `extents`, in order, off the front of `x`, a reshape of `t`: the one step loop.
 
@@ -70,31 +45,36 @@ def _sweep(t: DenseTensor, sweep: str, x: np.ndarray, extents, rules):
     on, which stacks the kept rank onto the next mode; the Tucker sweep passes
     A^T U_r on, which puts the next mode in front and the kept rank at the
     back, so its last `x` is the core, axes in order. No right vectors are
-    formed. A step's A is fixed by `t` and the ranks kept before it, so it is
-    factorized once per such ranks (`_step_factorization`).
-    An A = UΛU^T from `eigh` passes U_r Λ_r or Λ_r U_r^T on, a scaling; a two-mode Tucker sweep's
-    next step is then its cut, and (U_r0 Λ_r0)^T U_r1 = diag(λ) cut to (r0, r1), by orthonormality.
+    formed. An A = UΛU^T from `eigh` passes U_r Λ_r or Λ_r U_r^T on, a scaling.
+    A step's A is fixed by `t` and the ranks kept before it, its key: `t`'s memo, read and filled here alone,
+    holds its factorization under slot (sweep, step), step 0 (the mode-0 unfolding in both sweeps) under
+    ("mode", 0), reused under an equal key. A miss drops the slot and its sweep's later ones (keys that can no
+    longer match) before the solver runs, so their arrays are freed before it allocates.
+    A two-mode Tucker sweep whose step 0 is A = UΛU^T ends with its cut: A^T U_r0 = U_r0 Λ_r0 is factorized
+    as U_r0 and |λ|, with no solver or slot, and its core (U_r0 Λ_r0)^T U_r1 is diag(λ) cut to (r0, r1).
     Returns each step's kept U and full spectrum, and the last `x`.
     """
-    factors = []
-    spectra = []
-    r = 1
-    key = ()
-    lam = None  # the signed eigenvalues kept by the last step whose A = UΛU^T
+    memo, factors, spectra = t._factorizations, [], []
+    r, key = 1, ()
     for n, rule in zip(extents, rules):
         mat = x.reshape(r * n, -1)
-        step = truncated_svd(_step_factorization(t, sweep, key, mat), rule)
+        slot = (sweep, len(key)) if key else ("mode", 0)
+        cached = memo.get(slot)
+        if cached is None or cached[0] != key:
+            for stale in [s for s in memo if s[0] == slot[0] and s[1] >= len(key)]:
+                del memo[stale]
+            cached = memo[slot] = (key, factorize(mat))
+        step = truncated_svd(cached[1], rule)
         factors.append(step.U)
         spectra.append(step.full_spectrum)
-        if step.eigenvalues is not None:
-            lam = step.eigenvalues[: step.rank]
+        lam = None if step.eigenvalues is None else step.eigenvalues[: step.rank]
+        if lam is not None and sweep == "mode" and t.ndim == 2 and not key:  # the cut
+            cut = truncated_svd(Factorization(step.U, SingularSpectrum(np.abs(lam))), rules[1])
+            return factors + [cut.U], spectra + [cut.full_spectrum], np.diag(lam)[:, : cut.rank]
+        if lam is not None:
             x = step.U * lam if sweep == "mode" else lam[:, None] * step.U.T
-        elif lam is not None and t.ndim == 2:  # the cut (see `_step_factorization`)
-            x = np.diag(lam)[:, : step.rank]
-        elif sweep == "mode":
-            x = mat.T @ step.U
         else:
-            x = step.U.T @ mat
+            x = mat.T @ step.U if sweep == "mode" else step.U.T @ mat
         if sweep != "mode":
             r = step.rank
         key += (step.rank,)

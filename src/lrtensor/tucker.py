@@ -46,8 +46,9 @@ def hosvd(
     projected onto the factors of modes 0..j-1 (see `train._sweep`); a given rank is an
     upper limit, that matrix's numerical rank (values above 1e-13 * s_1, at least 1; see
     `truncated_svd`). The error equals `tail_bound()`, and each step's tail is at most
-    classical HOSVD's at the same rank. `t` factorizes a step once per ranks kept before it.
-    A two-mode `t` whose weighted A = UΛU^T gets the core diag(λ) cut to (r0, r1), read off `eigh`.
+    classical HOSVD's at the same rank. `_sweep` factorizes a step of `t` once per ranks kept before it, in
+    `t`'s memo, and decides the cut: a two-mode `t` whose weighted A = UΛU^T gets mode 1 and the core diag(λ)
+    cut to (r0, r1) off mode 0's `eigh`.
     """
     factors, spectra, core = _sweep(t, "mode", t.weighted_values(), t.shape, _step_rules(ranks, t.ndim))
     core = _finite(core.reshape([f.shape[1] for f in factors]))

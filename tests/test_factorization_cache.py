@@ -359,7 +359,9 @@ def test_memoized_decompositions_equal_fresh_ones(case):
         for a, b in zip(_arrays(fmt, got), _arrays(fmt, fresh), strict=True):
             assert np.array_equal(a, b)
         assert set(t._factorizations) <= _slots(len(extents))
-        if symmetric and ("mode", 1) in t._factorizations:  # mode 1 is mode 0's entry cut to the rank kept
-            ((r,), step), (_, first) = t._factorizations[("mode", 1)], t._factorizations[("mode", 0)]
-            assert np.array_equal(step.U, first.U[:, :r])
-            assert np.array_equal(step.full_spectrum.values, first.full_spectrum.values[:r])
+        if symmetric:  # mode 1 is mode 0 cut to the rank kept, and takes no entry
+            assert set(t._factorizations) == {("mode", 0)}
+            if fmt == "tucker":
+                r0, r1 = got.ranks
+                assert np.array_equal(got.factors[1], got.factors[0][:, :r1])
+                assert np.array_equal(got.mode_spectra[1].values, got.mode_spectra[0].values[:r0])

@@ -502,7 +502,7 @@ SMALL_CONFIGS = {
     "decompose-tol": decompose_config(function={"id": "weighted_exp", "m": 3}, grid={"points_per_axis": 5},
                                       format="tt", ranks=None, tolerance=1e-6),
     "spectrum": {"experiment": "spectrum", "function": {"id": "brownian_bridge"},
-                 "grid": {"points_per_axis": 33}, "mode": 1, "fit_window": [2, 8],
+                 "grid": {"points_per_axis": 33}, "fit_window": [2, 8],
                  "expected_exponent": -4, "exponent_tol": 0.5},
     "schedule": {"experiment": "schedule", "scheduler": dict(WEIGHTED_SCHEDULER, regime="tt-weighted")},
     "decay-rate": {"experiment": "decay-rate", "function": {"id": "gauss_kernel", "params": {"n": 1, "c": 2.0}},

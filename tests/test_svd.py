@@ -81,9 +81,11 @@ class TestTruncatedSVD:
                  zero_led, np.zeros((5, 3)), np.ones((1, 4))]
         for m in cases:
             for a in (m, m.T):
-                # a tensor's memoized mode 0 is factorize() of its unfolding
+                # the mode-0 entry a build leaves in a tensor's memo is factorize() of its unfolding
                 t = lt.DenseTensor(a)
-                got = train._step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
+                lt.tt_svd(t, [1])
+                key, got = t._factorizations[("mode", 0)]
+                assert key == ()
                 expected = factorize(a)
                 for e, value in ((expected.U, got.U), (expected.full_spectrum.values, got.full_spectrum.values)):
                     assert np.array_equal(e, value)

@@ -23,7 +23,6 @@ from lrtensor import svd
 from lrtensor.core import _scale_by_weights
 from lrtensor.grids import RULE_GAUSS, RULE_TRAPEZOID
 from lrtensor.svd import SIGN_PIVOT_TOL, _tails, factorize, spectrum
-from lrtensor.train import _step_factorization
 from oracles import full_svd
 
 KINDS = ("spd", "indefinite", "rank-deficient", "plus-minus-pairs", "repeated")
@@ -67,7 +66,9 @@ def _sign_loop(U):
 def _check_against_full_svd(A):
     assert np.array_equal(A, A.T)
     t = lt.DenseTensor(A)
-    f = _step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
+    lt.tt_svd(t, [1])
+    key, f = t._factorizations[("mode", 0)]  # the entry a build leaves: factorize() of the mode-0 unfolding
+    assert key == ()
     U_svd, s, _ = full_svd(A)
     s1 = s[0]
     assert np.abs(f.full_spectrum.values - s).max() <= 1e-13 * s1
@@ -100,16 +101,18 @@ def _check_against_full_svd(A):
         d = lt.hosvd(t, rule)
         assert lt.tucker_error(t, d) <= d.tail_bound() + 1e-10 * norm
         # mode 1 is mode 0 cut to the rank kept: the spectrum and left vectors of A^T U_r, to rounding
-        (r0,), step = t._factorizations[("mode", 1)]
-        assert r0 == d.ranks[0]
-        assert np.array_equal(step.U, f.U[:, :r0]) and np.array_equal(step.full_spectrum.values, s_f[:r0])
+        r0, r1 = d.ranks
+        assert np.array_equal(d.factors[0], f.U[:, :r0]) and np.array_equal(d.mode_spectra[0].values, s_f)
+        assert np.array_equal(d.factors[1], d.factors[0][:, :r1])
+        assert np.array_equal(d.mode_spectra[1].values, d.mode_spectra[0].values[:r0])
         U_r, s_r, _ = full_svd(A.T @ f.U[:, :r0])
         assert np.abs(s_r - s_f[:r0]).max() <= 1e-13 * s1
-        r1, cut = d.ranks[1], np.append(s_f[:r0], 0.0)
+        cut = np.append(s_f[:r0], 0.0)
         if cut[r1 - 1] - cut[r1] > 0.05 * s1:  # a clear gap: one projector
             assert np.abs(U_r[:, :r1] @ U_r[:, :r1].T - d.factors[1] @ d.factors[1].T).max() <= 1e-10
         d = lt.tt_svd(t, rule)
         assert lt.tt_error(t, d) <= d.tail_bound() + 1e-10 * norm
+        assert set(t._factorizations) == {("mode", 0)}  # the cut takes no entry
 
 
 @settings(max_examples=80, deadline=None)
@@ -140,7 +143,7 @@ def test_fixed_symmetric_matrices_match_full_svd(name):
 
 def test_ties_keep_eigh_order():
     t = lt.DenseTensor(np.diag([-2.0, 2.0, 1.0]))
-    f = _step_factorization(t, "mode", (), lt.mode_unfolding(t, 0))
+    f = factorize(lt.mode_unfolding(t, 0))
     assert np.array_equal(f.full_spectrum.values, [2.0, 2.0, 1.0])
     assert np.array_equal(f.U, np.eye(3))
 

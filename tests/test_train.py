@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +167,28 @@ def test_train_alone_owns_the_step_memo():
     assert [name for name, _ in inspect.getmembers(lt.DenseTensor, callable) if "factoriz" in name] == []
     source = inspect.getsource(svd)
     assert "DenseTensor" not in source and "mode_unfolding" not in source
+
+
+def _identifiers(node) -> set:
+    """The identifiers `node` names: variables, attributes, keyword arguments, and strings that are one identifier."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            found.add(sub.arg)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            found.add(sub.value)
+    return found
+
+
+def test_the_step_memo_has_one_reader():
+    # the tensor declares the memo's dict, and the step loop alone reads and fills it
+    naming = set()
+    for path in sorted(Path(lt.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if "_factorizations" in _identifiers(node):
+                naming.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert naming == {"core.DenseTensor", "train._sweep"}
