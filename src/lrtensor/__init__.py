@@ -14,7 +14,6 @@ from .core import (
     ElementCapError,
     ShapeMismatchError,
     frobenius_norm,
-    mode_unfolding,
 )
 from .functions import (
     FunctionSpec,

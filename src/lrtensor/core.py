@@ -188,13 +188,6 @@ class DenseTensor:
         return self._weighted
 
 
-def mode_unfolding(t: DenseTensor, mode: int) -> np.ndarray:
-    """Classical mode-`mode` unfolding, weights absorbed: that mode vs all the others."""
-    if not 0 <= mode < t.ndim:
-        raise ShapeMismatchError(f"mode {mode} out of range 0..{t.ndim - 1}")
-    return np.moveaxis(t.weighted_values(), mode, 0).reshape(t.shape[mode], -1)
-
-
 def _norm(a: np.ndarray) -> float:
     """Frobenius norm; only a sum of squares past the float range is taken again on a / max |a|."""
     with np.errstate(over="ignore"):

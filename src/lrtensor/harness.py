@@ -19,7 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import functions as fnreg
-from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, frobenius_norm, mode_unfolding
+from .core import DEFAULT_ELEMENT_CAP, DenseTensor, ElementCapError, frobenius_norm
 from .grids import RULE_TRAPEZOID, GridSpec, sample
 from .schedules import (
     REGIME_TT,
@@ -29,7 +29,7 @@ from .schedules import (
     SchedulerParams,
     build_schedule,
 )
-from .svd import TruncationRule, fit_decay_exponent, spectrum
+from .svd import SingularSpectrum, TruncationRule, fit_decay_exponent, spectrum
 from .train import tt_cost, tt_error, tt_svd
 from .tucker import hosvd, tucker_cost, tucker_error
 
@@ -178,7 +178,7 @@ class ExperimentReport:
 
 
 def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
-    """Validate a raw JSON dict; raise ConfigError naming the bad field."""
+    """Validate a raw JSON dict by `ExperimentConfig` and `_EXPERIMENTS`; raise ConfigError naming the bad field."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     if cap is not None:
@@ -191,6 +191,13 @@ def parse_config(raw: dict, cap: Optional[int] = None) -> ExperimentConfig:
     unknown = sorted(set(raw) - set(values))
     if unknown:
         raise ConfigError(unknown[0], f"unknown field; expected one of {tuple(values)}")
+    name = values["experiment"]
+    _, needs, reads = _EXPERIMENTS[name]
+    for key, value in values.items():
+        if key in needs and not value:
+            raise ConfigError(key, f"{name} needs it set, not null or empty; it needs {needs}")
+        if raw.get(key) is not None and key not in needs + reads + _EVERY:
+            raise ConfigError(key, f"set, but {name} does not read it; it reads {needs + reads}")
     return ExperimentConfig(**values)
 
 
@@ -224,10 +231,6 @@ def _ranks_str(ranks) -> str:
 
 
 def _sample_tensor(config: ExperimentConfig) -> DenseTensor:
-    if config.function is None:
-        raise ConfigError("function", "this experiment requires a function")
-    if config.grid is None:
-        raise ConfigError("grid", "this experiment requires a grid")
     with _field("function"), _field("grid", ElementCapError):
         return sample(config.function, config.grid, cap=config.cap)
 
@@ -248,6 +251,7 @@ class Measured(NamedTuple):
     cost: int
     storage: int  # the entries held
     usable: tuple  # each step's usable rank
+    spectrum: SingularSpectrum  # step 0's full spectrum, the mode-0 unfolding's (empty: TT on one mode has no step)
     seconds: float  # to build and measure it
     ok: bool  # the error is within the slack of the tail bound
 
@@ -282,8 +286,8 @@ def _measure(report: ExperimentReport, t: DenseTensor, points, tolerance=None, f
                 err, cost, arrays, spectra = tt_error(t, d), tt_cost(d.ranks), d.cores, d.spectra
             tail = d.tail_bound()
             record = Measured(d.ranks, err, tail + slack, tail, cost, sum(a.size for a in arrays),
-                              tuple(s.usable_rank() for s in spectra), time.perf_counter() - begin,
-                              bool(tail - slack <= err <= tail + slack))
+                              tuple(s.usable_rank() for s in spectra), spectra[0] if spectra else SingularSpectrum(()),
+                              time.perf_counter() - begin, bool(tail - slack <= err <= tail + slack))
             builds.append((fmt, record))
         side = " (above the bound)" if not record.error <= record.bound else " (below the tail bound)"
         _verdict(report, f"- {fmt}, ranks {_ranks_str(record.ranks)}: error {record.error:.6e} "
@@ -301,8 +305,6 @@ def _emit_decompositions(report: ExperimentReport, points, records: List[Measure
 
 
 def _schedule_ranks_for(config: ExperimentConfig, epsilon: Optional[float] = None) -> RankSchedule:
-    if config.scheduler is None:
-        raise ConfigError("scheduler", "this experiment requires scheduler params")
     regime, base = config.scheduler
     if regime is None:
         regime = REGIME_TUCKER if config.format == "tucker" else REGIME_TT
@@ -316,7 +318,7 @@ def run(config: ExperimentConfig, out_dir) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(config.experiment, out_dir)
     started = time.perf_counter()
-    _RUNNERS[config.experiment](config, report)
+    _EXPERIMENTS[config.experiment][0](config, report)
     elapsed = time.perf_counter() - started
     report.summary_lines.append(f"- wall time: {elapsed:.3f} s")
     report.summary_lines.append(f"- bound violations: {report.violations}")
@@ -331,28 +333,37 @@ def _run_decompose(config: ExperimentConfig, report: ExperimentReport) -> None:
     t = _sample_tensor(config)
     report.summary_lines.append(f"- function: {config.function.id}")
     points = [(config.format, config.ranks)]
-    _emit_decompositions(report, points, _measure(report, t, points, config.tolerance))
+    records = _measure(report, t, points, config.tolerance)
+    if config.expected_exponent is not None:  # fit step 0's spectrum, the matrix `spectrum` fits
+        fit, line = _fit(config, records[0].spectrum)
+        report.summary_lines.append(line)
+        _check_exponent(config, report, fit.exponent)
+    _emit_decompositions(report, points, records)
+
+
+def _fit(config: ExperimentConfig, spec: SingularSpectrum):
+    """The decay fit of `spec` and its summary line; too few usable values in the window exit 2 (`fit_window`)."""
+    with _field("fit_window"):
+        fit = fit_decay_exponent(spec, window=config.fit_window)
+    return fit, (f"- fitted lambda exponent: {fit.exponent:.4f} (r2 {fit.r2:.4f}, "
+                 f"window alpha {fit.window[0]}..{fit.window[1]})")
 
 
 def _spectrum_fit(config: ExperimentConfig):
-    """The spectrum of the mode-0 unfolding and its decay fit."""
-    spec = spectrum(mode_unfolding(_sample_tensor(config), 0))
-    with _field("fit_window"):
-        return spec, fit_decay_exponent(spec, window=config.fit_window)
+    """The spectrum of the mode-0 unfolding (the matrix of `_sweep`'s step 0), its decay fit and the fit's line."""
+    t = _sample_tensor(config)
+    spec = spectrum(t.weighted_values().reshape(t.shape[0], -1))
+    return (spec, *_fit(config, spec))
 
 
 def _run_spectrum(config: ExperimentConfig, report: ExperimentReport) -> None:
-    spec, fit = _spectrum_fit(config)
+    spec, fit, line = _spectrum_fit(config)
     rows = [
         [alpha + 1, sigma, sigma ** 2]
         for alpha, sigma in enumerate(spec.values)
     ]
     _emit(report, ["alpha", "sigma", "lambda"], rows)
-    report.summary_lines += [
-        f"- function: {config.function.id}, mode 0",
-        f"- fitted lambda exponent: {fit.exponent:.4f} (r2 {fit.r2:.4f}, "
-        f"window alpha {fit.window[0]}..{fit.window[1]})",
-    ]
+    report.summary_lines += [f"- function: {config.function.id}, mode 0", line]
     _check_exponent(config, report, fit.exponent)
 
 
@@ -384,7 +395,7 @@ def _run_schedule(config: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _run_decay_rate(config: ExperimentConfig, report: ExperimentReport) -> None:
-    _, fit = _spectrum_fit(config)
+    _, fit, _ = _spectrum_fit(config)
     k = config.function.smoothness_k
     theory = None
     if isinstance(k, (int, float)):
@@ -400,10 +411,8 @@ def _run_decay_rate(config: ExperimentConfig, report: ExperimentReport) -> None:
 
 
 def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None:
-    if not config.epsilons:
-        raise ConfigError("epsilons", "rank-vs-eps needs a list of epsilons")
     t = _sample_tensor(config)
-    if config.scheduler and (dims := config.scheduler[1].dims) != config.function.dims:
+    if (dims := config.scheduler[1].dims) != config.function.dims:
         raise ConfigError("scheduler", f"dims {dims} differ from the function's subdomain dims {config.function.dims}")
     # Bonds the weighted TT schedule drops (rank 0) run at rank 1; TT takes a Tucker schedule's leading ranks.
     schedules = [[max(r, 1) for r in _schedule_ranks_for(config, eps).ranks] for eps in config.epsilons]
@@ -417,10 +426,6 @@ def _run_rank_vs_eps(config: ExperimentConfig, report: ExperimentReport) -> None
 
 
 def _run_dim_robustness(config: ExperimentConfig, report: ExperimentReport) -> None:
-    if not config.m_values:
-        raise ConfigError("m_values", "dim-robustness needs a list of mode counts")
-    if config.scheduler is None:
-        raise ConfigError("scheduler", "dim-robustness needs scheduler params")
     regime, base = config.scheduler
     if regime is not None or base.gamma is not None or len(base.dims) != 1:
         raise ConfigError("scheduler", "dim-robustness builds both Tucker regimes, default weights, on m copies of "
@@ -466,13 +471,18 @@ def _run_compare_formats(config: ExperimentConfig, report: ExperimentReport) -> 
     report.summary_lines += [f"- {fmt}: {r.seconds:.3f} s" for (fmt, _), r in zip(points, records)]
 
 
-_RUNNERS = {
-    "decompose": _run_decompose,
-    "spectrum": _run_spectrum,
-    "schedule": _run_schedule,
-    "decay-rate": _run_decay_rate,
-    "rank-vs-eps": _run_rank_vs_eps,
-    "dim-robustness": _run_dim_robustness,
-    "compare-formats": _run_compare_formats,
+_EVERY = ("experiment", "cap")  # the fields of every experiment: `--cap` sets `cap` on every config
+_SAMPLED = ("function", "grid")
+_FIT = ("fit_window", "expected_exponent", "exponent_tol")
+# Each experiment: its runner, the fields it needs (not null or empty) and the other fields it reads, besides
+# `_EVERY`. `parse_config` holds every config to its experiment's row; no runner checks a field's presence.
+_EXPERIMENTS = {
+    "decompose": (_run_decompose, _SAMPLED, ("format", "ranks", "tolerance") + _FIT),
+    "spectrum": (_run_spectrum, _SAMPLED, _FIT),
+    "schedule": (_run_schedule, ("scheduler",), ("format",)),
+    "decay-rate": (_run_decay_rate, _SAMPLED, _FIT),
+    "rank-vs-eps": (_run_rank_vs_eps, _SAMPLED + ("scheduler", "epsilons"), ("format",)),
+    "dim-robustness": (_run_dim_robustness, ("scheduler", "m_values"), ()),
+    "compare-formats": (_run_compare_formats, _SAMPLED, ("ranks", "tolerance")),
 }
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)

@@ -8,6 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
+from lrtensor.core import ShapeMismatchError
 from lrtensor.svd import SIGN_PIVOT_TOL, SingularSpectrum
 
 
@@ -95,6 +96,13 @@ def project(a: np.ndarray, factors) -> np.ndarray:
 def unfolding(a: np.ndarray, j: int) -> np.ndarray:
     """The mode-j unfolding of `a`: mode j against all the others, in their order."""
     return np.moveaxis(a, j, 0).reshape(a.shape[j], -1)
+
+
+def mode_unfolding(t, mode: int) -> np.ndarray:
+    """The mode-`mode` unfolding of a DenseTensor `t`, weights absorbed; another mode raises ShapeMismatchError."""
+    if not 0 <= mode < t.ndim:
+        raise ShapeMismatchError(f"mode {mode} out of range 0..{t.ndim - 1}")
+    return unfolding(t.weighted_values(), mode)
 
 
 def classical_hosvd(a: np.ndarray, ranks):

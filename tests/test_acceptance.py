@@ -14,7 +14,7 @@ import pytest
 import lrtensor as lt
 import lrtensor.harness as hz
 from lrtensor.svd import SingularSpectrum, fit_decay_exponent
-from oracles import gram_spectrum, projection_trace_check
+from oracles import gram_spectrum, mode_unfolding, projection_trace_check
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -50,7 +50,7 @@ def test_criterion_02_bivariate_truncation_law():
     start = time.perf_counter()
     fn = lt.make_function("brownian_bridge")
     sf = lt.sample(fn, lt.GridSpec(512))
-    s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
+    s = np.linalg.svd(mode_unfolding(sf, 0), compute_uv=False)
     worst_rel = 0.0
     for alpha in range(1, 9):
         target = (math.pi * alpha) ** -2
@@ -271,7 +271,7 @@ def test_criterion_09_two_mode_collapse():
         err_tt = lt.tt_error(t, lt.tt_svd(t, ranks=(r,)))
         err_tucker = lt.tucker_error(t, lt.hosvd(t, (r, r)))
         err_svd = lt.truncated_svd(
-            lt.mode_unfolding(t, 0), lt.TruncationRule.fixed_rank(r)
+            mode_unfolding(t, 0), lt.TruncationRule.fixed_rank(r)
         ).tail
         spread = max(err_tt, err_tucker, err_svd) - min(err_tt, err_tucker, err_svd)
         worst = max(worst, spread)

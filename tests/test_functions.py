@@ -4,7 +4,7 @@ import pytest
 import lrtensor as lt
 from lrtensor.functions import FunctionSpec, default_gamma, registered_ids, vectorized_evaluator
 from lrtensor.svd import SingularSpectrum, fit_decay_exponent
-from oracles import gram_spectrum
+from oracles import gram_spectrum, mode_unfolding
 
 
 def evaluate(spec: FunctionSpec, point) -> float:
@@ -188,14 +188,14 @@ class TestSampledSpectra:
         )
         sf = lt.sample(fn, lt.GridSpec(17))
         for mode in range(4):
-            s = np.linalg.svd(lt.mode_unfolding(sf, mode), compute_uv=False)
+            s = np.linalg.svd(mode_unfolding(sf, mode), compute_uv=False)
             assert s[0] == pytest.approx(1.857863178919e00, rel=1e-10)
             assert s[1] <= 1e-12 * s[0]
 
     def test_brownian_bridge_decay_exponent(self):
         fn = lt.make_function("brownian_bridge")
         sf = lt.sample(fn, lt.GridSpec(512))
-        gram = gram_spectrum(lt.mode_unfolding(sf, 0))
+        gram = gram_spectrum(mode_unfolding(sf, 0))
         fit = fit_decay_exponent(SingularSpectrum(np.sqrt(gram.values)))
         assert fit.exponent == pytest.approx(-4.0, abs=0.3)
 

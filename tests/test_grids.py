@@ -12,7 +12,7 @@ from lrtensor.cli import main as cli_main
 from lrtensor.core import _BLOCK, _scale_by_weights
 from lrtensor.functions import _REGISTRY, _Entry, vectorized_evaluator
 from lrtensor.grids import axis_rule
-from oracles import full_svd
+from oracles import full_svd, mode_unfolding
 
 
 # Discrete H1 norms: the oracle of the regularity tests below.
@@ -73,13 +73,13 @@ class TestSample:
     def test_separable_function_is_rank_one(self):
         fn = lt.make_function("rank_one", m=2)
         sf = lt.sample(fn, lt.GridSpec(33))
-        s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
+        s = np.linalg.svd(mode_unfolding(sf, 0), compute_uv=False)
         assert s[1] <= 1e-12 * s[0]
 
     def test_brownian_bridge_leading_singular_value(self):
         fn = lt.make_function("brownian_bridge")
         sf = lt.sample(fn, lt.GridSpec(512))
-        s = np.linalg.svd(lt.mode_unfolding(sf, 0), compute_uv=False)
+        s = np.linalg.svd(mode_unfolding(sf, 0), compute_uv=False)
         assert s[0] == pytest.approx(np.pi**-2, rel=0.01)
 
     def test_deterministic(self):
@@ -280,7 +280,7 @@ class TestEigenfunctionRegularityBound:
         w = np.asarray(t.mode_weights[0])
         semi = discrete_mixed_seminorm(t, 0)
         f_norm = math.hypot(semi, lt.frobenius_norm(t))
-        U, s, _ = full_svd(lt.mode_unfolding(t, 0))
+        U, s, _ = full_svd(mode_unfolding(t, 0))
         constants = []
         for alpha in range(8):
             phi = U[:, alpha] / np.sqrt(w)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -695,6 +697,88 @@ class TestInputContract:
         assert report.exit_code == 1
         assert [row["within_bound"] for row in _csv_rows(report.csv_paths[0])] == ["0", "0"]
         assert report.summary_path.read_text().count("-> FAIL (below the tail bound)") == 2
+
+
+# Derived from `hz._EXPERIMENTS`: each field an experiment does not read, set to the value of the first
+# SMALL_CONFIGS config that sets it (which reads it, since every SMALL_CONFIGS config passes), and each field an
+# experiment needs, dropped, null or (a list) empty.
+UNREAD = [(name, f.name, next(raw[f.name] for raw in SMALL_CONFIGS.values() if f.name in raw))
+          for name, (_, needs, reads) in hz._EXPERIMENTS.items() for f in dataclasses.fields(hz.ExperimentConfig)
+          if f.name not in needs + reads + hz._EVERY]
+NEEDED = [(name, f.name, value) for name, (_, needs, _) in hz._EXPERIMENTS.items()
+          for f in dataclasses.fields(hz.ExperimentConfig) if f.name in needs
+          for value in ["dropped", None] + ([[]] if f.default == () else [])]
+
+
+class TestExperimentFields:
+    def test_every_field_is_read_and_46_pairs_are_not(self):
+        read = {key for _, needs, reads in hz._EXPERIMENTS.values() for key in needs + reads + hz._EVERY}
+        assert read == {f.name for f in dataclasses.fields(hz.ExperimentConfig)}
+        assert len(UNREAD) == 46
+
+    @pytest.mark.parametrize("name, key, value", UNREAD)
+    def test_a_set_field_the_experiment_does_not_read_exits_two_naming_it(self, tmp_path, capsys, name, key, value):
+        assert _run_cli(tmp_path, {**SMALL_CONFIGS[name], key: value}) == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{key}': set, but {name} does not read it")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, key, value", NEEDED)
+    def test_a_needed_field_left_out_exits_two_naming_it_and_writes_nothing(self, tmp_path, capsys, name, key,
+                                                                            value):
+        raw = {k: v for k, v in SMALL_CONFIGS[name].items() if k != key}
+        if value != "dropped":
+            raw[key] = value
+        assert _run_cli(tmp_path, raw) == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{key}': {name} needs it")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_null_field_the_experiment_does_not_read_is_unset(self, tmp_path):
+        assert _run_cli(tmp_path, {**SMALL_CONFIGS["schedule"], "function": None, "epsilons": None}) == 0
+
+
+class TestDecomposeFit:
+    # the Brownian-bridge kernel: sigma_alpha = (pi alpha)^-2, so lambda decays as alpha^-4
+    BRIDGE = {"experiment": "decompose", "function": {"id": "brownian_bridge"}, "grid": {"points_per_axis": 512},
+              "tolerance": 1e-6, "expected_exponent": -4}
+
+    def test_the_fit_is_named_before_its_verdict(self, tmp_path):
+        assert _run_cli(tmp_path, self.BRIDGE) == 0
+        lines = (tmp_path / "o" / "summary.md").read_text().splitlines()
+        verdict = lines.index("- exponent target -4 +- 0.3: PASS")
+        assert re.fullmatch(r"- fitted lambda exponent: -3\.99\d\d \(r2 [\d.]+, window alpha 2\.\.\d+\)",
+                            lines[verdict - 1])
+
+    def test_a_missed_target_exits_one_with_a_fail_line(self, tmp_path):
+        assert _run_cli(tmp_path, {**self.BRIDGE, "expected_exponent": -2}) == 1
+        assert "- exponent target -2 +- 0.3: FAIL" in (tmp_path / "o" / "summary.md").read_text().splitlines()
+
+    @pytest.mark.parametrize("change", [
+        {"grid": {"points_per_axis": 33}, "fit_window": [2, 3]},
+        {"function": {"id": "rank_one", "m": 3}, "grid": {"points_per_axis": 5}},
+        {"function": {"id": "rank_one", "m": 3}, "grid": {"points_per_axis": 5}, "format": "tt",
+         "expected_exponent": 7},
+        {"function": {"id": "rank_one", "m": 1}, "grid": {"points_per_axis": 5}, "format": "tt",
+         "expected_exponent": 0},
+    ], ids=["narrow-window", "rank-one-tucker", "rank-one-tt", "one-mode-tt"])
+    def test_too_few_usable_values_exit_two_naming_fit_window(self, tmp_path, capsys, change):
+        assert _run_cli(tmp_path, {**self.BRIDGE, **change}) == 2
+        assert capsys.readouterr().err.startswith("error: config field 'fit_window': InsufficientSpectrumError")
+
+    @pytest.mark.parametrize("fmt", hz.FORMATS)
+    def test_the_fit_matches_the_spectrum_experiments(self, tmp_path, monkeypatch, fmt):
+        exponents = []
+
+        def recording(spec, window=None):
+            fit = svd.fit_decay_exponent(spec, window)
+            exponents.append(fit.exponent)
+            return fit
+
+        monkeypatch.setattr(hz, "fit_decay_exponent", recording)
+        spectrum = {key: self.BRIDGE[key] for key in ("function", "grid", "expected_exponent")}
+        for i, raw in enumerate([{**self.BRIDGE, "format": fmt}, {**spectrum, "experiment": "spectrum"}]):
+            assert hz.run(hz.parse_config(raw), tmp_path / str(i)).exit_code == 0
+        decompose, spectrum = exponents
+        assert abs(decompose - spectrum) <= 1e-12
 
 
 # The decomposing configs of SMALL_CONFIGS, whose functions are separable (every error at the noise floor),

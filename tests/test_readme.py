@@ -11,7 +11,7 @@ from pathlib import Path
 import lrtensor as lt
 from lrtensor.cli import main as cli_main
 from lrtensor.functions import _REGISTRY
-from lrtensor.harness import _FORMAT_NAMES, ExperimentConfig, _format
+from lrtensor.harness import _EVERY, _EXPERIMENTS, _FORMAT_NAMES, ExperimentConfig, _format
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 ACCEPTANCE = (Path(__file__).resolve().parent / "test_acceptance.py").read_text()
@@ -47,10 +47,23 @@ def test_config_table_states_every_field_and_its_default():
     assert table == [(f.name, f.default) for f in dataclasses.fields(ExperimentConfig)]
 
 
+def _readers(name: str) -> str:
+    """The experiments `_EXPERIMENTS` says read the field `name`, in its order, each in bold if it needs it."""
+    if name in _EVERY:
+        return "every experiment"
+    return ", ".join(f"**`{experiment}`**" if name in needs else f"`{experiment}`"
+                     for experiment, (_, needs, reads) in _EXPERIMENTS.items() if name in needs + reads)
+
+
+def test_config_table_names_the_experiments_that_read_each_field():
+    rows = re.findall(r"^\| `(\w+)` \| (?:required|`[^`]+`) \| ([^|]*) \|", README, flags=re.MULTILINE)
+    assert rows == [(f.name, _readers(f.name)) for f in dataclasses.fields(ExperimentConfig)]
+
+
 def test_format_names_are_the_ones_the_reader_accepts():
     for name in _FORMAT_NAMES:
         assert _format(name) == name
-    (row,) = re.findall(r"^\| `format` \| `[^`]+` \| (.*) \|$", README, flags=re.MULTILINE)
+    (row,) = re.findall(r"^\| `format` \| `[^`]+` \| [^|]* \| (.*) \|$", README, flags=re.MULTILINE)
     (line,) = re.findall(r"^Formats: (.*?)\.", README, flags=re.MULTILINE)
     for listed in (row, line):
         assert re.findall(r"`([\w-]+)`", listed) == list(_FORMAT_NAMES)

@@ -9,7 +9,7 @@ import lrtensor as lt
 import lrtensor.svd as svd
 import lrtensor.train as train
 from lrtensor.svd import SIGN_PIVOT_TOL, InsufficientSpectrumError, _tails, factorize
-from oracles import full_svd, gram_spectrum, projection_trace_check
+from oracles import full_svd, gram_spectrum, mode_unfolding, projection_trace_check
 
 
 def trapezoid(n):
@@ -140,7 +140,7 @@ class TestTruncatedSVD:
 
     @pytest.mark.parametrize("use", [
         lt.hosvd, lt.tt_svd,
-        lambda t, rule: lt.truncated_svd(lt.mode_unfolding(t, 0), rule),
+        lambda t, rule: lt.truncated_svd(mode_unfolding(t, 0), rule),
     ])
     def test_fixed_rank_zero_is_rejected_where_it_is_made(self, use):
         t = lt.DenseTensor(np.random.default_rng(5).standard_normal((5, 4, 3)))

@@ -23,7 +23,7 @@ from lrtensor import svd
 from lrtensor.core import _scale_by_weights
 from lrtensor.grids import RULE_GAUSS, RULE_TRAPEZOID
 from lrtensor.svd import SIGN_PIVOT_TOL, _tails, factorize, spectrum
-from oracles import full_svd
+from oracles import full_svd, mode_unfolding
 
 KINDS = ("spd", "indefinite", "rank-deficient", "plus-minus-pairs", "repeated")
 
@@ -143,7 +143,7 @@ def test_fixed_symmetric_matrices_match_full_svd(name):
 
 def test_ties_keep_eigh_order():
     t = lt.DenseTensor(np.diag([-2.0, 2.0, 1.0]))
-    f = factorize(lt.mode_unfolding(t, 0))
+    f = factorize(mode_unfolding(t, 0))
     assert np.array_equal(f.full_spectrum.values, [2.0, 2.0, 1.0])
     assert np.array_equal(f.U, np.eye(3))
 
@@ -179,7 +179,7 @@ def test_kernel_samples_stay_bitwise_symmetric(kernel, rule):
 def test_brownian_bridge_spectrum_tracks_its_eigenvalues():
     """The Brownian bridge covariance has eigenvalues (πα)^-2: the symmetric path resolves the first 20 and their decay."""
     t = lt.sample(lt.make_function("brownian_bridge"), lt.GridSpec(512))
-    A = lt.mode_unfolding(t, 0)
+    A = mode_unfolding(t, 0)
     assert np.array_equal(A, A.T)
     alpha = np.arange(1, 21)
     spec = spectrum(A)

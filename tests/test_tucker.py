@@ -6,7 +6,7 @@ import pytest
 import lrtensor as lt
 from lrtensor.svd import factorize, truncated_svd
 import lrtensor.tucker as tucker
-from oracles import classical_hosvd, gram_spectrum, sequential_matrix, tail_energy
+from oracles import classical_hosvd, gram_spectrum, mode_unfolding, sequential_matrix, tail_energy
 
 
 def random_tensor(rng, extents, weighted=False):
@@ -207,7 +207,7 @@ class TestTwoModeOneSVD:
     def test_tolerance_ranks_match_the_per_mode_path(self, extents, weighted, rank):
         t = _two_mode_tensor(extents, weighted, rank)
         norm = lt.frobenius_norm(t)
-        s = np.linalg.svd(lt.mode_unfolding(t, 0), compute_uv=False)
+        s = np.linalg.svd(mode_unfolding(t, 0), compute_uv=False)
         tails = [float(np.sqrt(np.sum(s[r:] ** 2))) for r in range(len(s) + 1)]
         # midway between consecutive tails, and below the noise floor
         kept = len(s) if rank is None else rank
